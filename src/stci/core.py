@@ -18,6 +18,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+# Largest exponent a monomial may carry.  The sum of two bounded exponents
+# (a product of monomials, computed in int64 arrays before the result is
+# checked) and the total degree of a bounded monomial in fewer than 2^32
+# variables both fit in int64.
+MAX_EXPONENT = 2**31 - 1
+
 
 class ContextMismatchError(ValueError):
     """Raised when operands belong to different ring contexts."""
@@ -150,8 +156,12 @@ class Monomial:
             raise ValueError(
                 f"expected {self.context.n} exponents, got {len(self.exponents)}"
             )
-        if any(e < 0 for e in self.exponents):
+        if min(self.exponents) < 0:
             raise ValueError("exponents must be non-negative")
+        if max(self.exponents) > MAX_EXPONENT:
+            raise ResourceLimitError(
+                f"exponent {max(self.exponents)} exceeds the bound {MAX_EXPONENT}"
+            )
 
     @property
     def degree(self) -> int:

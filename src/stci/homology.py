@@ -6,13 +6,18 @@ simplicial complexes at the multidegrees of the lcm lattice.  Each serves
 as the other's oracle.  Also computes the nonvanishing degrees of local
 cohomology of squarefree quotients through links in the Stanley-Reisner
 complex.
+
+Simplicial chain complexes have one builder, :func:`_boundary_complex`,
+which takes faces as vertex bitmasks (bit v set when v is in the face).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import and_
 
 import numpy as np
 
@@ -20,6 +25,10 @@ from .core import FieldSpec, MonomialIdeal, ResourceLimitError
 
 TAYLOR_GENERATOR_BOUND = 20
 LATTICE_SIZE_BOUND = 200_000
+# lattice points times generators in one numpy block of the lattice passes.
+# Small blocks cost no speed and keep the transient arrays of a Betti
+# computation near 0.5 MB; blocks of 64k cells added 1.5 MB to peak RSS.
+BLOCK_CELLS = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -53,21 +62,6 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        by_row: dict[int, dict[int, object]] = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, {})[j] = v
-        out = SparseMatrix(self.nrows, other.ncols)
-        for (i, k), v in self.entries.items():
-            row = by_row.get(k)
-            if not row:
-                continue
-            for j, w in row.items():
-                out[(i, j)] = out[(i, j)] + v * w
-        return out
-
     @classmethod
     def from_rows(cls, rows) -> "SparseMatrix":
         rows = [list(r) for r in rows]
@@ -81,25 +75,41 @@ class SparseMatrix:
         return m
 
 
-def _integer_rows(matrix: SparseMatrix) -> dict[int, dict[int, int]]:
-    """Rows with denominators cleared; row scaling does not change the rank."""
-    rows: dict[int, dict[int, Fraction | int]] = {}
+def _integer_row(row: dict[int, object], q: int | None) -> dict[int, int]:
+    """A row with Fraction or numpy entries as Python ints: over F_q each
+    entry becomes a representative of its residue, over the rationals the
+    row is scaled by the lcm of its denominators (which keeps the rank)."""
+    if q:
+        out = {}
+        for j, v in row.items():
+            if isinstance(v, Fraction):
+                den = v.denominator % q
+                if den == 0:
+                    raise ZeroDivisionError("denominator divisible by the modulus")
+                out[j] = v.numerator * pow(den, q - 2, q)
+            else:
+                out[j] = int(v)
+        return out
+    denom = 1
+    for v in row.values():
+        if isinstance(v, Fraction):
+            denom = denom * v.denominator // gcd(denom, v.denominator)
+    return {j: int(v * denom) for j, v in row.items()}
+
+
+def _field_rows(matrix: SparseMatrix, q: int | None) -> dict[int, dict[int, int]]:
+    """The nonzero rows as dicts of Python ints, reduced mod q over F_q."""
+    rows: dict[int, dict[int, object]] = {}
     for (i, j), v in matrix.entries.items():
         rows.setdefault(i, {})[j] = v
     out: dict[int, dict[int, int]] = {}
     for i, row in rows.items():
-        denom = 1
-        for v in row.values():
-            if isinstance(v, Fraction):
-                denom = denom * v.denominator // gcd(denom, v.denominator)
-        cleaned = {}
-        for j, v in row.items():
-            w = v * denom
-            w = int(w) if not isinstance(w, int) else w
-            if w:
-                cleaned[j] = w
-        if cleaned:
-            out[i] = cleaned
+        if any(type(v) is not int for v in row.values()):
+            row = _integer_row(row, q)
+        if q:
+            row = {j: w for j, v in row.items() if (w := v % q)}
+        if row:
+            out[i] = row
     return out
 
 
@@ -114,8 +124,30 @@ def _normalize_row(row: dict[int, int]) -> None:
             row[j] //= g
 
 
-def _rank_rational(matrix: SparseMatrix) -> int:
-    rows = _integer_rows(matrix)
+def _combine(row: dict[int, int], pivot_row: dict[int, int], pj: int,
+             q: int | None) -> dict[int, int]:
+    """pivot_row[pj] * row - row[pj] * pivot_row, which clears column pj.
+
+    The field-specific part: over F_q the entries are reduced mod q, over
+    the rationals the row is divided by the gcd of its entries.  Either way
+    the new row is a nonzero multiple of the textbook update, so its zero
+    pattern, and with it the pivot order, is the same.
+    """
+    pval, v = pivot_row[pj], row[pj]
+    new_row: dict[int, int] = {}
+    for j in row.keys() | pivot_row.keys():
+        w = row.get(j, 0) * pval - v * pivot_row.get(j, 0)
+        if q:
+            w %= q
+        if w:
+            new_row[j] = w
+    if not q:
+        _normalize_row(new_row)
+    return new_row
+
+
+def _eliminate(rows: dict[int, dict[int, int]], q: int | None) -> int:
+    """Rank of integer rows by sparse elimination with Markowitz pivots."""
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
@@ -134,71 +166,11 @@ def _rank_rational(matrix: SparseMatrix) -> int:
                 break
         _, pi, pj = best
         pivot_row = rows.pop(pi)
-        pval = pivot_row[pj]
         for j in pivot_row:
             cols[j].discard(pi)
         for ri in sorted(cols.get(pj, ())):
             row = rows[ri]
-            v = row[pj]
-            new_row: dict[int, int] = {}
-            for j in set(row) | set(pivot_row):
-                w = row.get(j, 0) * pval - v * pivot_row.get(j, 0)
-                if w:
-                    new_row[j] = w
-            _normalize_row(new_row)
-            for j in row:
-                cols[j].discard(ri)
-            if new_row:
-                rows[ri] = new_row
-                for j in new_row:
-                    cols.setdefault(j, set()).add(ri)
-            else:
-                del rows[ri]
-        cols.pop(pj, None)
-        rank += 1
-    return rank
-
-
-def _rank_prime(matrix: SparseMatrix, q: int) -> int:
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), v in matrix.entries.items():
-        if isinstance(v, Fraction):
-            num, den = v.numerator % q, v.denominator % q
-            if den == 0:
-                raise ZeroDivisionError("denominator divisible by the modulus")
-            w = num * pow(den, q - 2, q) % q
-        else:
-            w = int(v) % q
-        if w:
-            rows.setdefault(i, {})[j] = w
-    cols: dict[int, set[int]] = {}
-    for i, row in rows.items():
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-    rank = 0
-    while rows:
-        best = None
-        for i in sorted(rows):
-            rlen = len(rows[i])
-            for j in sorted(rows[i]):
-                cost = (rlen - 1) * (len(cols[j]) - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, i, j)
-            if best is not None and best[0] == 0:
-                break
-        _, pi, pj = best
-        pivot_row = rows.pop(pi)
-        pinv = pow(pivot_row[pj], q - 2, q)
-        for j in pivot_row:
-            cols[j].discard(pi)
-        for ri in sorted(cols.get(pj, ())):
-            row = rows[ri]
-            factor = row[pj] * pinv % q
-            new_row: dict[int, int] = {}
-            for j in set(row) | set(pivot_row):
-                w = (row.get(j, 0) - factor * pivot_row.get(j, 0)) % q
-                if w:
-                    new_row[j] = w
+            new_row = _combine(row, pivot_row, pj, q)
             for j in row:
                 cols[j].discard(ri)
             if new_row:
@@ -226,9 +198,7 @@ def rank(matrix, field: FieldSpec = FieldSpec.rationals()) -> int:
             matrix = SparseMatrix.from_rows(matrix)
     if matrix.is_zero():
         return 0
-    if field.is_rationals:
-        return _rank_rational(matrix)
-    return _rank_prime(matrix, field.modulus)
+    return _eliminate(_field_rows(matrix, field.modulus), field.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +212,43 @@ class ChainComplex:
     dims: dict[int, int]
     diffs: dict[int, SparseMatrix] = dc_field(default_factory=dict)
 
-    def validate(self) -> None:
-        for i, d in self.diffs.items():
-            up = self.diffs.get(i + 1)
-            if up is None:
-                continue
-            if d.ncols != up.nrows:
-                raise ValueError(f"boundary shapes at degree {i} do not compose")
-            if not (d @ up).is_zero():
-                raise ValueError(f"boundary squared is nonzero at degree {i}")
-
     def homology_ranks(self, field: FieldSpec = FieldSpec.rationals()) -> dict[int, int]:
-        out = {}
-        for i, dim in sorted(self.dims.items()):
-            r_out = rank(self.diffs[i], field) if i in self.diffs else 0
-            r_in = rank(self.diffs[i + 1], field) if i + 1 in self.diffs else 0
-            out[i] = dim - r_out - r_in
-        return out
+        """dim C_i - rank D_i - rank D_{i+1} in each degree; every
+        differential is ranked once."""
+        ranks = {i: rank(d, field) for i, d in self.diffs.items()}
+        return {
+            i: dim - ranks.get(i, 0) - ranks.get(i + 1, 0)
+            for i, dim in sorted(self.dims.items())
+        }
+
+
+def _boundary_complex(faces) -> ChainComplex:
+    """The augmented chain complex of the complex with the given faces.
+
+    Faces are vertex bitmasks, the empty face 0 included, closed under
+    taking subsets.  Each dimension's faces are indexed in increasing mask
+    order, and the face v_0 < ... < v_k has boundary
+    sum_p (-1)^p (face without v_p).  No faces gives the void complex,
+    which has no chain groups at all.
+    """
+    by_dim: dict[int, list[int]] = {}
+    for f in sorted(faces):
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    index = {f: k for fs in by_dim.values() for k, f in enumerate(fs)}
+    diffs = {}
+    for i, fs in by_dim.items():
+        if i < 0:
+            continue
+        m = SparseMatrix(len(by_dim[i - 1]), len(fs))
+        for col, f in enumerate(fs):
+            sign, rest = 1, f
+            while rest:
+                low = rest & -rest
+                m.entries[(index[f ^ low], col)] = sign
+                sign, rest = -sign, rest ^ low
+        diffs[i] = m
+    dims = {i: len(fs) for i, fs in sorted(by_dim.items())}
+    return ChainComplex(dims=dims, diffs=diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +307,6 @@ class SimplicialComplex:
     def faces_of_dim(self, i: int) -> list[tuple[int, ...]]:
         return sorted(tuple(sorted(f)) for f in self.faces if len(f) == i + 1)
 
-    def f_vector(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for f in self.faces:
-            d = len(f) - 1
-            out[d] = out.get(d, 0) + 1
-        return out
-
     def link(self, sigma) -> "SimplicialComplex":
         sigma = frozenset(sigma)
         if sigma not in self.faces:
@@ -357,23 +340,7 @@ def boundary_chain_complex(
     complex_: SimplicialComplex, field: FieldSpec = FieldSpec.rationals()
 ) -> ChainComplex:
     """The augmented (reduced) simplicial chain complex, C_{-1} included."""
-    if complex_.is_void:
-        return ChainComplex(dims={})
-    dims = {}
-    index: dict[int, dict[tuple[int, ...], int]] = {}
-    for i in range(-1, complex_.dim + 1):
-        faces = complex_.faces_of_dim(i)
-        dims[i] = len(faces)
-        index[i] = {f: k for k, f in enumerate(faces)}
-    diffs = {}
-    for i in range(0, complex_.dim + 1):
-        m = SparseMatrix(dims[i - 1], dims[i])
-        for f, col in index[i].items():
-            for pos in range(len(f)):
-                sub = f[:pos] + f[pos + 1:]
-                m[(index[i - 1][sub], col)] = -1 if pos % 2 else 1
-        diffs[i] = m
-    return ChainComplex(dims=dims, diffs=diffs)
+    return _boundary_complex(sum(1 << v for v in f) for f in complex_.faces)
 
 
 def reduced_homology_ranks(
@@ -384,9 +351,7 @@ def reduced_homology_ranks(
     The void complex has no homology at all; the irrelevant complex has
     rank one in degree -1.
     """
-    if complex_.is_void:
-        return {}
-    return boundary_chain_complex(complex_, field).homology_ranks(field)
+    return boundary_chain_complex(complex_).homology_ranks(field)
 
 
 # ---------------------------------------------------------------------------
@@ -401,46 +366,6 @@ def _subset_lcms(exponents: np.ndarray) -> np.ndarray:
         low = mask & -mask
         table[mask] = np.maximum(table[mask ^ low], exponents[low.bit_length() - 1])
     return table
-
-
-def taylor_chain_complex(
-    a: MonomialIdeal,
-    field: FieldSpec | None = None,
-    max_generators: int = 12,
-) -> ChainComplex:
-    """The full Taylor complex of the minimal generators, tensored to the field.
-
-    Exponential in mu; meant for small ideals and for validating the blocked
-    computation in :func:`taylor_homology`.
-    """
-    if a.is_unit or a.is_zero:
-        raise ValueError("taylor complex needs a proper, nonzero ideal")
-    mu = a.mu
-    if mu > max_generators:
-        raise ResourceLimitError(
-            f"mu(a) = {mu} exceeds the full-complex bound {max_generators}"
-        )
-    exps = a.exponent_matrix()
-    lcms = _subset_lcms(exps)
-    by_size: dict[int, list[int]] = {i: [] for i in range(mu + 1)}
-    for mask in range(1 << mu):
-        by_size[bin(mask).count("1")].append(mask)
-    index = {
-        i: {mask: k for k, mask in enumerate(sorted(masks))}
-        for i, masks in by_size.items()
-    }
-    dims = {i: len(masks) for i, masks in by_size.items()}
-    diffs = {}
-    for i in range(1, mu + 1):
-        m = SparseMatrix(dims[i - 1], dims[i])
-        for mask, col in index[i].items():
-            members = [b for b in range(mu) if mask >> b & 1]
-            for pos, b in enumerate(members):
-                sub = mask ^ (1 << b)
-                if np.array_equal(lcms[sub], lcms[mask]):
-                    m[(index[i - 1][sub], col)] = -1 if pos % 2 else 1
-        diffs[i] = m
-    return ChainComplex(dims=dims, diffs=diffs)
 
 
 def taylor_homology(
@@ -510,20 +435,21 @@ def lcm_lattice(a: MonomialIdeal, max_size: int = LATTICE_SIZE_BOUND) -> list[tu
     if a.is_zero:
         return []
     gens = a.exponent_matrix()
-    n = gens.shape[1]
-    known: set[tuple[int, ...]] = {tuple(int(x) for x in r) for r in gens}
+    m, n = gens.shape
+    # a whole row as one fixed-width value, so that a 1-D unique dedupes rows
+    row_value = np.dtype((np.void, gens.itemsize * n))
+    known: set[tuple[int, ...]] = set(map(tuple, gens.tolist()))
     frontier = np.array(sorted(known), dtype=np.int64)
-    chunk = max(1, 2_000_000 // (gens.shape[0] * max(n, 1)))
+    chunk = max(1, BLOCK_CELLS // m)
     while len(frontier):
-        fresh: list[tuple[int, ...]] = []
+        fresh: set[tuple[int, ...]] = set()
         for start in range(0, len(frontier), chunk):
             block = frontier[start:start + chunk]
             joins = np.maximum(block[:, None, :], gens[None, :, :]).reshape(-1, n)
-            joins = np.unique(joins, axis=0)
-            fresh.extend(
-                t for t in (tuple(int(x) for x in r) for r in joins) if t not in known
+            joins = np.unique(joins.view(row_value).ravel()).view(np.int64)
+            fresh.update(
+                t for t in map(tuple, joins.reshape(-1, n).tolist()) if t not in known
             )
-        fresh = sorted(set(fresh))
         if not fresh:
             break
         known.update(fresh)
@@ -531,8 +457,57 @@ def lcm_lattice(a: MonomialIdeal, max_size: int = LATTICE_SIZE_BOUND) -> list[tu
             raise ResourceLimitError(
                 f"lcm lattice exceeds {max_size} elements"
             )
-        frontier = np.array(fresh, dtype=np.int64)
+        frontier = np.array(sorted(fresh), dtype=np.int64)
     return sorted(known)
+
+
+def _carriers(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The carrier of every generator at every point, as an L x m array.
+
+    The carrier of a generator e at b is the bitmask of the variables j
+    with e_j < b_j; it is -1 where e does not divide b.  The L x m arrays
+    are built one variable at a time, never as an L x m x n broadcast.
+    """
+    n = gens.shape[1]
+    # bits 0..62 keep an int64 mask non-negative
+    dtype = np.int64 if n < 64 else object
+    divides = np.ones((len(points), len(gens)), dtype=bool)
+    carrier = np.zeros(divides.shape, dtype=dtype)
+    for j in range(n):
+        g, b = gens[None, :, j], points[:, j, None]
+        divides &= g <= b
+        carrier |= (g < b).astype(dtype) << j
+    carrier[~divides] = -1
+    return carrier
+
+
+def _facets(carriers) -> list[int]:
+    """The maximal carriers, i.e. the facets of the upper-Koszul complex;
+    -1 entries (non-dividing generators) are ignored."""
+    distinct = set(carriers)
+    distinct.discard(-1)
+    facets: list[int] = []
+    # a strict superset has more bits, so it is met first
+    for c in sorted(distinct, key=int.bit_count, reverse=True):
+        for f in facets:
+            if c & f == c:
+                break
+        else:
+            facets.append(c)
+    return facets
+
+
+def _down_closure(facets: list[int]) -> set[int]:
+    """Every subset of some facet, as bitmasks."""
+    faces: set[int] = set()
+    for c in facets:
+        sub = c
+        while True:
+            faces.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & c
+    return faces
 
 
 def upper_koszul_complex(a: MonomialIdeal, b) -> SimplicialComplex:
@@ -543,31 +518,12 @@ def upper_koszul_complex(a: MonomialIdeal, b) -> SimplicialComplex:
     """
     b = tuple(int(x) for x in b)
     supp = [j for j, e in enumerate(b) if e > 0]
-    pos = {j: k for k, j in enumerate(supp)}
-    s = len(supp)
-    carriers: set[int] = set()
-    for g in a.generators:
-        e = g.exponents
-        if not all(e[j] <= b[j] for j in range(len(b))):
-            continue
-        mask = 0
-        for j in supp:
-            if e[j] < b[j]:
-                mask |= 1 << pos[j]
-        carriers.add(mask)
-    if not carriers:
-        return SimplicialComplex.void(s)
-    maximal = [c for c in carriers if not any(o != c and o & c == c for o in carriers)]
-    faces: set[int] = set()
-    for c in maximal:
-        sub = c
-        while True:
-            faces.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & c
+    carriers = _carriers(a.exponent_matrix(), np.array([b], dtype=np.int64))
+    facets = _facets(carriers[0].tolist())
     return SimplicialComplex(
-        s, [frozenset(k for k in range(s) if f >> k & 1) for f in faces]
+        len(supp),
+        [frozenset(k for k, j in enumerate(supp) if f >> j & 1)
+         for f in _down_closure(facets)],
     )
 
 
@@ -579,7 +535,13 @@ def koszul_betti(
     """Multigraded Betti numbers of R/a over the lcm lattice.
 
     beta_{i,b} is the rank of reduced homology in degree i-2 of the
-    upper-Koszul complex at b; beta_{0,0} = 1 for a proper ideal.
+    upper-Koszul complex at b; beta_{0,0} = 1 for a proper ideal.  The
+    carriers of all generators at a block of lattice points come from one
+    vectorised pass.  A point whose facets (maximal carriers) share a
+    vertex is skipped: its complex is a cone and has no reduced homology.
+    At every other point the faces, as bitmasks, go straight into the
+    boundary matrices, each matrix is ranked once, and points with the same
+    facets share one homology computation.
     """
     if a.is_unit or a.is_zero:
         raise ValueError("betti numbers need a proper, nonzero ideal")
@@ -587,16 +549,23 @@ def koszul_betti(
         field = a.context.field
     zero = (0,) * a.context.n
     out: dict[tuple[int, tuple[int, ...]], int] = {(0, zero): 1}
-    for b in lcm_lattice(a, max_size=max_lattice):
-        k = upper_koszul_complex(a, b)
-        if k.is_void:
-            continue
-        supp_size = sum(1 for e in b if e > 0)
-        # a cone over the full support is contractible in every degree
-        if k.dim == supp_size - 1 and len(k.faces) == (1 << supp_size):
-            continue
-        for j, h in reduced_homology_ranks(k, field).items():
-            if h:
+    # nonzero reduced homology (degree, rank) of each complex met so far
+    homology: dict[frozenset[int], list[tuple[int, int]]] = {}
+    lattice = lcm_lattice(a, max_size=max_lattice)
+    gens = a.exponent_matrix()
+    step = max(1, BLOCK_CELLS // len(gens))
+    for start in range(0, len(lattice), step):
+        block = lattice[start:start + step]
+        carriers = _carriers(gens, np.array(block, dtype=np.int64)).tolist()
+        for b, row in zip(block, carriers):
+            facets = _facets(row)
+            if not facets or reduce(and_, facets):
+                continue
+            key = frozenset(facets)
+            if key not in homology:
+                ranks = _boundary_complex(_down_closure(facets)).homology_ranks(field)
+                homology[key] = [(j, h) for j, h in ranks.items() if h]
+            for j, h in homology[key]:
                 out[(j + 2, b)] = h
     return out
 
@@ -617,8 +586,8 @@ def koszul_betti_totals(
 # Stanley-Reisner complexes and local cohomology support
 
 
-def stanley_reisner_complex(a: MonomialIdeal) -> SimplicialComplex:
-    """The complex whose faces are the squarefree monomials outside ``a``."""
+def _stanley_reisner_faces(a: MonomialIdeal) -> list[int]:
+    """Bitmasks of the squarefree monomials outside ``a``."""
     if not a.is_squarefree:
         raise ValueError("Stanley-Reisner complexes need a squarefree ideal")
     n = a.context.n
@@ -630,12 +599,19 @@ def stanley_reisner_complex(a: MonomialIdeal) -> SimplicialComplex:
         for j in g.support():
             mask |= 1 << j
         gen_masks.append(mask)
-    faces = []
-    for sigma in range(1 << n):
-        if any(gm & ~sigma == 0 for gm in gen_masks):
-            continue
-        faces.append(frozenset(j for j in range(n) if sigma >> j & 1))
-    return SimplicialComplex(n, faces)
+    return [
+        sigma for sigma in range(1 << n)
+        if not any(gm & ~sigma == 0 for gm in gen_masks)
+    ]
+
+
+def stanley_reisner_complex(a: MonomialIdeal) -> SimplicialComplex:
+    """The complex whose faces are the squarefree monomials outside ``a``."""
+    n = a.context.n
+    return SimplicialComplex(n, [
+        frozenset(j for j in range(n) if sigma >> j & 1)
+        for sigma in _stanley_reisner_faces(a)
+    ])
 
 
 def local_cohomology_nonvanishing(
@@ -654,11 +630,11 @@ def local_cohomology_nonvanishing(
         raise ValueError("this computation requires a squarefree ideal")
     if field is None:
         field = a.context.field
-    delta = stanley_reisner_complex(a)
+    faces = _stanley_reisner_faces(a)
     out: set[int] = set()
-    for sigma in delta.faces:
-        link = delta.link(sigma)
-        for j, h in reduced_homology_ranks(link, field).items():
+    for sigma in faces:
+        link = [f ^ sigma for f in faces if f & sigma == sigma]
+        for j, h in _boundary_complex(link).homology_ranks(field).items():
             if h:
-                out.add(j + len(sigma) + 1)
+                out.add(j + sigma.bit_count() + 1)
     return frozenset(out)

@@ -39,6 +39,12 @@ def _require_proper_nonzero(a: MonomialIdeal) -> None:
         raise ValueError("invariants require a proper, nonzero ideal")
 
 
+def _check(ok: bool, relation: str) -> None:
+    """An invariant check that, unlike ``assert``, also runs under ``python -O``."""
+    if not ok:
+        raise AssertionError(f"invariant violated: {relation}")
+
+
 # ---------------------------------------------------------------------------
 # Betti numbers: dispatcher over Taylor / upper-Koszul with tensor splittings
 
@@ -224,7 +230,7 @@ def formal_grade(a: MonomialIdeal, field: FieldSpec | None = None) -> int:
     _require_proper_nonzero(a)
     fg = a.context.n - cohomological_dimension(a, field)
     if a.is_squarefree:
-        assert fg == depth(a, field), "squarefree formal grade must equal depth"
+        _check(fg == depth(a, field), "squarefree formal grade equals depth")
     return fg
 
 
@@ -510,7 +516,7 @@ def schmitt_vogel_upper(
     lower = cohomological_dimension(a, field)
     upper = len(level_masks)
     bounds = AraBounds(lower, upper, lower == upper, witness)
-    assert is_valid_sv_partition(a, witness)
+    _check(is_valid_sv_partition(a, witness), "valid Schmitt-Vogel partition")
     return bounds
 
 
@@ -541,23 +547,21 @@ def min_depth_powers(
     _require_proper_nonzero(a)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    best: int | None = None
-    power = None
-    for _ in range(horizon):
-        power = a if power is None else power * a
-        d = depth(power, field)
-        if best is None or d < best:
-            best = d
+    power = a
+    best = depth(power, field)
+    for _ in range(horizon - 1):
         if best == 0:
             break
-    assert best is not None
+        power = power * a
+        best = min(best, depth(power, field))
+    _check(0 <= best <= a.context.n, "0 <= depth <= n")
     return MinDepthResult(best, horizon, False)
 
 
 def dg(a: MonomialIdeal, horizon: int, field: FieldSpec | None = None) -> DgResult:
     """formal grade minus the observed minimum depth of powers."""
     value = formal_grade(a, field) - min_depth_powers(a, horizon, field).value
-    assert value >= 0, "dg must be non-negative"
+    _check(value >= 0, "dg >= 0")
     return DgResult(value, horizon)
 
 
@@ -625,7 +629,7 @@ def report(
     horizon: int = 3,
     field: FieldSpec | None = None,
 ) -> InvariantReport:
-    """Assemble the full invariant report; internal inequalities asserted."""
+    """Assemble the full invariant report; internal inequalities checked."""
     _require_proper_nonzero(a)
     if field is None:
         field = a.context.field
@@ -661,10 +665,11 @@ def report(
         stci_certified=ara.certified and ara.upper == ht,
         field=field,
     )
-    assert rep.height <= rep.cd
-    assert rep.ara.lower == rep.cd <= rep.ara.upper <= rep.mu
-    assert rep.cd <= rep.analytic_spread <= rep.mu
-    assert rep.depth + rep.proj_dim == n
-    assert rep.fgrade == n - rep.cd
-    assert rep.dg_value >= 0
+    _check(rep.height <= rep.cd, "height <= cd")
+    _check(rep.ara.lower == rep.cd <= rep.ara.upper <= rep.mu,
+           "ara lower = cd <= ara upper <= mu")
+    _check(rep.cd <= rep.analytic_spread <= rep.mu, "cd <= analytic spread <= mu")
+    _check(rep.depth + rep.proj_dim == n, "depth + proj_dim = n")
+    _check(rep.fgrade == n - rep.cd, "fgrade = n - cd")
+    _check(rep.dg_value >= 0, "dg >= 0")
     return rep

@@ -5,7 +5,10 @@ avoiding the code paths under test: ideal membership is decided monomial
 by monomial over a bounded degree range, Betti numbers come from Koszul
 strands on the quotient's monomial basis, heights from exhaustive
 transversal search, and matrix ranks from dense Gaussian elimination over
-``Fraction``.
+``Fraction``.  Code that only the tests use lives here too: the full
+Taylor complex, a boundary-squared check for chain complexes with the
+sparse product behind it, and the per-point lcm-lattice Betti composition
+that :func:`stci.homology.koszul_betti` replaces.
 """
 
 from __future__ import annotations
@@ -13,7 +16,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from stci.core import Monomial, MonomialIdeal
+import numpy as np
+
+from stci.core import FieldSpec, Monomial, MonomialIdeal, ResourceLimitError
+from stci.homology import (
+    ChainComplex,
+    SparseMatrix,
+    _subset_lcms,
+    lcm_lattice,
+    reduced_homology_ranks,
+    upper_koszul_complex,
+)
 
 
 def monomials_up_to_degree(n: int, bound: int):
@@ -219,3 +232,80 @@ def exponent_rows(a: MonomialIdeal) -> list[tuple[int, ...]]:
 
 def from_rows(ctx, rows) -> MonomialIdeal:
     return MonomialIdeal.from_generators(ctx, [Monomial(ctx, r) for r in rows])
+
+
+def sparse_matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """The product a @ b of two sparse matrices."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch")
+    by_row: dict[int, dict[int, object]] = {}
+    for (i, j), v in b.entries.items():
+        by_row.setdefault(i, {})[j] = v
+    out = SparseMatrix(a.nrows, b.ncols)
+    for (i, k), v in a.entries.items():
+        row = by_row.get(k)
+        if not row:
+            continue
+        for j, w in row.items():
+            out[(i, j)] = out[(i, j)] + v * w
+    return out
+
+
+def validate_chain_complex(cc: ChainComplex) -> None:
+    """Raise ValueError unless consecutive boundaries compose to zero."""
+    for i, d in cc.diffs.items():
+        up = cc.diffs.get(i + 1)
+        if up is None:
+            continue
+        if d.ncols != up.nrows:
+            raise ValueError(f"boundary shapes at degree {i} do not compose")
+        if not sparse_matmul(d, up).is_zero():
+            raise ValueError(f"boundary squared is nonzero at degree {i}")
+
+
+def taylor_chain_complex(a: MonomialIdeal, max_generators: int = 12) -> ChainComplex:
+    """The full Taylor complex of the minimal generators, tensored to the field.
+
+    Exponential in mu; meant for small ideals and for validating the blocked
+    computation in :func:`stci.homology.taylor_homology`.
+    """
+    if a.is_unit or a.is_zero:
+        raise ValueError("taylor complex needs a proper, nonzero ideal")
+    mu = a.mu
+    if mu > max_generators:
+        raise ResourceLimitError(
+            f"mu(a) = {mu} exceeds the full-complex bound {max_generators}"
+        )
+    lcms = _subset_lcms(a.exponent_matrix())
+    by_size: dict[int, list[int]] = {i: [] for i in range(mu + 1)}
+    for mask in range(1 << mu):
+        by_size[bin(mask).count("1")].append(mask)
+    index = {
+        i: {mask: k for k, mask in enumerate(sorted(masks))}
+        for i, masks in by_size.items()
+    }
+    dims = {i: len(masks) for i, masks in by_size.items()}
+    diffs = {}
+    for i in range(1, mu + 1):
+        m = SparseMatrix(dims[i - 1], dims[i])
+        for mask, col in index[i].items():
+            members = [b for b in range(mu) if mask >> b & 1]
+            for pos, b in enumerate(members):
+                sub = mask ^ (1 << b)
+                if np.array_equal(lcms[sub], lcms[mask]):
+                    m[(index[i - 1][sub], col)] = -1 if pos % 2 else 1
+        diffs[i] = m
+    return ChainComplex(dims=dims, diffs=diffs)
+
+
+def lattice_betti_oracle(
+    a: MonomialIdeal, field: FieldSpec
+) -> dict[tuple[int, tuple[int, ...]], int]:
+    """Multigraded Betti numbers point by point: the upper-Koszul complex at
+    every lcm-lattice point, its reduced homology, and no shortcuts."""
+    out = {(0, (0,) * a.context.n): 1}
+    for b in lcm_lattice(a):
+        for j, h in reduced_homology_ranks(upper_koszul_complex(a, b), field).items():
+            if h:
+                out[(j + 2, b)] = h
+    return out

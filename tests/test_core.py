@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stci.core import (
+    MAX_EXPONENT,
     ContextMismatchError,
     FieldSpec,
     Monomial,
     MonomialIdeal,
+    ResourceLimitError,
     RingContext,
     minimalize,
 )
@@ -147,6 +149,33 @@ def test_bracket_power_examples():
     assert a.bracket_power(1) == a
     with pytest.raises(ValueError):
         a.bracket_power(0)
+
+
+def test_exponent_bound_at_and_past_the_limit():
+    top = mono(CTX2, (MAX_EXPONENT, 1))
+    assert top.exponents == (MAX_EXPONENT, 1)
+    with pytest.raises(ResourceLimitError):
+        mono(CTX2, (MAX_EXPONENT + 1, 0))
+    with pytest.raises(ResourceLimitError):
+        mono(CTX2, (0, 10**20))
+    at_bound = ideal(CTX2, (MAX_EXPONENT, 0))
+    with pytest.raises(ResourceLimitError):
+        at_bound * at_bound
+    with pytest.raises(ResourceLimitError):
+        at_bound ** 2
+    with pytest.raises(ResourceLimitError):
+        at_bound.bracket_power(2)
+    assert ideal(CTX2, (MAX_EXPONENT - 1, 0)) * ideal(CTX2, (1, 0)) == at_bound
+
+
+@given(st.integers(0, MAX_EXPONENT), st.integers(0, MAX_EXPONENT))
+def test_product_of_bounded_monomials_never_wraps(e, f):
+    a, b = ideal(CTX2, (e, 1)), ideal(CTX2, (f, 0))
+    if e + f <= MAX_EXPONENT:
+        assert a * b == ideal(CTX2, (e + f, 1))
+    else:
+        with pytest.raises(ResourceLimitError):
+            a * b
 
 
 def test_membership_examples():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from stci import homology
 from stci.core import FieldSpec, MonomialIdeal, ResourceLimitError, RingContext
 from stci.homology import (
     SimplicialComplex,
@@ -18,12 +19,18 @@ from stci.homology import (
     rank,
     reduced_homology_ranks,
     stanley_reisner_complex,
-    taylor_chain_complex,
     taylor_homology,
     upper_koszul_complex,
 )
 
-from oracles import brute_betti, dense_rank_fraction
+from oracles import (
+    brute_betti,
+    dense_rank_fraction,
+    lattice_betti_oracle,
+    sparse_matmul,
+    taylor_chain_complex,
+    validate_chain_complex,
+)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -100,7 +107,7 @@ def test_rank_against_dense_oracle_random():
 def test_sparse_matrix_matmul():
     a = SparseMatrix.from_rows([[1, 2], [0, 1]])
     b = SparseMatrix.from_rows([[1, 0], [3, 1]])
-    c = a @ b
+    c = sparse_matmul(a, b)
     assert (c[(0, 0)], c[(0, 1)], c[(1, 0)], c[(1, 1)]) == (7, 2, 3, 1)
 
 
@@ -154,11 +161,27 @@ def test_boundary_squared_zero_and_euler_characteristic():
     for _ in range(40):
         k = random_complex(rng)
         cc = boundary_chain_complex(k)
-        cc.validate()
+        validate_chain_complex(cc)
         h = reduced_homology_ranks(k)
         euler_faces = sum((-1) ** (len(f) - 1) for f in k.faces)
         euler_homology = sum((-1) ** i * r for i, r in h.items())
         assert euler_faces == euler_homology
+
+
+def test_homology_ranks_ranks_each_differential_once(monkeypatch):
+    ranked = []
+    real_rank = homology.rank
+
+    def counting_rank(matrix, field=Q):
+        ranked.append(id(matrix))
+        return real_rank(matrix, field)
+
+    monkeypatch.setattr(homology, "rank", counting_rank)
+    k = SimplicialComplex.from_facets(5, [(0, 1, 2), (1, 2, 3), (3, 4), (0, 4)])
+    cc = boundary_chain_complex(k)
+    h = cc.homology_ranks(Q)
+    assert sorted(ranked) == sorted(id(d) for d in cc.diffs.values())
+    assert h == {-1: 0, 0: 0, 1: 1, 2: 0}
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +209,7 @@ def test_chain_complex_rejects_bad_boundaries():
         },
     )
     with pytest.raises(ValueError, match="boundary squared"):
-        bad.validate()
+        validate_chain_complex(bad)
     mismatched = ChainComplex(
         dims={0: 2, 1: 1, 2: 1},
         diffs={
@@ -195,13 +218,13 @@ def test_chain_complex_rejects_bad_boundaries():
         },
     )
     with pytest.raises(ValueError, match="compose"):
-        mismatched.validate()
+        validate_chain_complex(mismatched)
 
 
 def test_taylor_chain_complex_composes_to_zero():
     for a in (triangle(), ideal(CTX2, (2, 0), (1, 1), (0, 3))):
         cc = taylor_chain_complex(a)
-        cc.validate()
+        validate_chain_complex(cc)
         h = cc.homology_ranks(Q)
         expected = taylor_homology(a)
         assert {i: r for i, r in h.items() if r} == expected
@@ -231,6 +254,87 @@ def test_koszul_totals_match_taylor_on_examples():
         triangle() ** 2,
     ):
         assert koszul_betti_totals(a) == taylor_homology(a)
+
+
+def edge_ideal(n, edges):
+    ctx = RingContext(tuple(f"x{i}" for i in range(n)))
+    rows = [tuple(int(v in e) for v in range(n)) for e in edges]
+    return MonomialIdeal.from_exponents(ctx, rows)
+
+
+def cycle(n):
+    return edge_ideal(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path(n):
+    return edge_ideal(n, [(i, i + 1) for i in range(n - 1)])
+
+
+@pytest.mark.parametrize("field", [Q, F2], ids=str)
+@pytest.mark.parametrize("graph", [cycle(5), cycle(6), path(6)],
+                         ids=["C5", "C6", "P6"])
+def test_koszul_betti_matches_per_point_composition_on_edge_ideals(graph, field):
+    for t in (1, 2):
+        a = graph ** t
+        assert koszul_betti(a, field) == lattice_betti_oracle(a, field)
+
+
+@pytest.mark.parametrize("field", [Q, F2], ids=str)
+def test_koszul_betti_matches_per_point_composition_mixed_degree(field):
+    rng = random.Random(31)
+    for _ in range(12):
+        rows = [
+            tuple(rng.randint(0, 3) for _ in range(4))
+            for _ in range(rng.randint(3, 9))
+        ]
+        a = MonomialIdeal.from_exponents(CTX4, [r for r in rows if any(r)])
+        if a.is_zero:
+            continue
+        assert koszul_betti(a, field) == lattice_betti_oracle(a, field)
+
+
+def test_koszul_betti_with_more_variables_than_mask_bits():
+    # carriers over 70 variables no longer fit an int64 bitmask
+    ctx = RingContext(tuple(f"x{i}" for i in range(70)))
+    rows = []
+    for pair in ((0, 64), (64, 69), (1, 69), (63, 0), (2, 3), (3, 68), (68, 69)):
+        row = [0] * 70
+        for v in pair:
+            row[v] = 2 if v == 69 else 1
+        rows.append(row)
+    a = MonomialIdeal.from_exponents(ctx, rows)
+    assert koszul_betti(a) == lattice_betti_oracle(a, Q)
+    assert koszul_betti_totals(a) == taylor_homology(a)
+
+
+def test_cone_points_are_skipped_and_have_no_reduced_homology(monkeypatch):
+    a = cycle(5) ** 2
+    built = []
+    real_builder = homology._boundary_complex
+
+    def counting_builder(faces):
+        built.append(1)
+        return real_builder(faces)
+
+    monkeypatch.setattr(homology, "_boundary_complex", counting_builder)
+    table = koszul_betti(a)
+    monkeypatch.undo()
+    cones, others = [], set()
+    for b in lcm_lattice(a):
+        k = upper_koszul_complex(a, b)
+        facets = [f for f in k.faces if not any(f < g for g in k.faces)]
+        if frozenset.intersection(*facets):
+            cones.append((b, k, len(facets)))
+        else:
+            # back to variable labels: points with equal facets share one build
+            supp = [j for j, e in enumerate(b) if e]
+            others.add(frozenset(frozenset(supp[v] for v in f) for f in facets))
+    # some cones are not the full simplex, which was the only skip before
+    assert any(n_facets > 1 for _, _, n_facets in cones)
+    assert len(built) == len(others)
+    for b, k, _ in cones:
+        assert not any(reduced_homology_ranks(k).values())
+        assert all(key[1] != b for key in table)
 
 
 def rows_strategy(n, max_exp, max_gens):

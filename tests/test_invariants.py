@@ -1,10 +1,16 @@
 """Depth, cd, formal grade, analytic spread, arithmetic rank bounds, dg."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stci
 from stci.core import FieldSpec, MonomialIdeal, RingContext
 from stci.decomposition import dim_quotient
 from stci.homology import local_cohomology_nonvanishing
@@ -296,6 +302,30 @@ def test_report_triangle():
     assert rep.dg_value == 1
     assert rep.cohen_macaulay  # depth 1 equals dim 1
     assert rep.squarefree
+
+
+def test_report_checks_survive_python_optimize():
+    # analytic_spread patched to mu + 1 breaks cd <= l <= mu; under -O an
+    # assert statement would be stripped, the explicit check must not be
+    script = textwrap.dedent("""
+        import sys
+        import stci.invariants as inv
+        from stci.parser import evaluate_program
+        if __debug__:
+            sys.exit("not running under -O")
+        inv.analytic_spread = lambda a: a.mu + 1
+        a = evaluate_program("ring x,y,z; (x*y, x*z, y*z)")
+        try:
+            inv.report(a, horizon=1)
+        except AssertionError as exc:
+            print(exc)
+    """)
+    src = str(Path(stci.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "invariant violated: cd <= analytic spread <= mu"
 
 
 def test_report_rejects_zero_and_unit():

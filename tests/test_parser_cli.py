@@ -15,7 +15,7 @@ from stci.cli import (
     REPORT_SCHEMA,
     main,
 )
-from stci.core import RingContext
+from stci.core import MAX_EXPONENT, RingContext
 from stci.parser import (
     BracketPower,
     EvaluationError,
@@ -249,6 +249,20 @@ def test_cli_resource_exit_code():
     code, _, err = run_cli(["report", f"ring x,y; ({gens})"])
     assert code == EXIT_RESOURCE
     assert "resource" in err.lower()
+
+
+def test_cli_exponent_bound_exit_codes():
+    code, out, _ = run_cli(["eval", f"ring x; (x^{MAX_EXPONENT})"])
+    assert code == EXIT_OK
+    assert f"x^{MAX_EXPONENT}" in out
+    for program in (
+        f"ring x; (x^{MAX_EXPONENT})*(x)",
+        "ring x; (x^9223372036854775807)*(x)",
+        "ring x; (x^99999999999999999999)*(x)",
+    ):
+        code, _, err = run_cli(["eval", program])
+        assert code == EXIT_RESOURCE
+        assert "exceeds the bound" in err
 
 
 def test_cli_usage_error():
