@@ -23,6 +23,12 @@ import numpy as np
 # checked) and the total degree of a bounded monomial in fewer than 2^32
 # variables both fit in int64.
 MAX_EXPONENT = 2**31 - 1
+# Cells (rows times entries) in one numpy block of a pairwise comparison.
+BLOCK_CELLS = 1 << 12
+# Largest mu_a * mu_b * n array a product or an intersection may broadcast.
+# Repeated squaring in a power doubles the generator count each step, so a
+# huge exponent trips this long before MAX_EXPONENT does.
+PAIR_CELL_BOUND = 1 << 22
 
 
 class ContextMismatchError(ValueError):
@@ -237,31 +243,34 @@ class Monomial:
         return f"Monomial({self})"
 
 
+def _unique_rows(arr: np.ndarray) -> np.ndarray:
+    """The distinct rows of a C-contiguous 2-D int64 array, in some order.
+
+    Each row is viewed as one fixed-width value, so a 1-D unique dedupes
+    rows exactly for any width, much faster than ``np.unique(axis=0)``.
+    """
+    n = arr.shape[1]
+    row_value = np.dtype((np.void, arr.itemsize * n))
+    return np.unique(arr.view(row_value).ravel()).view(np.int64).reshape(-1, n)
+
+
 def _minimal_exponent_rows(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Drop rows componentwise-dominated by another row (duplicates collapse)."""
     uniq = sorted(set(rows))
     if len(uniq) <= 1:
         return uniq
-    if len(uniq) > 64:
-        arr = np.array(uniq, dtype=np.int64)
-        order = np.argsort(arr.sum(axis=1), kind="stable")
-        arr = arr[order]
-        kept = np.empty_like(arr)
-        count = 0
-        for row in arr:
-            # earlier rows have smaller or equal total degree, so any divisor
-            # of `row` is already in `kept`
-            if count and bool(np.any(np.all(kept[:count] <= row, axis=1))):
-                continue
-            kept[count] = row
-            count += 1
-        return sorted(tuple(int(x) for x in r) for r in kept[:count])
-    out = []
-    for r in uniq:
-        if any(s != r and all(x <= y for x, y in zip(s, r)) for s in uniq):
-            continue
-        out.append(r)
-    return out
+    arr = np.array(uniq, dtype=np.int64)
+    m, n = arr.shape
+    step = max(1, BLOCK_CELLS // (m * n))
+    divisor_counts: list[int] = []
+    for start in range(0, m, step):
+        stop = start + step
+        # a row that divides another precedes it in lexicographic order, so
+        # the rows before `stop` hold every divisor of the block's rows,
+        # each row itself among them
+        divides = (arr[None, :stop] <= arr[start:stop, None]).all(axis=2)
+        divisor_counts.extend(np.count_nonzero(divides, axis=1).tolist())
+    return [r for r, c in zip(uniq, divisor_counts) if c == 1]
 
 
 def _sort_key(exps: tuple[int, ...]) -> tuple:
@@ -286,7 +295,16 @@ class MonomialIdeal:
                 raise ContextMismatchError(
                     f"generator {g} does not live in {context}"
                 )
-        rows = _minimal_exponent_rows([g.exponents for g in gens])
+        return cls._from_rows(context, [g.exponents for g in gens])
+
+    @classmethod
+    def _from_rows(
+        cls, context: RingContext, rows: list[tuple[int, ...]]
+    ) -> "MonomialIdeal":
+        """The ideal of non-negative exponent rows of length n.  Only the
+        minimal rows become monomials, so the exponent bound is checked on
+        them alone."""
+        rows = _minimal_exponent_rows(rows)
         rows.sort(key=_sort_key)
         return cls(context, tuple(Monomial(context, r) for r in rows))
 
@@ -355,14 +373,24 @@ class MonomialIdeal:
             self.context, self.generators + other.generators
         )
 
-    def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
+    def _pairwise(self, other: "MonomialIdeal", combine) -> "MonomialIdeal":
+        """The ideal generated by ``combine`` of every pair of generators."""
         _check_same_context(self, other)
         if self.is_zero or other.is_zero:
             return self.context.zero_ideal()
+        n = self.context.n
+        if self.mu * other.mu * n > PAIR_CELL_BOUND:
+            raise ResourceLimitError(
+                f"{self.mu} x {other.mu} generator pairs in {n} variables exceed "
+                f"the bound of {PAIR_CELL_BOUND} cells"
+            )
         a = self.exponent_matrix()
         b = other.exponent_matrix()
-        prods = (a[:, None, :] + b[None, :, :]).reshape(-1, self.context.n)
-        return MonomialIdeal.from_exponents(self.context, prods)
+        rows = _unique_rows(combine(a[:, None, :], b[None, :, :]).reshape(-1, n))
+        return MonomialIdeal._from_rows(self.context, list(map(tuple, rows.tolist())))
+
+    def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        return self._pairwise(other, np.add)
 
     def __pow__(self, k: int) -> "MonomialIdeal":
         if k < 1:
@@ -382,13 +410,7 @@ class MonomialIdeal:
 
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Ideal intersection, via pairwise lcms of generators."""
-        _check_same_context(self, other)
-        if self.is_zero or other.is_zero:
-            return self.context.zero_ideal()
-        a = self.exponent_matrix()
-        b = other.exponent_matrix()
-        lcms = np.maximum(a[:, None, :], b[None, :, :]).reshape(-1, self.context.n)
-        return MonomialIdeal.from_exponents(self.context, lcms)
+        return self._pairwise(other, np.maximum)
 
     def colon(self, m: Monomial) -> "MonomialIdeal":
         """(self : m) = { u : u*m in self }."""

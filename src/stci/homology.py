@@ -21,14 +21,20 @@ from operator import and_
 
 import numpy as np
 
-from .core import FieldSpec, MonomialIdeal, ResourceLimitError
+from .core import (
+    BLOCK_CELLS,
+    FieldSpec,
+    MonomialIdeal,
+    ResourceLimitError,
+    _unique_rows,
+)
 
 TAYLOR_GENERATOR_BOUND = 20
 LATTICE_SIZE_BOUND = 200_000
-# lattice points times generators in one numpy block of the lattice passes.
-# Small blocks cost no speed and keep the transient arrays of a Betti
-# computation near 0.5 MB; blocks of 64k cells added 1.5 MB to peak RSS.
-BLOCK_CELLS = 1 << 12
+# BLOCK_CELLS also sets lattice points times generators in one numpy block of
+# the lattice passes.  Small blocks cost no speed and keep the transient
+# arrays of a Betti computation near 0.5 MB; blocks of 64k cells added 1.5 MB
+# to peak RSS.
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +442,6 @@ def lcm_lattice(a: MonomialIdeal, max_size: int = LATTICE_SIZE_BOUND) -> list[tu
         return []
     gens = a.exponent_matrix()
     m, n = gens.shape
-    # a whole row as one fixed-width value, so that a 1-D unique dedupes rows
-    row_value = np.dtype((np.void, gens.itemsize * n))
     known: set[tuple[int, ...]] = set(map(tuple, gens.tolist()))
     frontier = np.array(sorted(known), dtype=np.int64)
     chunk = max(1, BLOCK_CELLS // m)
@@ -446,9 +450,8 @@ def lcm_lattice(a: MonomialIdeal, max_size: int = LATTICE_SIZE_BOUND) -> list[tu
         for start in range(0, len(frontier), chunk):
             block = frontier[start:start + chunk]
             joins = np.maximum(block[:, None, :], gens[None, :, :]).reshape(-1, n)
-            joins = np.unique(joins.view(row_value).ravel()).view(np.int64)
             fresh.update(
-                t for t in map(tuple, joins.reshape(-1, n).tolist()) if t not in known
+                t for t in map(tuple, _unique_rows(joins).tolist()) if t not in known
             )
         if not fresh:
             break

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +26,9 @@ from .decomposition import dim_quotient, height, minimal_primes
 from .linfeas import feasible_point
 
 TAYLOR_DISPATCH_BOUND = 8
-NEWTON_SUBSET_BOUND = 14
+# Candidate generator subsets analytic_spread may test: the sum of C(mu, k)
+# over k = 2..min(n, mu).  Every ideal with at most 14 generators fits.
+NEWTON_SUBSET_BUDGET = 1 << 14
 
 _BETTI_CACHE: dict[tuple[MonomialIdeal, FieldSpec], tuple[int, ...]] = {}
 
@@ -49,32 +52,29 @@ def _check(ok: bool, relation: str) -> None:
 # Betti numbers: dispatcher over Taylor / upper-Koszul with tensor splittings
 
 
+def _connected_blocks(sets: list[frozenset[int]]) -> list[set[int]]:
+    """Unions of the nonempty ``sets`` that are connected through shared
+    elements, ordered by their least element."""
+    blocks: list[set[int]] = []
+    for s in sets:
+        block = set(s)
+        apart = []
+        for b in blocks:
+            if b & block:
+                block |= b
+            else:
+                apart.append(b)
+        blocks = apart + [block]
+    return sorted(blocks, key=min)
+
+
 def _support_components(a: MonomialIdeal) -> list[list[int]]:
     """Partition generator indices by connected variable support."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for g in a.generators:
-        supp = sorted(g.support())
-        for v in supp:
-            parent.setdefault(v, v)
-        for v in supp[1:]:
-            union(supp[0], v)
-    roots = sorted({find(v) for v in parent})
-    groups: dict[int, list[int]] = {r: [] for r in roots}
-    for k, g in enumerate(a.generators):
-        groups[find(min(g.support()))].append(k)
-    return [groups[r] for r in roots]
+    blocks = _connected_blocks([g.support() for g in a.generators])
+    return [
+        [k for k, g in enumerate(a.generators) if g.support() <= block]
+        for block in blocks
+    ]
 
 
 def _restrict(a: MonomialIdeal, variables: set[int]) -> MonomialIdeal:
@@ -94,30 +94,12 @@ def _product_split(a: MonomialIdeal) -> list[MonomialIdeal] | None:
     can only cost time, never correctness.
     """
     primes = minimal_primes(a.radical())
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in primes:
-        supp = sorted(p.support())
-        for v in supp:
-            parent.setdefault(v, v)
-        for v in supp[1:]:
-            rx, ry = find(supp[0]), find(v)
-            if rx != ry:
-                parent[rx] = ry
-    for v in a.support():
-        parent.setdefault(v, v)
-    blocks: dict[int, set[int]] = {}
-    for v in parent:
-        blocks.setdefault(find(v), set()).add(v)
+    blocks = _connected_blocks(
+        [p.support() for p in primes] + [frozenset([v]) for v in a.support()]
+    )
     if len(blocks) <= 1:
         return None
-    factors = [_restrict(a, block) for block in blocks.values()]
+    factors = [_restrict(a, block) for block in blocks]
     if any(f.is_unit or f.is_zero for f in factors):
         return None
     factors.sort(key=lambda f: min(f.support()))
@@ -312,33 +294,93 @@ def newton_polyhedron(a: MonomialIdeal, max_generators: int = 12) -> NewtonPolyh
     return NewtonPolyhedron(tuple(points), tuple(ordered))
 
 
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by Bareiss elimination."""
+    m = [list(r) for r in rows]
+    size = len(m)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def _facet_normal(diffs: list[list[int]]) -> list[int] | None:
+    """The strictly positive normal of n-1 difference rows in n variables,
+    or None when the rows have rank below n-1 or no positive normal.
+
+    The cofactor vector w_j = (-1)^j det(diffs without column j) spans the
+    kernel when the rank is n-1, so the normal is fixed up to sign and scale.
+    """
+    minors = [_det([r[:j] + r[j + 1:] for r in diffs]) for j in range(len(diffs[0]))]
+    w = [-x if j % 2 else x for j, x in enumerate(minors)]
+    if all(x > 0 for x in w):
+        return w
+    if all(x < 0 for x in w):
+        return [-x for x in w]
+    return None
+
+
+def _in_compact_face(points, subset, n: int) -> bool:
+    """Whether the generators ``subset``, of affine dimension ``len(subset)
+    - 1``, lie in one compact face: an argmin set of a positive weight."""
+    if len(subset) < n:
+        return _positive_weight(points, subset) is not None
+    base = points[subset[0]]
+    diffs = [[x - y for x, y in zip(points[k], base)] for k in subset[1:]]
+    w = _facet_normal(diffs)
+    if w is None:
+        return False
+    level = sum(wj * x for wj, x in zip(w, base))
+    return all(sum(wj * x for wj, x in zip(w, q)) >= level for q in points)
+
+
 def analytic_spread(a: MonomialIdeal) -> int:
     """l(a): one plus the top dimension of a compact face of the Newton
     polyhedron; for ideals generated in one degree, the rank of the
-    exponent matrix."""
+    exponent matrix.
+
+    Variables in no generator only add a free orthant factor, so they are
+    dropped and n counts the rest.  A compact face is orthogonal to a
+    positive weight, so its dimension d is at most n-1, and it holds d+1
+    affinely independent generators.  The search runs d from min(n, mu)-1
+    down and returns d+1 at the first (d+1)-subset of affine dimension d
+    that lies in a compact face.  At d = n-1 the weight is the integer
+    cofactor normal of the subset, up to sign: the subset spans a compact
+    facet iff that normal is strictly positive and no generator falls below
+    the subset's level.  Below n-1 a Fourier-Motzkin solve finds the weight.
+    """
     _require_proper_nonzero(a)
     points = [g.exponents for g in a.generators]
     degrees = {sum(p) for p in points}
     if len(degrees) == 1:
         return homology.rank(np.array(points, dtype=np.int64))
-    if len(points) > NEWTON_SUBSET_BOUND:
+    used = [j for j in range(a.context.n) if any(p[j] for p in points)]
+    points = [tuple(p[j] for j in used) for p in points]
+    n, mu = len(used), len(points)
+    top = min(n, mu)
+    candidates = sum(comb(mu, k) for k in range(2, top + 1))
+    if candidates > NEWTON_SUBSET_BUDGET:
         raise ResourceLimitError(
-            f"analytic spread via compact faces is bounded at {NEWTON_SUBSET_BOUND} "
-            "mixed-degree generators"
+            f"analytic spread would test {candidates} generator subsets, over "
+            f"the budget of {NEWTON_SUBSET_BUDGET}"
         )
-    best = 0
-    indices = range(len(points))
-    for size in range(len(points), 0, -1):
-        if size - 1 <= best:
-            break
-        for subset in combinations(indices, size):
-            pts = [points[k] for k in subset]
-            d = _affine_dim(pts)
-            if d <= best:
+    for size in range(top, 1, -1):
+        for subset in combinations(range(mu), size):
+            # at size n the facet normal is zero unless the affine dimension is n-1
+            if size < n and _affine_dim([points[k] for k in subset]) < size - 1:
                 continue
-            if _positive_weight(points, subset) is not None:
-                best = d
-    return best + 1
+            if _in_compact_face(points, subset, n):
+                return size
+    return 1
 
 
 class GrowthEstimate(NamedTuple):

@@ -7,8 +7,9 @@ strands on the quotient's monomial basis, heights from exhaustive
 transversal search, and matrix ranks from dense Gaussian elimination over
 ``Fraction``.  Code that only the tests use lives here too: the full
 Taylor complex, a boundary-squared check for chain complexes with the
-sparse product behind it, and the per-point lcm-lattice Betti composition
-that :func:`stci.homology.koszul_betti` replaces.
+sparse product behind it, the per-point lcm-lattice Betti composition
+that :func:`stci.homology.koszul_betti` replaces, and the all-subsets
+compact-face search that :func:`stci.invariants.analytic_spread` replaces.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from stci.homology import (
     reduced_homology_ranks,
     upper_koszul_complex,
 )
+from stci.invariants import _affine_dim, _positive_weight
 
 
 def monomials_up_to_degree(n: int, bound: int):
@@ -309,3 +311,24 @@ def lattice_betti_oracle(
             if h:
                 out[(j + 2, b)] = h
     return out
+
+
+def analytic_spread_oracle(a: MonomialIdeal) -> int:
+    """One plus the top compact-face dimension of the Newton polyhedron, by
+    trying every generator subset from the largest down, with one
+    Fourier-Motzkin solve for a positive weight exposing each subset that
+    could raise the best dimension so far.  No rank shortcut for ideals
+    generated in one degree."""
+    points = [g.exponents for g in a.generators]
+    best = 0
+    indices = range(len(points))
+    for size in range(len(points), 0, -1):
+        if size - 1 <= best:
+            break
+        for subset in combinations(indices, size):
+            d = _affine_dim([points[k] for k in subset])
+            if d <= best:
+                continue
+            if _positive_weight(points, subset) is not None:
+                best = d
+    return best + 1

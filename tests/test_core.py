@@ -1,8 +1,11 @@
 """Monomial and ideal arithmetic, checked against brute-force membership."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+import stci.core as core
 from stci.core import (
     MAX_EXPONENT,
     ContextMismatchError,
@@ -11,6 +14,7 @@ from stci.core import (
     MonomialIdeal,
     ResourceLimitError,
     RingContext,
+    _minimal_exponent_rows,
     minimalize,
 )
 
@@ -176,6 +180,42 @@ def test_product_of_bounded_monomials_never_wraps(e, f):
     else:
         with pytest.raises(ResourceLimitError):
             a * b
+
+
+def naive_minimal_rows(rows):
+    return sorted({
+        r for r in rows
+        if not any(s != r and all(x <= y for x, y in zip(s, r)) for s in rows)
+    })
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=80))
+def test_minimal_exponent_rows_matches_definition(rows):
+    assert _minimal_exponent_rows(rows) == naive_minimal_rows(rows)
+
+
+def test_minimal_exponent_rows_one_row_per_block():
+    # about 1600 distinct rows in 4 variables: each block holds a single row
+    rng = random.Random(3)
+    rows = sorted({tuple(rng.randint(0, 30) for _ in range(4)) for _ in range(1600)})
+    assert len(rows) * 4 > core.BLOCK_CELLS
+    assert _minimal_exponent_rows(rows) == naive_minimal_rows(rows)
+
+
+def test_pair_cell_bound_on_products_and_intersections(monkeypatch):
+    monkeypatch.setattr(core, "PAIR_CELL_BOUND", 18)
+    m = CTX3.maximal_ideal()
+    pair = ideal(CTX3, (1, 0, 0), (0, 1, 0))
+    assert pair * m == ideal(
+        CTX3, (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1)
+    )
+    assert (pair & m) == pair
+    with pytest.raises(ResourceLimitError, match="pairs"):
+        m * m
+    with pytest.raises(ResourceLimitError, match="pairs"):
+        m & m
+    with pytest.raises(ResourceLimitError, match="pairs"):
+        m ** 2
 
 
 def test_membership_examples():

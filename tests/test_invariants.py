@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stci
-from stci.core import FieldSpec, MonomialIdeal, RingContext
+import stci.invariants as invariants
+from stci.core import FieldSpec, MonomialIdeal, ResourceLimitError, RingContext
 from stci.decomposition import dim_quotient
 from stci.homology import local_cohomology_nonvanishing
 from stci.invariants import (
@@ -28,6 +29,8 @@ from stci.invariants import (
     report,
     schmitt_vogel_upper,
 )
+
+from oracles import analytic_spread_oracle
 
 CTX2 = RingContext(("x", "y"))
 CTX3 = RingContext(("x", "y", "z"))
@@ -151,6 +154,108 @@ def test_analytic_spread_examples():
     assert analytic_spread(ideal(CTX2, (1, 0), (0, 1))) == 2
     assert analytic_spread(ideal(CTX2, (2, 0), (1, 1), (0, 3))) == 2
     assert analytic_spread(ideal(CTX2, (1, 0))) == 1
+    # x^2*y^2 is the midpoint of x^4 and y^4, on the facet of weight (1, 1, 4)
+    assert analytic_spread(ideal(CTX3, (4, 0, 0), (2, 2, 0), (0, 4, 0), (0, 0, 1))) == 3
+    # z occurs in no generator
+    assert analytic_spread(ideal(CTX3, (3, 0, 0), (1, 1, 0), (0, 2, 0))) == 2
+
+
+def mixed_degree_rows(rng: random.Random, n: int, max_gens: int):
+    """Random exponent rows in n variables, some of them left out of every
+    row, and sometimes one generator at the midpoint of two others."""
+    unused = set()
+    if rng.random() < 0.3:
+        unused = set(rng.sample(range(n), rng.randint(0, n - 1)))
+    top = rng.randint(1, 4)
+    rows = [
+        tuple(0 if j in unused else rng.randint(0, top) for j in range(n))
+        for _ in range(rng.randint(2, max_gens))
+    ]
+    if rng.random() < 0.4:
+        p, q = rng.sample(rows, 2)
+        midpoint = tuple(x + y for x, y in zip(p, q))
+        rows = [tuple(2 * x for x in r) for r in rows] + [midpoint]
+    return [r for r in rows if any(r)]
+
+
+def seeded_mixed_degree_ideals(count: int, seed: int, max_gens: int = 9):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 6)
+        ctx = RingContext(tuple(f"x{i}" for i in range(n)))
+        rows = mixed_degree_rows(rng, n, max_gens + 1)
+        if not rows:
+            continue
+        a = MonomialIdeal.from_exponents(ctx, rows)
+        if a.mu <= max_gens and len({g.degree for g in a.generators}) > 1:
+            out.append(a)
+    return out
+
+
+def test_analytic_spread_matches_subset_oracle_seeded():
+    ideals = seeded_mixed_degree_ideals(60, seed=11)
+    below = 0
+    for a in ideals:
+        spread = analytic_spread_oracle(a)
+        assert analytic_spread(a) == spread, a
+        below += spread < min(len(a.support()), a.mu)
+    # the family reaches the Fourier-Motzkin path below n - 1
+    assert below >= 5
+    assert any(len(a.support()) < a.context.n for a in ideals)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.randoms(use_true_random=False))
+def test_analytic_spread_matches_subset_oracle_drawn(n, rng):
+    ctx = RingContext(tuple(f"x{i}" for i in range(n)))
+    rows = mixed_degree_rows(rng, n, 9)
+    if not rows:
+        return
+    a = MonomialIdeal.from_exponents(ctx, rows)
+    if a.is_unit or a.mu > 9:
+        return
+    assert analytic_spread(a) == analytic_spread_oracle(a)
+
+
+def test_compact_facet_needs_no_fourier_motzkin(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return feasible_point(*args)
+
+    feasible_point = invariants.feasible_point
+    monkeypatch.setattr(invariants, "feasible_point", counted)
+    assert analytic_spread(ideal(CTX2, (2, 0), (1, 1), (0, 3))) == 2
+    assert analytic_spread(ideal(CTX3, (4, 0, 0), (2, 2, 0), (0, 4, 0), (0, 0, 1))) == 3
+    # z occurs in no generator, so the edge from x^3 to y^2 is a facet
+    assert analytic_spread(ideal(CTX3, (3, 0, 0), (1, 1, 0), (0, 2, 0))) == 2
+    assert calls == []
+
+
+def test_analytic_spread_mu_18_in_five_variables():
+    # 18 mixed-degree generators: 12597 candidate subsets, inside the budget
+    rng = random.Random(18)
+    ctx = RingContext(tuple(f"x{i}" for i in range(5)))
+    rows: set[tuple[int, ...]] = set()
+    while True:
+        rows.add(tuple(rng.randint(0, 4) for _ in range(5)))
+        a = MonomialIdeal.from_exponents(ctx, [r for r in rows if any(r)])
+        if a.mu == 18:
+            break
+    assert len({g.degree for g in a.generators}) > 1
+    assert 1 <= analytic_spread(a) <= 5
+
+
+def test_analytic_spread_budget_counts_subsets():
+    # 19 generators in 5 variables would test 16644 subsets
+    ctx = RingContext(tuple(f"x{i}" for i in range(5)))
+    rows = [(k, 18 - k, 0, 0, 0) for k in range(18)] + [(0, 0, 1, 1, 1)]
+    a = MonomialIdeal.from_exponents(ctx, rows)
+    assert a.mu == 19
+    with pytest.raises(ResourceLimitError, match="budget"):
+        analytic_spread(a)
 
 
 def test_newton_polyhedron_structure():

@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, strategies as st
 
+import stci
 from stci.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -244,11 +249,27 @@ def test_cli_semantic_error_exit_code():
 
 
 def test_cli_resource_exit_code():
-    # sixteen mixed-degree staircase generators exceed the compact-face bound
-    gens = ", ".join(f"x^{32 - 2 * k}*y^{k}" for k in range(16))
-    code, _, err = run_cli(["report", f"ring x,y; ({gens})"])
+    # sixteen mixed-degree generators in sixteen variables: the compact-face
+    # search would test 65519 subsets, past its budget
+    names = [f"x{i}" for i in range(1, 17)]
+    gens = ", ".join([f"{v}^2" for v in names[:15]] + [names[15]])
+    code, _, err = run_cli(["report", f"ring {','.join(names)}; ({gens})"])
     assert code == EXIT_RESOURCE
     assert "resource" in err.lower()
+
+
+@pytest.mark.parametrize("power", ["^(99999999999999999999)", "^99999999999999999999"])
+def test_cli_huge_power_exits_within_budget(power):
+    # the symbolic and the ordinary power both square (x,y) repeatedly; the
+    # generator count doubles each step and trips the pair-cell bound
+    src = str(Path(stci.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "stci.cli", "eval", f"ring x,y; (x,y){power}"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=10,
+    )
+    assert done.returncode == EXIT_RESOURCE
+    assert "resource" in done.stderr.lower()
 
 
 def test_cli_exponent_bound_exit_codes():
