@@ -13,6 +13,7 @@ special-casing by callers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -255,22 +256,32 @@ def _unique_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def _minimal_exponent_rows(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Drop rows componentwise-dominated by another row (duplicates collapse)."""
-    uniq = sorted(set(rows))
-    if len(uniq) <= 1:
-        return uniq
-    arr = np.array(uniq, dtype=np.int64)
-    m, n = arr.shape
-    step = max(1, BLOCK_CELLS // (m * n))
-    divisor_counts: list[int] = []
+    """Drop rows componentwise-dominated by another row (duplicates collapse).
+
+    A proper divisor of a row has strictly smaller degree, and distinct rows
+    of one degree never divide each other.  So, with the distinct rows in
+    degree order, each block of rows is compared only with the rows of
+    degree below the block's top degree; rows of a single degree need no
+    comparison at all.
+    """
+    uniq = sorted(set(rows), key=lambda r: (sum(r), r))
+    degrees = [sum(r) for r in uniq]
+    m = len(uniq)
+    keep = [True] * m
+    arr = deg = None
+    step = max(1, BLOCK_CELLS // (m * len(uniq[0]))) if uniq else 1
     for start in range(0, m, step):
-        stop = start + step
-        # a row that divides another precedes it in lexicographic order, so
-        # the rows before `stop` hold every divisor of the block's rows,
-        # each row itself among them
-        divides = (arr[None, :stop] <= arr[start:stop, None]).all(axis=2)
-        divisor_counts.extend(np.count_nonzero(divides, axis=1).tolist())
-    return [r for r, c in zip(uniq, divisor_counts) if c == 1]
+        stop = min(start + step, m)
+        lower = bisect_left(degrees, degrees[stop - 1])
+        if not lower:
+            continue
+        if arr is None:  # built on first use: most inputs have one degree
+            arr = np.array(uniq, dtype=np.int64)
+            deg = np.array(degrees, dtype=np.int64)
+        divides = (arr[None, :lower] <= arr[start:stop, None]).all(axis=2)
+        divides &= deg[None, :lower] < deg[start:stop, None]
+        keep[start:stop] = (~divides.any(axis=1)).tolist()
+    return sorted(r for r, k in zip(uniq, keep) if k)
 
 
 def _sort_key(exps: tuple[int, ...]) -> tuple:

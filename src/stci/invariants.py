@@ -455,8 +455,63 @@ def is_valid_sv_partition(
     return True
 
 
+def _pair_divisors(exps: list[tuple[int, ...]]) -> dict[tuple[int, int], int]:
+    """For each pair ``i < j`` of exponent rows, the bitmask of the rows
+    dividing the product of rows ``i`` and ``j``."""
+    pair_div: dict[tuple[int, int], int] = {}
+    for i, j in combinations(range(len(exps)), 2):
+        prod = [a + b for a, b in zip(exps[i], exps[j])]
+        mask = 0
+        for k, e in enumerate(exps):
+            if all(a <= b for a, b in zip(e, prod)):
+                mask |= 1 << k
+        pair_div[(i, j)] = mask
+    return pair_div
+
+
+def _maximal_cliques(adj: list[int], vertices: int) -> list[int]:
+    """Maximal cliques, as bitmasks, of the graph on the bitmask ``vertices``
+    in which ``adj[v]`` is the neighbour mask of ``v`` (no self-loops).
+
+    Bron-Kerbosch with a pivot: a vertex of ``p | x`` with the most
+    neighbours in ``p``, so only its non-neighbours in ``p`` are branched on.
+    """
+    cliques: list[int] = []
+
+    def expand(r: int, p: int, x: int) -> None:
+        if not p:
+            if not x:
+                cliques.append(r)
+            return
+        px = p | x
+        pivot = max(
+            (v for v in range(px.bit_length()) if px >> v & 1),
+            key=lambda v: (adj[v] & p).bit_count(),
+        )
+        rest = p & ~adj[pivot]
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            expand(r | low, p & adj[v], x & adj[v])
+            p ^= low
+            x |= low
+            rest ^= low
+
+    expand(0, vertices, 0)
+    return cliques
+
+
 def _sv_exact(gens: list[Monomial], pair_div: dict[tuple[int, int], int]) -> list[int]:
-    """Breadth-first search over placed-generator masks; returns level masks."""
+    """Breadth-first search over placed-generator masks; returns level masks.
+
+    Only maximal levels are added.  A level stays valid when more is placed
+    before it, and every subset of a valid level is valid.  So in a shortest
+    partition each level can be grown to a maximal valid set among the
+    unplaced generators, and its new members deleted from later levels,
+    without adding a level.  The maximal levels after ``placed`` are the
+    maximal cliques of the graph on the unplaced generators that joins
+    ``x`` and ``y`` when an earlier generator divides their product.
+    """
     mu = len(gens)
     full = (1 << mu) - 1
     parent: dict[int, tuple[int, int]] = {}
@@ -477,23 +532,16 @@ def _sv_exact(gens: list[Monomial], pair_div: dict[tuple[int, int], int]) -> lis
                     cur = prev
                 return list(reversed(levels))
             comp = full ^ placed
-            sub = comp
-            while sub:
-                ok = True
-                members = [i for i in range(mu) if sub >> i & 1]
-                for x in range(len(members)):
-                    for y in range(x + 1, len(members)):
-                        if not pair_div[(members[x], members[y])] & placed:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    new = placed | sub
-                    if new not in parent:
-                        parent[new] = (placed, sub)
-                        nxt.append(new)
-                sub = (sub - 1) & comp
+            adj = [0] * mu
+            for x, y in combinations([i for i in range(mu) if comp >> i & 1], 2):
+                if pair_div[(x, y)] & placed:
+                    adj[x] |= 1 << y
+                    adj[y] |= 1 << x
+            for level in _maximal_cliques(adj, comp):
+                new = placed | level
+                if new not in parent:
+                    parent[new] = (placed, level)
+                    nxt.append(new)
         frontier = nxt
     raise AssertionError("singleton levels always reach the full mask")
 
@@ -536,15 +584,7 @@ def schmitt_vogel_upper(
     _require_proper_nonzero(a)
     gens = list(a.generators)
     mu = len(gens)
-    pair_div: dict[tuple[int, int], int] = {}
-    for i in range(mu):
-        for j in range(i + 1, mu):
-            prod = gens[i] * gens[j]
-            mask = 0
-            for k, g in enumerate(gens):
-                if g.divides(prod):
-                    mask |= 1 << k
-            pair_div[(i, j)] = mask
+    pair_div = _pair_divisors([g.exponents for g in gens])
     if mu <= 1:
         level_masks = [1] if mu else []
     elif mu <= exact_bound:

@@ -8,8 +8,10 @@ transversal search, and matrix ranks from dense Gaussian elimination over
 ``Fraction``.  Code that only the tests use lives here too: the full
 Taylor complex, a boundary-squared check for chain complexes with the
 sparse product behind it, the per-point lcm-lattice Betti composition
-that :func:`stci.homology.koszul_betti` replaces, and the all-subsets
-compact-face search that :func:`stci.invariants.analytic_spread` replaces.
+that :func:`stci.homology.koszul_betti` replaces, the all-subsets
+compact-face search that :func:`stci.invariants.analytic_spread` replaces,
+and the all-submask Schmitt-Vogel search that
+:func:`stci.invariants.schmitt_vogel_upper` replaced with maximal levels.
 """
 
 from __future__ import annotations
@@ -332,3 +334,59 @@ def analytic_spread_oracle(a: MonomialIdeal) -> int:
             if _positive_weight(points, subset) is not None:
                 best = d
     return best + 1
+
+
+def sv_levels_oracle(a: MonomialIdeal) -> list[int]:
+    """Level masks of a shortest Schmitt-Vogel partition of the generators of
+    ``a``, by breadth-first search over placed-generator masks that tries
+    every submask of the unplaced generators as the next level.  The pair
+    table comes from ``Monomial`` products and divisibility."""
+    gens = list(a.generators)
+    mu = len(gens)
+    pair_div: dict[tuple[int, int], int] = {}
+    for i in range(mu):
+        for j in range(i + 1, mu):
+            prod = gens[i] * gens[j]
+            mask = 0
+            for k, g in enumerate(gens):
+                if g.divides(prod):
+                    mask |= 1 << k
+            pair_div[(i, j)] = mask
+    full = (1 << mu) - 1
+    parent: dict[int, tuple[int, int]] = {}
+    frontier = []
+    for i in range(mu):
+        mask = 1 << i
+        parent[mask] = (0, mask)
+        frontier.append(mask)
+    while frontier:
+        nxt = []
+        for placed in frontier:
+            if placed == full:
+                levels = []
+                cur = placed
+                while cur:
+                    prev, block = parent[cur]
+                    levels.append(block)
+                    cur = prev
+                return list(reversed(levels))
+            comp = full ^ placed
+            sub = comp
+            while sub:
+                ok = True
+                members = [i for i in range(mu) if sub >> i & 1]
+                for x in range(len(members)):
+                    for y in range(x + 1, len(members)):
+                        if not pair_div[(members[x], members[y])] & placed:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if ok:
+                    new = placed | sub
+                    if new not in parent:
+                        parent[new] = (placed, sub)
+                        nxt.append(new)
+                sub = (sub - 1) & comp
+        frontier = nxt
+    return []

@@ -1,6 +1,11 @@
 """Monomial and ideal arithmetic, checked against brute-force membership."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -200,6 +205,37 @@ def test_minimal_exponent_rows_one_row_per_block():
     rows = sorted({tuple(rng.randint(0, 30) for _ in range(4)) for _ in range(1600)})
     assert len(rows) * 4 > core.BLOCK_CELLS
     assert _minimal_exponent_rows(rows) == naive_minimal_rows(rows)
+
+
+def test_product_of_one_degree_ideals_skips_dominance_pass():
+    # two 200-generator ideals of degree 40 in 4 variables: the product's
+    # ~28k distinct rows all have degree 80, so none can divide another and
+    # minimalization must not compare them pairwise (that took 14 s)
+    script = textwrap.dedent("""
+        import random
+        from stci.core import MonomialIdeal, RingContext
+        ctx = RingContext(("a", "b", "c", "d"))
+        rng = random.Random(0)
+        def of_degree(count, degree):
+            rows = set()
+            while len(rows) < count:
+                c = sorted(rng.randint(0, degree) for _ in range(3))
+                rows.add((c[0], c[1] - c[0], c[2] - c[1], degree - c[2]))
+            return MonomialIdeal.from_exponents(ctx, sorted(rows))
+        a, b = of_degree(200, 40), of_degree(200, 40)
+        products = {
+            tuple(x + y for x, y in zip(g.exponents, h.exponents))
+            for g in a.generators for h in b.generators
+        }
+        print((a * b).mu, len(products))
+    """)
+    src = str(Path(core.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=10, check=True,
+    )
+    mu, distinct = map(int, done.stdout.split())
+    assert mu == distinct > 25000
 
 
 def test_pair_cell_bound_on_products_and_intersections(monkeypatch):

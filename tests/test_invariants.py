@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from stci.invariants import (
     schmitt_vogel_upper,
 )
 
-from oracles import analytic_spread_oracle
+from oracles import analytic_spread_oracle, sv_levels_oracle
 
 CTX2 = RingContext(("x", "y"))
 CTX3 = RingContext(("x", "y", "z"))
@@ -351,6 +352,118 @@ def test_sv_greedy_fallback_still_valid():
     sv = schmitt_vogel_upper(a, exact_bound=4)
     assert sv.upper <= a.mu
     assert is_valid_sv_partition(a, sv.witness)
+
+
+def seeded_squarefree_ideals(count: int, seed: int, max_gens: int = 9):
+    """Squarefree ideals in 5-7 variables generated in degrees 2 and 3, each
+    grown one random generator at a time until it has a drawn number of
+    minimal generators."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(5, 7)
+        ctx = RingContext(tuple(f"x{i}" for i in range(n)))
+        target = rng.randint(2, max_gens)
+        rows = []
+        for _ in range(100):
+            support = rng.sample(range(n), rng.randint(2, 3))
+            rows.append(tuple(int(j in support) for j in range(n)))
+            a = MonomialIdeal.from_exponents(ctx, rows)
+            if a.mu == target:
+                out.append(a)
+                break
+    return out
+
+
+def assert_sv_matches_oracle(a):
+    """The maximal-level search finds as few levels as the all-submask
+    oracle, with a valid witness."""
+    gens = list(a.generators)
+    levels = invariants._sv_exact(
+        gens, invariants._pair_divisors([g.exponents for g in gens])
+    )
+    assert len(levels) == len(sv_levels_oracle(a)), a
+    witness = tuple(
+        tuple(g for i, g in enumerate(gens) if block >> i & 1) for block in levels
+    )
+    assert is_valid_sv_partition(a, witness), a
+
+
+def test_sv_exact_matches_submask_oracle_seeded():
+    ideals = seeded_mixed_degree_ideals(60, seed=5) + seeded_squarefree_ideals(60, seed=5)
+    for a in ideals:
+        assert_sv_matches_oracle(a)
+    assert sum(a.mu >= 8 for a in ideals) >= 5
+    # the level count is what ara reports, and it decides certification
+    for a in ideals[::6]:
+        sv = schmitt_vogel_upper(a)
+        count = len(sv_levels_oracle(a))
+        assert (sv.upper, sv.certified) == (count, sv.lower == count), a
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.integers(2, 5).flatmap(lambda n: rows_strategy(n, 3, 9)),
+    st.integers(3, 6).flatmap(lambda n: squarefree_strategy(n, 9)),
+))
+def test_sv_exact_matches_submask_oracle_drawn(rows):
+    ctx = RingContext(tuple(f"x{i}" for i in range(len(rows[0]))))
+    a = MonomialIdeal.from_exponents(ctx, rows)
+    if a.mu >= 2:
+        assert_sv_matches_oracle(a)
+
+
+def brute_maximal_cliques(adj, vertices):
+    members = [v for v in range(len(adj)) if vertices >> v & 1]
+    cliques = [
+        sum(1 << v for v in c)
+        for k in range(1, len(members) + 1)
+        for c in combinations(members, k)
+        if all(adj[x] >> y & 1 for x, y in combinations(c, 2))
+    ]
+    return sorted(c for c in cliques if not any(c != d and c & d == c for d in cliques))
+
+
+def test_maximal_cliques_match_brute_force():
+    rng = random.Random(7)
+    for _ in range(300):
+        size = rng.randint(1, 9)
+        density = rng.random()
+        adj = [0] * size
+        for x, y in combinations(range(size), 2):
+            if rng.random() < density:
+                adj[x] |= 1 << y
+                adj[y] |= 1 << x
+        vertices = rng.getrandbits(size) or 1
+        # edges leaving the vertex set must not matter
+        assert sorted(invariants._maximal_cliques(adj, vertices)) == (
+            brute_maximal_cliques(adj, vertices)
+        )
+
+
+def test_sv_partition_check_survives_python_optimize():
+    # _sv_exact patched to drop its last level leaves generators unplaced;
+    # the partition check must raise under -O as well
+    script = textwrap.dedent("""
+        import sys
+        import stci.invariants as inv
+        from stci.parser import evaluate_program
+        if __debug__:
+            sys.exit("not running under -O")
+        exact = inv._sv_exact
+        inv._sv_exact = lambda gens, pair_div: exact(gens, pair_div)[:-1]
+        a = evaluate_program("ring x,y,z; (x*y, x*z, y*z)")
+        try:
+            inv.schmitt_vogel_upper(a)
+        except AssertionError as exc:
+            print(exc)
+    """)
+    src = str(Path(stci.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "invariant violated: valid Schmitt-Vogel partition"
 
 
 # ---------------------------------------------------------------------------
