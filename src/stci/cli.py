@@ -251,7 +251,7 @@ def _cmd_fuzz(args) -> int:
         max_generators=args.max_generators,
         seed=args.seed,
     )
-    results = fuzz(spec, args.count, horizon=horizon, jobs=args.jobs)
+    results = fuzz(spec, args.count, horizon=horizon)
     failed = [r for r in results if r.failed]
     if args.json:
         payload = {
@@ -294,8 +294,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     add_common(p_report)
     p_report.add_argument("--horizon", type=int, default=None,
                           help="power horizon for min-depth and dg (default 3)")
-    p_report.add_argument("--jobs", type=int, default=1,
-                          help="parallel workers for independent subtasks")
     p_report.set_defaults(func=_cmd_report)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression")
@@ -311,7 +309,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                               help="run the built-in reference checks")
     add_common(p_verify, expr=False)
     p_verify.add_argument("--horizon", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.set_defaults(func=_cmd_verify_paper)
 
     p_fuzz = sub.add_parser("fuzz", help="run checkers on seeded random ideals")
@@ -323,7 +320,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--count", type=int, default=20)
     p_fuzz.add_argument("--horizon", type=int, default=None)
-    p_fuzz.add_argument("--jobs", type=int, default=1)
     p_fuzz.set_defaults(func=_cmd_fuzz)
     return top
 

@@ -2,16 +2,17 @@
 
 An irreducible monomial ideal is generated by pure powers of variables.
 Every proper nonzero monomial ideal is the irredundant intersection of a
-unique finite set of irreducible ones; we compute it by recursive generator
-splitting.  Minimal primes, height, dimension of the quotient, symbolic
-powers of squarefree ideals, and a saturation-based depth-zero test are
-derived from the decomposition machinery.
+unique finite set of irreducible ones.  One incremental pass computes it:
+the generators are added one at a time, and each irreducible component not
+containing the new generator splits into one component per variable of
+its support.  Minimal primes are the components of the radical; height,
+dimension of the quotient, symbolic powers of squarefree ideals, and a
+saturation-based depth-zero test are derived from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import Monomial, MonomialIdeal, RingContext
 
@@ -27,19 +28,6 @@ class IrreducibleComponent:
 
     context: RingContext
     entries: tuple[tuple[int, int], ...]  # sorted (variable index, exponent > 0)
-
-    @classmethod
-    def from_ideal(cls, a: MonomialIdeal) -> "IrreducibleComponent":
-        entries = []
-        for g in a.generators:
-            supp = sorted(g.support())
-            if len(supp) != 1:
-                raise ValueError(f"{a} is not irreducible")
-            i = supp[0]
-            entries.append((i, g.exponents[i]))
-        if not entries:
-            raise ValueError("an irreducible component needs nonempty support")
-        return cls(a.context, tuple(sorted(entries)))
 
     def ideal(self) -> MonomialIdeal:
         rows = []
@@ -61,101 +49,87 @@ class IrreducibleComponent:
 
 
 def _variable_prime(ctx: RingContext, variables: frozenset[int]) -> MonomialIdeal:
-    rows = []
-    for i in sorted(variables):
-        row = [0] * ctx.n
-        row[i] = 1
-        rows.append(row)
-    return MonomialIdeal.from_exponents(ctx, rows)
+    # the variables in increasing index are already the canonical generators
+    n = ctx.n
+    return MonomialIdeal(ctx, tuple(
+        Monomial(ctx, tuple(int(j == i) for j in range(n))) for i in sorted(variables)
+    ))
+
+
+def _contains(q: tuple[int, ...], p: tuple[int, ...]) -> bool:
+    """Whether the irreducible ideal ``q`` contains the irreducible ``p``:
+    every pure power x_j^{p_j} of ``p`` lies in ``q``."""
+    return all(0 < q[j] <= e for j, e in enumerate(p) if e)
+
+
+def _components(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """Irredundant irreducible components of the ideal generated by ``rows``.
+
+    A component is an exponent tuple, 0 for an absent variable.  Starting
+    from the zero ideal, generators m are added one at a time.  Monomial
+    ideals form a distributive lattice, so J + (m) is the intersection of
+    the Q + (m) over the components Q of J.  Q + (m) is Q when m lies in Q;
+    otherwise it is the intersection of the irreducible Q + (x_j^{m_j}) for
+    j in the support of m.  An irreducible monomial ideal containing an
+    intersection contains one of its members (if u in I and v in J lie
+    outside Q, so does lcm(u, v) in I & J), so a component is redundant
+    exactly when it contains another one.  A grown component contains the
+    old one it grew from, so an old component kept unchanged that contained
+    it would contain another old one; only grown components are filtered.
+    """
+    comps = [(0,) * n]
+    for m in rows:
+        support = [j for j, e in enumerate(m) if e]
+        kept: list[tuple[int, ...]] = []
+        grown: dict[tuple[int, ...], None] = {}
+        for q in comps:
+            if any(0 < q[j] <= m[j] for j in support):
+                kept.append(q)
+                continue
+            for j in support:
+                g = list(q)
+                g[j] = m[j]
+                grown[tuple(g)] = None
+        comps = kept + [
+            g for g in grown
+            if not any(_contains(g, p) for p in kept)
+            and not any(p != g and _contains(g, p) for p in grown)
+        ]
+    return comps
 
 
 def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """Irredundant irreducible components whose intersection is ``a``.
 
-    Splits a generator u*v with coprime u, v into the two ideals a+(u) and
-    a+(v) until every generator is a pure power, then removes redundant
-    components.  The irredundant decomposition of a monomial ideal is
-    unique, so the result does not depend on splitting choices.
+    Sorted by their (variable, -exponent) entries, the order of their
+    generator lists in the decreasing lexicographic term order.
     """
     _require_proper_nonzero(a)
     ctx = a.context
-    components: dict[MonomialIdeal, None] = {}
-    seen: set[MonomialIdeal] = set()
-    stack = [a]
-    while stack:
-        b = stack.pop()
-        if b in seen:
-            continue
-        seen.add(b)
-        split_gen = None
-        for g in b.generators:
-            if len(g.support()) > 1:
-                split_gen = g
-                break
-        if split_gen is None:
-            components[b] = None
-            continue
-        j = min(split_gen.support())
-        u_row = [0] * ctx.n
-        u_row[j] = split_gen.exponents[j]
-        u = Monomial(ctx, tuple(u_row))
-        v = split_gen / u
-        stack.append(b + MonomialIdeal.from_generators(ctx, [u]))
-        stack.append(b + MonomialIdeal.from_generators(ctx, [v]))
-
-    comps = sorted(
-        components,
-        key=lambda c: [tuple(-e for e in g.exponents) for g in c.generators],
+    entries = (
+        tuple((i, e) for i, e in enumerate(q) if e)
+        for q in _components([g.exponents for g in a.generators], ctx.n)
     )
-    # drop components containing the intersection of the others
-    kept = list(comps)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1:]
-            if not others:
-                break
-            inter = others[0]
-            for o in others[1:]:
-                inter = inter & o
-            if kept[i].contains_ideal(inter):
-                del kept[i]
-                changed = True
-                break
-    return tuple(IrreducibleComponent.from_ideal(c) for c in kept)
+    return tuple(
+        IrreducibleComponent(ctx, c)
+        for c in sorted(entries, key=lambda c: [(i, -e) for i, e in c])
+    )
 
 
 def minimal_primes(a: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     """Inclusion-minimal primes over ``a``; each is generated by variables.
 
-    A variable subset T yields a prime containing ``a`` exactly when every
-    generator's support meets T, so the minimal primes are the minimal
-    transversals of the generator supports.  For small rings we enumerate
-    subsets directly; otherwise we fall back to the decomposition.
+    They are the irreducible components of the radical, whose generators
+    are the distinct supports of the generators of ``a``.  Sorted by their
+    variable lists.
     """
     _require_proper_nonzero(a)
     ctx = a.context
-    supports = [g.support() for g in a.generators]
-    if ctx.n <= 16:
-        covers: list[frozenset[int]] = []
-        universe = sorted(a.support())
-        for size in range(1, len(universe) + 1):
-            for subset in combinations(universe, size):
-                t = frozenset(subset)
-                if any(c <= t for c in covers):
-                    continue
-                if all(s & t for s in supports):
-                    covers.append(t)
-        minimal = [t for t in covers if not any(c < t for c in covers)]
-    else:
-        minimal = sorted(
-            {c.support() for c in irreducible_decomposition(a)}, key=sorted
-        )
-        minimal = [t for t in minimal if not any(c < t for c in minimal)]
-    primes = [_variable_prime(ctx, t) for t in minimal]
-    primes.sort(key=lambda p: [tuple(-e for e in g.exponents) for g in p.generators])
-    return tuple(primes)
+    rows = sorted({tuple(min(e, 1) for e in g.exponents) for g in a.generators})
+    supports = sorted(
+        tuple(i for i, e in enumerate(q) if e) for q in _components(rows, ctx.n)
+    )
+    return tuple(_variable_prime(ctx, frozenset(t)) for t in supports)
 
 
 def height(a: MonomialIdeal) -> int:

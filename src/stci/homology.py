@@ -436,7 +436,7 @@ def taylor_homology(
 # lcm lattice and upper-Koszul complexes
 
 
-def lcm_lattice(a: MonomialIdeal, max_size: int = LATTICE_SIZE_BOUND) -> list[tuple[int, ...]]:
+def lcm_lattice(a: MonomialIdeal) -> list[tuple[int, ...]]:
     """All joins of nonempty generator subsets, sorted; excludes the bottom."""
     if a.is_zero:
         return []
@@ -456,9 +456,9 @@ def lcm_lattice(a: MonomialIdeal, max_size: int = LATTICE_SIZE_BOUND) -> list[tu
         if not fresh:
             break
         known.update(fresh)
-        if len(known) > max_size:
+        if len(known) > LATTICE_SIZE_BOUND:
             raise ResourceLimitError(
-                f"lcm lattice exceeds {max_size} elements"
+                f"lcm lattice exceeds {LATTICE_SIZE_BOUND} elements"
             )
         frontier = np.array(sorted(fresh), dtype=np.int64)
     return sorted(known)
@@ -531,9 +531,7 @@ def upper_koszul_complex(a: MonomialIdeal, b) -> SimplicialComplex:
 
 
 def koszul_betti(
-    a: MonomialIdeal,
-    field: FieldSpec | None = None,
-    max_lattice: int = LATTICE_SIZE_BOUND,
+    a: MonomialIdeal, field: FieldSpec | None = None
 ) -> dict[tuple[int, tuple[int, ...]], int]:
     """Multigraded Betti numbers of R/a over the lcm lattice.
 
@@ -554,7 +552,7 @@ def koszul_betti(
     out: dict[tuple[int, tuple[int, ...]], int] = {(0, zero): 1}
     # nonzero reduced homology (degree, rank) of each complex met so far
     homology: dict[frozenset[int], list[tuple[int, int]]] = {}
-    lattice = lcm_lattice(a, max_size=max_lattice)
+    lattice = lcm_lattice(a)
     gens = a.exponent_matrix()
     step = max(1, BLOCK_CELLS // len(gens))
     for start in range(0, len(lattice), step):
@@ -574,13 +572,11 @@ def koszul_betti(
 
 
 def koszul_betti_totals(
-    a: MonomialIdeal,
-    field: FieldSpec | None = None,
-    max_lattice: int = LATTICE_SIZE_BOUND,
+    a: MonomialIdeal, field: FieldSpec | None = None
 ) -> dict[int, int]:
     """Total Betti numbers, summing the multigraded ones per homological degree."""
     out: dict[int, int] = {}
-    for (i, _), h in koszul_betti(a, field, max_lattice).items():
+    for (i, _), h in koszul_betti(a, field).items():
         out[i] = out.get(i, 0) + h
     return dict(sorted(out.items()))
 

@@ -13,7 +13,6 @@ ideals.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -493,8 +492,7 @@ def random_ideal(spec: RandomIdealSpec, rng: random.Random) -> MonomialIdeal:
             return ideal
 
 
-def _fuzz_one(args) -> list[CheckResult]:
-    index, a, horizon = args
+def _fuzz_one(index: int, a: MonomialIdeal, horizon: int) -> list[CheckResult]:
     results = [
         check_chain(a, horizon, name=f"chain[{index}]"),
         check_dg_dichotomy(a, horizon, name=f"dg-dichotomy[{index}]"),
@@ -505,18 +503,11 @@ def _fuzz_one(args) -> list[CheckResult]:
     return results
 
 
-def fuzz(
-    spec: RandomIdealSpec, count: int, horizon: int = 3, jobs: int = 1
-) -> list[CheckResult]:
+def fuzz(spec: RandomIdealSpec, count: int, horizon: int = 3) -> list[CheckResult]:
     """Run every applicable checker on ``count`` seeded random ideals."""
     rng = random.Random(spec.seed)
-    ideals = [(i, random_ideal(spec, rng), horizon) for i in range(count)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(_fuzz_one, ideals))
-    else:
-        batches = [_fuzz_one(item) for item in ideals]
-    return [r for batch in batches for r in batch]
+    ideals = [random_ideal(spec, rng) for _ in range(count)]
+    return [r for i, a in enumerate(ideals) for r in _fuzz_one(i, a, horizon)]
 
 
 # ---------------------------------------------------------------------------

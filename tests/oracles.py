@@ -10,8 +10,10 @@ Taylor complex, a boundary-squared check for chain complexes with the
 sparse product behind it, the per-point lcm-lattice Betti composition
 that :func:`stci.homology.koszul_betti` replaces, the all-subsets
 compact-face search that :func:`stci.invariants.analytic_spread` replaces,
-and the all-submask Schmitt-Vogel search that
-:func:`stci.invariants.schmitt_vogel_upper` replaced with maximal levels.
+the all-submask Schmitt-Vogel search that
+:func:`stci.invariants.schmitt_vogel_upper` replaced with maximal levels, and
+the generator-splitting decomposition and subset-enumeration minimal primes
+that the incremental pass of :mod:`stci.decomposition` replaced.
 """
 
 from __future__ import annotations
@@ -390,3 +392,71 @@ def sv_levels_oracle(a: MonomialIdeal) -> list[int]:
                 sub = (sub - 1) & comp
         frontier = nxt
     return []
+
+
+def _sorted_by_generators(ideals) -> list[MonomialIdeal]:
+    return sorted(
+        ideals, key=lambda c: [tuple(-e for e in g.exponents) for g in c.generators]
+    )
+
+
+def irreducible_decomposition_oracle(a: MonomialIdeal) -> list[MonomialIdeal]:
+    """Irredundant irreducible components of ``a``, sorted by their generator
+    lists: split a generator u*v with coprime u, v into a+(u) and a+(v) until
+    every generator is a pure power, then drop, one at a time, a component
+    containing the intersection of all the others."""
+    ctx = a.context
+    components: set[MonomialIdeal] = set()
+    seen: set[MonomialIdeal] = set()
+    stack = [a]
+    while stack:
+        b = stack.pop()
+        if b in seen:
+            continue
+        seen.add(b)
+        mixed = [g for g in b.generators if len(g.support()) > 1]
+        if not mixed:
+            components.add(b)
+            continue
+        g = mixed[0]
+        j = min(g.support())
+        u = Monomial(ctx, tuple(e if i == j else 0 for i, e in enumerate(g.exponents)))
+        for part in (u, g / u):
+            stack.append(b + MonomialIdeal.from_generators(ctx, [part]))
+    kept = _sorted_by_generators(components)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(kept)):
+            others = kept[:i] + kept[i + 1:]
+            if not others:
+                break
+            inter = others[0]
+            for o in others[1:]:
+                inter = inter & o
+            if kept[i].contains_ideal(inter):
+                del kept[i]
+                changed = True
+                break
+    return kept
+
+
+def minimal_primes_oracle(a: MonomialIdeal) -> list[MonomialIdeal]:
+    """Minimal primes of ``a``, sorted by their generator lists: the minimal
+    variable subsets meeting every generator support, by enumerating the
+    subsets of the support of ``a`` in increasing size."""
+    ctx = a.context
+    supports = [g.support() for g in a.generators]
+    covers: list[frozenset[int]] = []
+    universe = sorted(a.support())
+    for size in range(1, len(universe) + 1):
+        for subset in combinations(universe, size):
+            t = frozenset(subset)
+            if not any(c <= t for c in covers) and all(s & t for s in supports):
+                covers.append(t)
+    return _sorted_by_generators(
+        MonomialIdeal.from_exponents(
+            ctx, [[int(j == i) for j in range(ctx.n)] for i in sorted(t)]
+        )
+        for t in covers
+    )

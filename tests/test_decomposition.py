@@ -1,10 +1,16 @@
 """Irreducible decomposition, minimal primes, heights, symbolic powers."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import stci
 from stci.core import Monomial, MonomialIdeal, RingContext
 from stci.decomposition import (
     dim_quotient,
@@ -16,7 +22,11 @@ from stci.decomposition import (
 )
 from stci.invariants import depth
 
-from oracles import brute_height
+from oracles import (
+    brute_height,
+    irreducible_decomposition_oracle,
+    minimal_primes_oracle,
+)
 
 CTX3 = RingContext(("x", "y", "z"))
 CTX4 = RingContext(("x1", "x2", "x3", "x4"))
@@ -96,6 +106,62 @@ def test_reintersection_recovers_the_ideal(rows):
             assert intersect_all(rest) != a
 
 
+def seeded_ideals(rng, count, max_n, max_exp, max_gens):
+    """``count`` random ideals; squarefree when ``max_exp`` is 1."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        rows = [
+            tuple(rng.randint(0, max_exp) for _ in range(n))
+            for _ in range(rng.randint(1, max_gens))
+        ]
+        rows = [r for r in rows if any(r)] or [(1,) + (0,) * (n - 1)]
+        ctx = RingContext(tuple(f"x{i}" for i in range(n)))
+        out.append(MonomialIdeal.from_exponents(ctx, rows))
+    return out
+
+
+def ideals_strategy(max_n, max_exp, max_gens):
+    def build(n):
+        row = st.tuples(*[st.integers(0, max_exp)] * n).filter(any)
+        ctx = RingContext(tuple(f"x{i}" for i in range(n)))
+        return st.lists(row, min_size=1, max_size=max_gens).map(
+            lambda rows: MonomialIdeal.from_exponents(ctx, rows)
+        )
+    return st.integers(1, max_n).flatmap(build)
+
+
+def test_decomposition_matches_splitting_oracle_seeded():
+    # the splitting oracle takes seconds from five mixed generators in six
+    # variables on, so mixed-degree ideals stop at four generators
+    rng = random.Random(11)
+    for a in seeded_ideals(rng, 80, 6, 3, 4) + seeded_ideals(rng, 80, 6, 1, 7):
+        got = [c.ideal() for c in irreducible_decomposition(a)]
+        assert got == irreducible_decomposition_oracle(a), str(a)
+
+
+@given(st.one_of(ideals_strategy(6, 3, 4), ideals_strategy(6, 1, 7)))
+def test_decomposition_matches_splitting_oracle(a):
+    got = [c.ideal() for c in irreducible_decomposition(a)]
+    assert got == irreducible_decomposition_oracle(a)
+
+
+def test_path_decomposition_within_budget():
+    # 28 components, but exponentially many generator-splitting branches
+    names = [f"x{i}" for i in range(12)]
+    edges = ", ".join(f"{u}*{v}" for u, v in zip(names, names[1:]))
+    src = str(Path(stci.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "stci.cli", "decompose", "--json",
+         f"ring {','.join(names)}; ({edges})"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=10, check=True,
+    )
+    payload = json.loads(done.stdout)
+    # minimal vertex covers of the path on 12 vertices: a Padovan number
+    assert len(payload["components"]) == len(payload["minimal_primes"]) == 28
+
+
 # ---------------------------------------------------------------------------
 # minimal primes / height / dimension
 
@@ -128,6 +194,35 @@ def test_minimal_primes_agree_with_decomposition_route():
             if not any(q != p and p.contains_ideal(q) for q in radicals)
         }
         assert via_covers == via_comps
+
+
+def test_minimal_primes_match_subset_oracle_seeded():
+    rng = random.Random(12)
+    for a in seeded_ideals(rng, 80, 12, 3, 10) + seeded_ideals(rng, 80, 12, 1, 12):
+        assert list(minimal_primes(a)) == minimal_primes_oracle(a), str(a)
+
+
+@given(st.one_of(ideals_strategy(12, 3, 8), ideals_strategy(12, 1, 12)))
+def test_minimal_primes_match_subset_oracle(a):
+    assert list(minimal_primes(a)) == minimal_primes_oracle(a)
+
+
+def test_path_height_within_budget():
+    # 17 variables: past where enumerating variable subsets is feasible
+    script = (
+        "from stci.core import MonomialIdeal, RingContext\n"
+        "from stci.decomposition import height\n"
+        "n = 17\n"
+        "ctx = RingContext(tuple(f'x{i}' for i in range(n)))\n"
+        "rows = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n - 1)]\n"
+        "print(height(MonomialIdeal.from_exponents(ctx, rows)))\n"
+    )
+    src = str(Path(stci.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=10, check=True,
+    )
+    assert done.stdout.strip() == "8"
 
 
 def test_height_and_dimension_examples():

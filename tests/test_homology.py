@@ -241,6 +241,15 @@ def test_principal_ideal_upper_koszul_is_irrelevant():
     assert koszul_betti(a) == {(0, (0,)): 1, (1, (2,)): 1}
 
 
+def test_lattice_size_bound(monkeypatch):
+    assert len(lcm_lattice(triangle())) == 4
+    monkeypatch.setattr(homology, "LATTICE_SIZE_BOUND", 3)
+    with pytest.raises(ResourceLimitError, match="lcm lattice exceeds 3"):
+        lcm_lattice(triangle())
+    with pytest.raises(ResourceLimitError, match="lcm lattice exceeds 3"):
+        koszul_betti_totals(triangle())
+
+
 def test_unit_multidegree_has_beta_one():
     table = koszul_betti(triangle())
     assert table[(0, (0, 0, 0))] == 1
