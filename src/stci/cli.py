@@ -8,9 +8,9 @@ Subcommands:
 * ``verify-paper`` run the built-in reference suite of known values
 * ``fuzz``         run the checkers over seeded random ideals
 
-Exit codes: 0 success / all checks pass, 1 some check failed, 2 usage or
-parse error, 3 a resource bound was hit.  ``--horizon`` falls back to the
-``STCI_HORIZON`` environment variable, flags win.
+Exit codes: 0 success / all checks pass, 1 some check failed (or stdout
+closed), 2 usage or parse error, 3 a resource bound was hit.  ``--horizon``
+falls back to the ``STCI_HORIZON`` environment variable, flags win.
 """
 
 from __future__ import annotations
@@ -331,7 +331,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, as Python's SIGPIPE
+        # note advises, so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,9 +13,7 @@ certified: no effective stabilization bound is assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -23,12 +21,12 @@ import numpy as np
 from . import homology
 from .core import FieldSpec, Monomial, MonomialIdeal, ResourceLimitError
 from .decomposition import dim_quotient, height, minimal_primes
-from .linfeas import feasible_point
+from .linfeas import newton_facets
 
 TAYLOR_DISPATCH_BOUND = 8
-# Candidate generator subsets analytic_spread may test: the sum of C(mu, k)
-# over k = 2..min(n, mu).  Every ideal with at most 14 generators fits.
-NEWTON_SUBSET_BUDGET = 1 << 14
+# Double-description rays, and faces the compact-face walk visits, for one
+# Newton polyhedron; the benchmark ideals have at most 69 facets.
+NEWTON_FACET_BOUND = 1 << 12
 
 _BETTI_CACHE: dict[tuple[MonomialIdeal, FieldSpec], tuple[int, ...]] = {}
 
@@ -224,7 +222,7 @@ def formal_grade(a: MonomialIdeal, field: FieldSpec | None = None) -> int:
 class CompactFace:
     """A compact face: the argmin set of a strictly positive weight."""
 
-    weight: tuple[Fraction, ...]
+    weight: tuple[int, ...]
     points: tuple[tuple[int, ...], ...]
     dim: int
 
@@ -245,102 +243,90 @@ def _affine_dim(points: list[tuple[int, ...]]) -> int:
     return homology.rank(rows)
 
 
-def _positive_weight(points, subset) -> list[Fraction] | None:
-    """A weight vector w >= 1 constant on ``subset`` and minimal there."""
-    n = len(points[0])
-    base = points[subset[0]]
-    eqs = []
-    for k in subset[1:]:
-        eqs.append(([Fraction(points[k][j] - base[j]) for j in range(n)], Fraction(0)))
-    ineqs = []
-    for q in range(len(points)):
-        if q in subset:
+def _bits(x: int):
+    """The indices of the set bits of x, in increasing order."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _exposed(w, points) -> tuple[int, int]:
+    """The least w.p over the points p, and the mask of the points taking it."""
+    values = [sum(x * y for x, y in zip(w, p)) for p in points]
+    least = min(values)
+    return least, sum(1 << k for k, v in enumerate(values) if v == least)
+
+
+def _compact_faces(points, every: bool) -> dict[int, tuple[int, ...]]:
+    """Compact faces of the Newton polyhedron of ``points``, each as the mask
+    of the points on it mapped to a strictly positive integer weight whose
+    argmin over the points is that face.
+
+    A face is compact when the normals of the facets through it cover every
+    variable, and their sum is then such a weight.  The walk starts at the
+    facets and cuts each face that is not compact by each facet covering one
+    variable that its own facets miss; a compact face inside it lies on one
+    of those, so every compact face lies in a compact face the walk reaches.
+    With ``every`` it cuts compact faces by every facet too and returns them
+    all.  Without, it stops at the first compact face on each path, which
+    leaves out no maximal one, and it returns just a compact facet when there
+    is one, as no compact face is larger.
+    """
+    facets = newton_facets(points, NEWTON_FACET_BOUND)
+    for w, c, mask in facets:
+        _check(min(w) >= 0 and _exposed(w, points) == (c, mask),
+               "a facet is valid and tight exactly on its points")
+    compact = [(mask, w) for w, _, mask in facets if min(w) > 0]
+    if compact and not every:
+        return dict(compact[:1])
+    # facet sets as bitmasks: through each point, and with w_j > 0 for each j
+    through = [sum(1 << i for i, f in enumerate(facets) if f[2] >> k & 1)
+               for k in range(len(points))]
+    cover = [sum(1 << i for i, f in enumerate(facets) if f[0][j])
+             for j in range(len(points[0]))]
+    everyone = (1 << len(facets)) - 1
+    seen: set[int] = set()
+    found: dict[int, tuple[int, ...]] = {}
+    stack = [mask for _, _, mask in facets]
+    while stack:
+        fs = everyone  # the facets through every point of the popped mask
+        for k in _bits(stack.pop()):
+            fs &= through[k]
+        face = sum(1 << k for k, t in enumerate(through) if t & fs == fs)
+        if face in seen:
             continue
-        ineqs.append(([Fraction(points[q][j] - base[j]) for j in range(n)], Fraction(0)))
-    for j in range(n):
-        coeffs = [Fraction(0)] * n
-        coeffs[j] = Fraction(1)
-        ineqs.append((coeffs, Fraction(1)))
-    return feasible_point(eqs, ineqs, n)
+        seen.add(face)
+        if len(seen) > NEWTON_FACET_BOUND:
+            raise ResourceLimitError(
+                f"the compact-face walk visits more than {NEWTON_FACET_BOUND} faces"
+            )
+        # the facets covering the missed variable that fewest facets cover
+        cuts = min((c for c in cover if not fs & c), key=int.bit_count, default=0)
+        if not cuts:
+            weight = tuple(map(sum, zip(*(facets[i][0] for i in _bits(fs)))))
+            _check(min(weight) > 0 and _exposed(weight, points)[1] == face,
+                   "a compact face is the argmin of a strictly positive weight")
+            found[face] = weight
+            if not every:
+                continue
+            cuts = everyone
+        for i in _bits(cuts & ~fs):
+            if face & facets[i][2]:
+                stack.append(face & facets[i][2])
+    return found
 
 
-def _argmin_points(points, weight) -> tuple[int, ...]:
-    values = [sum(w * x for w, x in zip(weight, p)) for p in points]
-    best = min(values)
-    return tuple(k for k, v in enumerate(values) if v == best)
-
-
-def newton_polyhedron(a: MonomialIdeal, max_generators: int = 12) -> NewtonPolyhedron:
-    """Exponent points and the full list of compact faces (small ideals only)."""
+def newton_polyhedron(a: MonomialIdeal) -> NewtonPolyhedron:
+    """Exponent points and the full list of compact faces."""
     _require_proper_nonzero(a)
     points = [g.exponents for g in a.generators]
-    if len(points) > max_generators:
-        raise ResourceLimitError(
-            f"compact-face enumeration is bounded at {max_generators} generators"
-        )
-    faces: dict[tuple[int, ...], CompactFace] = {}
-    indices = range(len(points))
-    for size in range(1, len(points) + 1):
-        for subset in combinations(indices, size):
-            w = _positive_weight(points, subset)
-            if w is None:
-                continue
-            argmin = _argmin_points(points, w)
-            if argmin in faces:
-                continue
-            pts = tuple(points[k] for k in argmin)
-            faces[argmin] = CompactFace(tuple(w), pts, _affine_dim(list(pts)))
-    ordered = sorted(faces.values(), key=lambda f: (f.dim, f.points))
-    return NewtonPolyhedron(tuple(points), tuple(ordered))
-
-
-def _det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, by Bareiss elimination."""
-    m = [list(r) for r in rows]
-    size = len(m)
-    sign, prev = 1, 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
-def _facet_normal(diffs: list[list[int]]) -> list[int] | None:
-    """The strictly positive normal of n-1 difference rows in n variables,
-    or None when the rows have rank below n-1 or no positive normal.
-
-    The cofactor vector w_j = (-1)^j det(diffs without column j) spans the
-    kernel when the rank is n-1, so the normal is fixed up to sign and scale.
-    """
-    minors = [_det([r[:j] + r[j + 1:] for r in diffs]) for j in range(len(diffs[0]))]
-    w = [-x if j % 2 else x for j, x in enumerate(minors)]
-    if all(x > 0 for x in w):
-        return w
-    if all(x < 0 for x in w):
-        return [-x for x in w]
-    return None
-
-
-def _in_compact_face(points, subset, n: int) -> bool:
-    """Whether the generators ``subset``, of affine dimension ``len(subset)
-    - 1``, lie in one compact face: an argmin set of a positive weight."""
-    if len(subset) < n:
-        return _positive_weight(points, subset) is not None
-    base = points[subset[0]]
-    diffs = [[x - y for x, y in zip(points[k], base)] for k in subset[1:]]
-    w = _facet_normal(diffs)
-    if w is None:
-        return False
-    level = sum(wj * x for wj, x in zip(w, base))
-    return all(sum(wj * x for wj, x in zip(w, q)) >= level for q in points)
+    faces = []
+    for mask, weight in _compact_faces(points, every=True).items():
+        pts = tuple(p for k, p in enumerate(points) if mask >> k & 1)
+        faces.append(CompactFace(weight, pts, _affine_dim(list(pts))))
+    faces.sort(key=lambda f: (f.dim, f.points))
+    return NewtonPolyhedron(tuple(points), tuple(faces))
 
 
 def analytic_spread(a: MonomialIdeal) -> int:
@@ -349,14 +335,7 @@ def analytic_spread(a: MonomialIdeal) -> int:
     exponent matrix.
 
     Variables in no generator only add a free orthant factor, so they are
-    dropped and n counts the rest.  A compact face is orthogonal to a
-    positive weight, so its dimension d is at most n-1, and it holds d+1
-    affinely independent generators.  The search runs d from min(n, mu)-1
-    down and returns d+1 at the first (d+1)-subset of affine dimension d
-    that lies in a compact face.  At d = n-1 the weight is the integer
-    cofactor normal of the subset, up to sign: the subset spans a compact
-    facet iff that normal is strictly positive and no generator falls below
-    the subset's level.  Below n-1 a Fourier-Motzkin solve finds the weight.
+    dropped.
     """
     _require_proper_nonzero(a)
     points = [g.exponents for g in a.generators]
@@ -365,22 +344,10 @@ def analytic_spread(a: MonomialIdeal) -> int:
         return homology.rank(np.array(points, dtype=np.int64))
     used = [j for j in range(a.context.n) if any(p[j] for p in points)]
     points = [tuple(p[j] for j in used) for p in points]
-    n, mu = len(used), len(points)
-    top = min(n, mu)
-    candidates = sum(comb(mu, k) for k in range(2, top + 1))
-    if candidates > NEWTON_SUBSET_BUDGET:
-        raise ResourceLimitError(
-            f"analytic spread would test {candidates} generator subsets, over "
-            f"the budget of {NEWTON_SUBSET_BUDGET}"
-        )
-    for size in range(top, 1, -1):
-        for subset in combinations(range(mu), size):
-            # at size n the facet normal is zero unless the affine dimension is n-1
-            if size < n and _affine_dim([points[k] for k in subset]) < size - 1:
-                continue
-            if _in_compact_face(points, subset, n):
-                return size
-    return 1
+    return 1 + max(
+        _affine_dim([p for k, p in enumerate(points) if mask >> k & 1])
+        for mask in _compact_faces(points, every=False)
+    )
 
 
 class GrowthEstimate(NamedTuple):

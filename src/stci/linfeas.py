@@ -1,169 +1,54 @@
-"""Exact rational feasibility of linear equality/inequality systems.
+"""Facets of a Newton polyhedron by exact integer double description.
 
-Small systems only: equalities are removed by Gaussian substitution, the
-remaining inequalities by Fourier-Motzkin elimination, and a witness point
-is recovered by back-substitution.  Everything runs over ``Fraction``.
+The valid inequalities w.x >= c of P = conv(p_1..p_mu) + R^n_{>=0} form the
+pointed cone {(w, c) : w >= 0, w.p_k >= c}; its extreme rays with w != 0 are
+the facets of P, and the one other, (0, -1), is tight on no point.  Double
+description (Motzkin et al. 1953; Fukuda-Prodon 1996) cuts the simplicial
+cone of w >= 0 and w.p_1 >= c by one point at a time, joining each positive
+ray to each negative ray adjacent to it: no third ray is tight on every
+constraint both are tight on.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
-Row = tuple[tuple[Fraction, ...], Fraction]  # (coefficients, rhs) meaning <c,x> >= r
-
-
-def _normalize(coeffs, rhs) -> Row:
-    scale = 0
-    for c in coeffs:
-        scale = max(scale, abs(c.numerator))
-    if scale:
-        g = None
-        for c in list(coeffs) + [rhs]:
-            if c:
-                g = abs(c) if g is None else min(g, abs(c))
-        # divide through by the smallest magnitude to keep numbers tame
-        if g and g != 1:
-            coeffs = [c / g for c in coeffs]
-            rhs = rhs / g
-    return tuple(coeffs), rhs
+from .core import ResourceLimitError
 
 
-def feasible_point(
-    equalities: list[tuple[list[Fraction], Fraction]],
-    inequalities: list[tuple[list[Fraction], Fraction]],
-    nvars: int,
-) -> list[Fraction] | None:
-    """A rational point with <c,x> = r on equalities and <c,x> >= r on
-    inequalities, or None when the system is infeasible."""
-    eqs = [([Fraction(c) for c in cs], Fraction(r)) for cs, r in equalities]
-    ineqs = [([Fraction(c) for c in cs], Fraction(r)) for cs, r in inequalities]
-
-    # eliminate equalities by substitution
-    pivots: list[tuple[int, list[Fraction], Fraction]] = []
-    for cs, r in eqs:
-        cs, r = list(cs), r
-        for j, pcs, pr in pivots:
-            f = cs[j]
-            if f:
-                cs = [a - f * b for a, b in zip(cs, pcs)]
-                r = r - f * pr
-        pj = next((j for j, c in enumerate(cs) if c), None)
-        if pj is None:
-            if r != 0:
-                return None
-            continue
-        pc = cs[pj]
-        cs = [c / pc for c in cs]
-        r = r / pc
-        for k, (j, pcs, pr) in enumerate(pivots):
-            f = pcs[pj]
-            if f:
-                pivots[k] = (j, [a - f * b for a, b in zip(pcs, cs)], pr - f * r)
-        pivots.append((pj, cs, r))
-    bound = {j for j, _, _ in pivots}
-    free = [j for j in range(nvars) if j not in bound]
-
-    # rewrite inequalities over the free variables
-    reduced: list[Row] = []
-    for cs, r in ineqs:
-        cs, r = list(cs), r
-        for j, pcs, pr in pivots:
-            f = cs[j]
-            if f:
-                # x_j = (pr - sum_{k != j} pcs[k] x_k) substituted in place
-                cs = [a - f * b for a, b in zip(cs, pcs)]
-                cs[j] = Fraction(0)
-                r = r - f * pr
-        row = _normalize([cs[j] for j in free], r)
-        if all(c == 0 for c in row[0]):
-            if row[1] > 0:
-                return None
-            continue
-        reduced.append(row)
-    reduced = sorted(set(reduced))
-
-    # Fourier-Motzkin elimination; snapshot each stage for back-substitution.
-    # `remaining` holds positions into `free`; row coefficients align with it.
-    stages: list[tuple[int, list[int], list[Row]]] = []
-    active = reduced
-    remaining = list(range(len(free)))
-    while remaining:
-        # eliminate the variable with the fewest lower*upper pairings
-        best_k, best_cost = 0, None
-        for k_idx in range(len(remaining)):
-            lo = sum(1 for cs, _ in active if cs[k_idx] > 0)
-            hi = sum(1 for cs, _ in active if cs[k_idx] < 0)
-            cost = lo * hi
-            if best_cost is None or cost < best_cost:
-                best_k, best_cost = k_idx, cost
-        k = best_k
-        stages.append((remaining[k], list(remaining), active))
-        lower = [row for row in active if row[0][k] > 0]
-        upper = [row for row in active if row[0][k] < 0]
-        rest = [row for row in active if row[0][k] == 0]
-        new: set[Row] = set()
-        for lcs, lr in lower:
-            for ucs, ur in upper:
-                coeffs = [
-                    a / lcs[k] - b / ucs[k]
-                    for a, b in zip(lcs, ucs)
-                ]
-                rhs = lr / lcs[k] - ur / ucs[k]
-                coeffs = coeffs[:k] + coeffs[k + 1:]
-                if all(c == 0 for c in coeffs):
-                    if rhs > 0:
-                        return None
+def newton_facets(
+    points: list[tuple[int, ...]], bound: int
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """The facets w.x >= c of the Newton polyhedron of ``points`` as
+    ``(w, c, mask)``, w primitive, with bit k of ``mask`` set when points[k]
+    lies on the facet.  Past ``bound`` rays it raises ResourceLimitError."""
+    n = len(points[0])
+    # a ray is (w_1..w_n, c); its zero set has bit j when w_j = 0 and bit
+    # n + k when w.p_k = c, over the constraints cut in so far
+    rays = [tuple(int(i == j) for i in range(n)) + (points[0][j],) for j in range(n)]
+    rays.append((0,) * n + (-1,))
+    zs = [((1 << n) - 1 ^ 1 << j) | 1 << n for j in range(n)] + [(1 << n) - 1]
+    for k in range(1, len(points)):
+        vals = [sum(w * x for w, x in zip(r, points[k])) - r[n] for r in rays]
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        new_zs = [z | (v == 0) << (n + k) for z, v in zip(zs, vals) if v >= 0]
+        neg = [m for m, v in enumerate(vals) if v < 0]
+        for i in (i for i, v in enumerate(vals) if v > 0):
+            for m in neg:
+                common = zs[i] & zs[m]  # adjacent rays share n - 1 or more
+                if common.bit_count() < n - 1:
                     continue
-                new.add(_normalize(coeffs, rhs))
-        for cs, r in rest:
-            new.add((cs[:k] + cs[k + 1:], r))
-        active = sorted(new)
-        del remaining[k]
-
-    # back-substitute a witness for the free variables
-    values: dict[int, Fraction] = {}  # position in `free` -> value
-    for var_pos, snapshot, rows in reversed(stages):
-        k = snapshot.index(var_pos)
-        low: Fraction | None = None
-        high: Fraction | None = None
-        for cs, r in rows:
-            c = cs[k]
-            if c == 0:
-                continue
-            rest = r
-            for pos, v in enumerate(snapshot):
-                if v != var_pos:
-                    rest -= cs[pos] * values[v]
-            bound_val = rest / c
-            if c > 0:
-                low = bound_val if low is None else max(low, bound_val)
-            else:
-                high = bound_val if high is None else min(high, bound_val)
-        if low is not None and high is not None:
-            value = (low + high) / 2
-        elif low is not None:
-            value = low
-        elif high is not None:
-            value = min(high, Fraction(0))
-        else:
-            value = Fraction(0)
-        values[var_pos] = value
-
-    point = [Fraction(0)] * nvars
-    for pos, j in enumerate(free):
-        point[j] = values.get(pos, Fraction(0))
-    for j, pcs, pr in reversed(pivots):
-        acc = pr
-        for k, c in enumerate(pcs):
-            if k != j and c:
-                acc -= c * point[k]
-        point[j] = acc
-
-    # safety: verify the witness before handing it out
-    for cs, r in eqs:
-        if sum(c * x for c, x in zip(cs, point)) != r:
-            raise AssertionError("feasibility back-substitution failed (equality)")
-    for cs, r in ineqs:
-        if sum(c * x for c, x in zip(cs, point)) < r:
-            raise AssertionError("feasibility back-substitution failed (inequality)")
-    return point
+                if any(z & common == common
+                       for q, z in enumerate(zs) if q != i and q != m):
+                    continue
+                ray = [vals[i] * y - vals[m] * x for x, y in zip(rays[i], rays[m])]
+                g = gcd(*ray)
+                new_rays.append(tuple(x // g for x in ray))
+                new_zs.append(common | 1 << (n + k))
+                if len(new_rays) > bound:
+                    raise ResourceLimitError(
+                        f"the Newton polyhedron needs more than {bound} "
+                        "double-description rays"
+                    )
+        rays, zs = new_rays, new_zs
+    return [(r[:n], r[n], z >> n) for r, z in zip(rays, zs) if any(r[:n])]

@@ -87,6 +87,11 @@ def check_dg_dichotomy(
     dg = 0: being a set-theoretic complete intersection is equivalent to
     height = cd.  dg = 1: the analytic spread differs from
     n - min depth of powers exactly when cd = ara = l.
+
+    The horizon minimum depth is not certified, but Burch's inequality
+    bounds the true infimum by min(observed, n - l), so dg is at least
+    fgrade minus that.  At 2 or more neither case applies; this covers every
+    dg = 1 verdict that rests on an observed minimum above n - l.
     """
     n = a.context.n
     ht = height(a)
@@ -106,6 +111,8 @@ def check_dg_dichotomy(
         "analytic_spread": spread,
         "min_depth": md.value,
     }
+    if fg - min(md.value, n - spread) >= 2:
+        return CheckResult(name, NOT_APPLICABLE, witness)
     if dg_value == 0:
         if ht != cd:
             # not cohomologically CI, and ara >= cd > ht rules out STCI:

@@ -8,12 +8,13 @@ transversal search, and matrix ranks from dense Gaussian elimination over
 ``Fraction``.  Code that only the tests use lives here too: the full
 Taylor complex, a boundary-squared check for chain complexes with the
 sparse product behind it, the per-point lcm-lattice Betti composition
-that :func:`stci.homology.koszul_betti` replaces, the all-subsets
-compact-face search that :func:`stci.invariants.analytic_spread` replaces,
-the all-submask Schmitt-Vogel search that
-:func:`stci.invariants.schmitt_vogel_upper` replaced with maximal levels, and
-the generator-splitting decomposition and subset-enumeration minimal primes
-that the incremental pass of :mod:`stci.decomposition` replaced.
+that :func:`stci.homology.koszul_betti` replaces, Fourier-Motzkin
+feasibility with the all-subsets compact-face searches built on it that the
+facet walk of :mod:`stci.invariants` replaced, the all-submask
+Schmitt-Vogel search that :func:`stci.invariants.schmitt_vogel_upper`
+replaced with maximal levels, and the generator-splitting decomposition
+and subset-enumeration minimal primes that the incremental pass of
+:mod:`stci.decomposition` replaced.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from stci.homology import (
     reduced_homology_ranks,
     upper_koszul_complex,
 )
-from stci.invariants import _affine_dim, _positive_weight
+from stci.invariants import _affine_dim
 
 
 def monomials_up_to_degree(n: int, bound: int):
@@ -315,6 +316,203 @@ def lattice_betti_oracle(
             if h:
                 out[(j + 2, b)] = h
     return out
+
+
+Row = tuple[tuple[Fraction, ...], Fraction]  # (coefficients, rhs) meaning <c,x> >= r
+
+
+def _normalize(coeffs, rhs) -> Row:
+    scale = 0
+    for c in coeffs:
+        scale = max(scale, abs(c.numerator))
+    if scale:
+        g = None
+        for c in list(coeffs) + [rhs]:
+            if c:
+                g = abs(c) if g is None else min(g, abs(c))
+        # divide through by the smallest magnitude to keep numbers tame
+        if g and g != 1:
+            coeffs = [c / g for c in coeffs]
+            rhs = rhs / g
+    return tuple(coeffs), rhs
+
+
+def feasible_point(
+    equalities: list[tuple[list[Fraction], Fraction]],
+    inequalities: list[tuple[list[Fraction], Fraction]],
+    nvars: int,
+) -> list[Fraction] | None:
+    """A rational point with <c,x> = r on equalities and <c,x> >= r on
+    inequalities, or None when the system is infeasible."""
+    eqs = [([Fraction(c) for c in cs], Fraction(r)) for cs, r in equalities]
+    ineqs = [([Fraction(c) for c in cs], Fraction(r)) for cs, r in inequalities]
+
+    # eliminate equalities by substitution
+    pivots: list[tuple[int, list[Fraction], Fraction]] = []
+    for cs, r in eqs:
+        cs, r = list(cs), r
+        for j, pcs, pr in pivots:
+            f = cs[j]
+            if f:
+                cs = [a - f * b for a, b in zip(cs, pcs)]
+                r = r - f * pr
+        pj = next((j for j, c in enumerate(cs) if c), None)
+        if pj is None:
+            if r != 0:
+                return None
+            continue
+        pc = cs[pj]
+        cs = [c / pc for c in cs]
+        r = r / pc
+        for k, (j, pcs, pr) in enumerate(pivots):
+            f = pcs[pj]
+            if f:
+                pivots[k] = (j, [a - f * b for a, b in zip(pcs, cs)], pr - f * r)
+        pivots.append((pj, cs, r))
+    bound = {j for j, _, _ in pivots}
+    free = [j for j in range(nvars) if j not in bound]
+
+    # rewrite inequalities over the free variables
+    reduced: list[Row] = []
+    for cs, r in ineqs:
+        cs, r = list(cs), r
+        for j, pcs, pr in pivots:
+            f = cs[j]
+            if f:
+                # x_j = (pr - sum_{k != j} pcs[k] x_k) substituted in place
+                cs = [a - f * b for a, b in zip(cs, pcs)]
+                cs[j] = Fraction(0)
+                r = r - f * pr
+        row = _normalize([cs[j] for j in free], r)
+        if all(c == 0 for c in row[0]):
+            if row[1] > 0:
+                return None
+            continue
+        reduced.append(row)
+    reduced = sorted(set(reduced))
+
+    # Fourier-Motzkin elimination; snapshot each stage for back-substitution.
+    # `remaining` holds positions into `free`; row coefficients align with it.
+    stages: list[tuple[int, list[int], list[Row]]] = []
+    active = reduced
+    remaining = list(range(len(free)))
+    while remaining:
+        # eliminate the variable with the fewest lower*upper pairings
+        best_k, best_cost = 0, None
+        for k_idx in range(len(remaining)):
+            lo = sum(1 for cs, _ in active if cs[k_idx] > 0)
+            hi = sum(1 for cs, _ in active if cs[k_idx] < 0)
+            cost = lo * hi
+            if best_cost is None or cost < best_cost:
+                best_k, best_cost = k_idx, cost
+        k = best_k
+        stages.append((remaining[k], list(remaining), active))
+        lower = [row for row in active if row[0][k] > 0]
+        upper = [row for row in active if row[0][k] < 0]
+        rest = [row for row in active if row[0][k] == 0]
+        new: set[Row] = set()
+        for lcs, lr in lower:
+            for ucs, ur in upper:
+                coeffs = [
+                    a / lcs[k] - b / ucs[k]
+                    for a, b in zip(lcs, ucs)
+                ]
+                rhs = lr / lcs[k] - ur / ucs[k]
+                coeffs = coeffs[:k] + coeffs[k + 1:]
+                if all(c == 0 for c in coeffs):
+                    if rhs > 0:
+                        return None
+                    continue
+                new.add(_normalize(coeffs, rhs))
+        for cs, r in rest:
+            new.add((cs[:k] + cs[k + 1:], r))
+        active = sorted(new)
+        del remaining[k]
+
+    # back-substitute a witness for the free variables
+    values: dict[int, Fraction] = {}  # position in `free` -> value
+    for var_pos, snapshot, rows in reversed(stages):
+        k = snapshot.index(var_pos)
+        low: Fraction | None = None
+        high: Fraction | None = None
+        for cs, r in rows:
+            c = cs[k]
+            if c == 0:
+                continue
+            rest = r
+            for pos, v in enumerate(snapshot):
+                if v != var_pos:
+                    rest -= cs[pos] * values[v]
+            bound_val = rest / c
+            if c > 0:
+                low = bound_val if low is None else max(low, bound_val)
+            else:
+                high = bound_val if high is None else min(high, bound_val)
+        if low is not None and high is not None:
+            value = (low + high) / 2
+        elif low is not None:
+            value = low
+        elif high is not None:
+            value = min(high, Fraction(0))
+        else:
+            value = Fraction(0)
+        values[var_pos] = value
+
+    point = [Fraction(0)] * nvars
+    for pos, j in enumerate(free):
+        point[j] = values.get(pos, Fraction(0))
+    for j, pcs, pr in reversed(pivots):
+        acc = pr
+        for k, c in enumerate(pcs):
+            if k != j and c:
+                acc -= c * point[k]
+        point[j] = acc
+
+    # safety: verify the witness before handing it out
+    for cs, r in eqs:
+        if sum(c * x for c, x in zip(cs, point)) != r:
+            raise AssertionError("feasibility back-substitution failed (equality)")
+    for cs, r in ineqs:
+        if sum(c * x for c, x in zip(cs, point)) < r:
+            raise AssertionError("feasibility back-substitution failed (inequality)")
+    return point
+
+
+def _positive_weight(points, subset, gap: int = 0) -> list[Fraction] | None:
+    """A weight vector w >= 1 constant on ``subset`` and minimal there, at
+    least ``gap`` below its value on every other point."""
+    n = len(points[0])
+    base = points[subset[0]]
+    eqs = []
+    for k in subset[1:]:
+        eqs.append(([Fraction(points[k][j] - base[j]) for j in range(n)], Fraction(0)))
+    ineqs = []
+    for q in range(len(points)):
+        if q in subset:
+            continue
+        ineqs.append(
+            ([Fraction(points[q][j] - base[j]) for j in range(n)], Fraction(gap))
+        )
+    for j in range(n):
+        coeffs = [Fraction(0)] * n
+        coeffs[j] = Fraction(1)
+        ineqs.append((coeffs, Fraction(1)))
+    return feasible_point(eqs, ineqs, n)
+
+
+def compact_faces_oracle(a: MonomialIdeal) -> set[tuple[tuple, int]]:
+    """The compact faces of the Newton polyhedron as ``(points, dim)``: the
+    generator subsets that some positive weight minimises strictly, one
+    Fourier-Motzkin solve per subset."""
+    points = [g.exponents for g in a.generators]
+    faces = set()
+    indices = range(len(points))
+    for size in range(1, len(points) + 1):
+        for subset in combinations(indices, size):
+            if _positive_weight(points, subset, gap=1) is not None:
+                pts = [points[k] for k in subset]
+                faces.add((tuple(pts), _affine_dim(pts)))
+    return faces
 
 
 def analytic_spread_oracle(a: MonomialIdeal) -> int:

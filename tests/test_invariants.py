@@ -31,11 +31,12 @@ from stci.invariants import (
     schmitt_vogel_upper,
 )
 
-from oracles import analytic_spread_oracle, sv_levels_oracle
+from oracles import analytic_spread_oracle, compact_faces_oracle, sv_levels_oracle
 
 CTX2 = RingContext(("x", "y"))
 CTX3 = RingContext(("x", "y", "z"))
 CTX4 = RingContext(("x1", "x2", "x3", "x4"))
+CTX8 = RingContext(tuple(f"x{i}" for i in range(8)))
 
 
 def ideal(ctx, *rows):
@@ -201,7 +202,7 @@ def test_analytic_spread_matches_subset_oracle_seeded():
         spread = analytic_spread_oracle(a)
         assert analytic_spread(a) == spread, a
         below += spread < min(len(a.support()), a.mu)
-    # the family reaches the Fourier-Motzkin path below n - 1
+    # the family reaches ideals without a compact facet
     assert below >= 5
     assert any(len(a.support()) < a.context.n for a in ideals)
 
@@ -219,24 +220,7 @@ def test_analytic_spread_matches_subset_oracle_drawn(n, rng):
     assert analytic_spread(a) == analytic_spread_oracle(a)
 
 
-def test_compact_facet_needs_no_fourier_motzkin(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return feasible_point(*args)
-
-    feasible_point = invariants.feasible_point
-    monkeypatch.setattr(invariants, "feasible_point", counted)
-    assert analytic_spread(ideal(CTX2, (2, 0), (1, 1), (0, 3))) == 2
-    assert analytic_spread(ideal(CTX3, (4, 0, 0), (2, 2, 0), (0, 4, 0), (0, 0, 1))) == 3
-    # z occurs in no generator, so the edge from x^3 to y^2 is a facet
-    assert analytic_spread(ideal(CTX3, (3, 0, 0), (1, 1, 0), (0, 2, 0))) == 2
-    assert calls == []
-
-
 def test_analytic_spread_mu_18_in_five_variables():
-    # 18 mixed-degree generators: 12597 candidate subsets, inside the budget
     rng = random.Random(18)
     ctx = RingContext(tuple(f"x{i}" for i in range(5)))
     rows: set[tuple[int, ...]] = set()
@@ -249,14 +233,131 @@ def test_analytic_spread_mu_18_in_five_variables():
     assert 1 <= analytic_spread(a) <= 5
 
 
-def test_analytic_spread_budget_counts_subsets():
-    # 19 generators in 5 variables would test 16644 subsets
-    ctx = RingContext(tuple(f"x{i}" for i in range(5)))
-    rows = [(k, 18 - k, 0, 0, 0) for k in range(18)] + [(0, 0, 1, 1, 1)]
+def run_python(script: str, *flags: str) -> str:
+    """Stdout of ``script`` run in a fresh interpreter, stopped after 10 s."""
+    src = str(Path(stci.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", textwrap.dedent(script)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=10, check=True,
+    )
+    return done.stdout.strip()
+
+
+def test_analytic_spread_without_compact_facet_is_fast():
+    # 17 generators with l = 3 and no compact facet took seconds of
+    # Fourier-Motzkin solves in the former generator-subset search
+    out = run_python("""
+        import random, time
+        from stci import MonomialIdeal, RingContext, analytic_spread
+        rng = random.Random(4)
+        ctx = RingContext(tuple(f"x{i}" for i in range(5)))
+        rows = set()
+        while True:
+            i, j = rng.randint(0, 12), rng.randint(0, 12)
+            rows.add((i, j, 24 - i - j + i % 3, 1, 1))
+            a = MonomialIdeal.from_exponents(ctx, sorted(rows))
+            if a.mu == 17:
+                break
+        start = time.perf_counter()
+        print(analytic_spread(a), time.perf_counter() - start)
+    """)
+    spread, seconds = out.split()
+    assert spread == "3"
+    assert float(seconds) < 0.5
+
+
+def staircase_sum_rows(size: int) -> list[tuple[int, ...]]:
+    """Four convex staircases of ``size`` generators in disjoint pairs of
+    variables, each generator times a ninth variable so that no facet is
+    compact."""
+    rows = []
+    for p in range(4):
+        for i in range(size):
+            r = [0] * 8 + [1]
+            r[2 * p], r[2 * p + 1] = i, (size - 1 - i) * (size - i) // 2
+            rows.append(tuple(r))
+    return rows
+
+
+def test_analytic_spread_facet_bound():
+    # eight steps: 2410 facets, but the compact-face walk passes the bound;
+    # nine steps: the double-description rays pass it
+    for size, message in (
+        (8, "the compact-face walk visits more than 4096 faces"),
+        (9, "the Newton polyhedron needs more than 4096 double-description rays"),
+    ):
+        assert run_python(f"""
+            from stci import MonomialIdeal, RingContext, analytic_spread
+            from stci.core import ResourceLimitError
+            ctx = RingContext(tuple(f"x{{i}}" for i in range(9)))
+            try:
+                analytic_spread(
+                    MonomialIdeal.from_exponents(ctx, {staircase_sum_rows(size)!r})
+                )
+            except ResourceLimitError as exc:
+                print(exc)
+        """) == message
+    # without the ninth variable the staircases span a compact facet
+    a = MonomialIdeal.from_exponents(
+        CTX8, [r[:8] for r in staircase_sum_rows(8)]
+    )
+    assert analytic_spread(a) == 8
+
+
+def test_compact_face_walk_bound(monkeypatch):
+    # the simplex x0^2..x11^2 plus a cubic: 13 facets, one of them compact,
+    # and the 4095 compact faces of the simplex, which newton_polyhedron walks
+    ctx = RingContext(tuple(f"x{i}" for i in range(12)))
+    rows = [tuple(2 * (i == j) for i in range(12)) for j in range(12)]
+    a = MonomialIdeal.from_exponents(ctx, rows + [(1, 1, 1) + (0,) * 9])
+    monkeypatch.setattr(invariants, "NEWTON_FACET_BOUND", 1000)
+    assert analytic_spread(a) == 12
+    with pytest.raises(ResourceLimitError, match="walk visits more than 1000"):
+        newton_polyhedron(a)
+
+
+def test_facet_checks_survive_python_optimize():
+    # facets patched one level too high hold on no point of the facet; the
+    # facet check must raise under -O as well
+    out = run_python("""
+        import sys
+        import stci.invariants as inv
+        from stci.parser import evaluate_program
+        if __debug__:
+            sys.exit("not running under -O")
+        facets = inv.newton_facets
+        inv.newton_facets = lambda points, bound: [
+            (w, c + 1, mask) for w, c, mask in facets(points, bound)
+        ]
+        try:
+            inv.analytic_spread(evaluate_program("ring x,y; (x^2, x*y, y^3)"))
+        except AssertionError as exc:
+            print(exc)
+    """, "-O")
+    assert out == "invariant violated: a facet is valid and tight exactly on its points"
+
+
+def compact_faces(a):
+    return {(f.points, f.dim) for f in newton_polyhedron(a).compact_faces}
+
+
+def test_compact_faces_match_fourier_motzkin_oracle_seeded():
+    ideals = seeded_mixed_degree_ideals(40, seed=13)
+    for a in ideals + seeded_squarefree_ideals(20, seed=13):
+        assert compact_faces(a) == compact_faces_oracle(a), a
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.integers(1, 5).flatmap(lambda n: rows_strategy(n, 3, 7)),
+    st.integers(3, 6).flatmap(lambda n: squarefree_strategy(n, 7)),
+))
+def test_compact_faces_match_fourier_motzkin_oracle_drawn(rows):
+    ctx = RingContext(tuple(f"x{i}" for i in range(len(rows[0]))))
     a = MonomialIdeal.from_exponents(ctx, rows)
-    assert a.mu == 19
-    with pytest.raises(ResourceLimitError, match="budget"):
-        analytic_spread(a)
+    if not a.is_unit:
+        assert compact_faces(a) == compact_faces_oracle(a)
 
 
 def test_newton_polyhedron_structure():

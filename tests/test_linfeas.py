@@ -1,9 +1,17 @@
-"""Exact rational feasibility: equality elimination plus Fourier-Motzkin."""
+"""Newton-polyhedron facets by double description, and the exact rational
+feasibility (equality elimination plus Fourier-Motzkin) the test oracles use."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
-from stci.linfeas import feasible_point
+import pytest
+
+from stci.core import ResourceLimitError
+from stci.linfeas import newton_facets
+
+from oracles import feasible_point
 
 
 def F(x):
@@ -97,3 +105,77 @@ def _grid(nvars):
 
     steps = [Fraction(k, 2) for k in range(0, 7)]
     return product(steps, repeat=nvars)
+
+
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by Bareiss elimination."""
+    m = [list(r) for r in rows]
+    size = len(m)
+    if size == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def brute_facets(points):
+    """The valid inequalities w.x >= c, w >= 0, w != 0, of the Newton
+    polyhedron that are tight on n linearly independent rows among (e_j, 0)
+    and (p_k, -1): each n-subset of rank n fixes (w, c) up to scale as its
+    cofactor vector."""
+    n = len(points[0])
+    rows = [[int(i == j) for i in range(n)] + [0] for j in range(n)]
+    rows += [list(p) + [-1] for p in points]
+    out = set()
+    for chosen in combinations(rows, n):
+        ray = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in chosen])
+               for j in range(n + 1)]
+        for sign in (1, -1):
+            w, c = [sign * x for x in ray[:n]], sign * ray[n]
+            values = [sum(x * y for x, y in zip(w, p)) for p in points]
+            if any(w) and min(w) >= 0 and min(values) >= c:
+                g = 0
+                for x in w + [c]:
+                    g = gcd(g, x)
+                mask = sum(1 << k for k, v in enumerate(values) if v == c)
+                out.add((tuple(x // g for x in w), c // g, mask))
+    return out
+
+
+def test_newton_facets_match_brute_force():
+    # small exponents give many points on one hyperplane, where rays that
+    # share n - 1 tight constraints need not be adjacent
+    rng = random.Random(29)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        points = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+                  for _ in range(rng.randint(1, 9))]
+        facets = newton_facets(points, 10_000)
+        assert len(facets) == len(set(facets))
+        assert set(facets) == brute_facets(points), points
+
+
+def test_newton_facets_of_a_triangle():
+    # x^2, x*y, y^3: the two compact edges and the two coordinate facets
+    assert sorted(newton_facets([(2, 0), (1, 1), (0, 3)], 10)) == [
+        ((0, 1), 0, 0b001), ((1, 0), 0, 0b100), ((1, 1), 2, 0b011), ((2, 1), 3, 0b110),
+    ]
+
+
+def test_newton_facets_bound():
+    # a convex staircase of 12 points in the plane has 13 facets, and the
+    # ray list holds them with the ray (0, 0, -1)
+    points = [(i, (11 - i) * (12 - i) // 2) for i in range(12)]
+    assert len(newton_facets(points, 14)) == 13
+    with pytest.raises(ResourceLimitError, match="more than 13"):
+        newton_facets(points, 13)

@@ -1,6 +1,7 @@
 """The expression DSL, canonical printing, and the command-line interface."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -249,11 +250,14 @@ def test_cli_semantic_error_exit_code():
 
 
 def test_cli_resource_exit_code():
-    # sixteen mixed-degree generators in sixteen variables: the compact-face
-    # search would test 65519 subsets, past its budget
-    names = [f"x{i}" for i in range(1, 17)]
-    gens = ", ".join([f"{v}^2" for v in names[:15]] + [names[15]])
-    code, _, err = run_cli(["report", f"ring {','.join(names)}; ({gens})"])
+    # four convex staircases in disjoint pairs of variables, every generator
+    # times x8: the compact-face walk passes the facet bound
+    gens = ", ".join(
+        f"x{2 * p}^{i}*x{2 * p + 1}^{(7 - i) * (8 - i) // 2}*x8"
+        for p in range(4) for i in range(8)
+    )
+    names = ",".join(f"x{i}" for i in range(9))
+    code, _, err = run_cli(["report", f"ring {names}; ({gens})"])
     assert code == EXIT_RESOURCE
     assert "resource" in err.lower()
 
@@ -270,6 +274,37 @@ def test_cli_huge_power_exits_within_budget(power):
     )
     assert done.returncode == EXIT_RESOURCE
     assert "resource" in done.stderr.lower()
+
+
+def test_cli_closed_pipe_exits_1_without_traceback():
+    # about 440 kB of JSON, more than a pipe buffer holds, read only in part
+    src = str(Path(stci.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stci.cli", "fuzz", "--json", "--n", "5",
+         "--count", "150", "--seed", "1"],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert len(proc.stdout.read(600)) == 600
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+
+
+def test_traced_benchmark_modules_are_loaded_by_the_cli():
+    # bench/spans.py wraps sys.modules[f"stci.{m}"] for every m in MODULES,
+    # so a renamed or unloaded module breaks the traced benchmark pass
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    import stci.cli, stci.invariants  # noqa: F401, E401
+    assert [m for m in spans.MODULES if f"stci.{m}" not in sys.modules] == []
 
 
 def test_cli_exponent_bound_exit_codes():

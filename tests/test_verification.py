@@ -1,5 +1,7 @@
 """Checkers, the reference suite, fuzz campaigns, and replayability."""
 
+import random
+
 import pytest
 
 from stci.core import MonomialIdeal, RingContext
@@ -16,6 +18,7 @@ from stci.verification import (
     check_one_dimensional_prime,
     check_squarefree_cm,
     fuzz,
+    random_ideal,
     replay,
     run_reference_suite,
     triangle_edge_ideal,
@@ -60,6 +63,24 @@ def test_dg_dichotomy_not_applicable_for_large_dg():
     assert r.verdict in (PASS, NOT_APPLICABLE, UNCERTIFIED)
     if r.witness["dg"] >= 2:
         assert r.verdict == NOT_APPLICABLE
+
+
+@pytest.mark.parametrize("spec, index", [
+    (RandomIdealSpec(n=5, seed=1), 39),
+    (RandomIdealSpec(n=5, seed=1), 57),
+    (RandomIdealSpec(n=5, seed=1), 78),
+    (RandomIdealSpec(n=4, max_generators=7, seed=3), 174),
+])
+def test_dg_dichotomy_bounds_min_depth_by_burch(spec, index):
+    # fuzz cases that failed while the horizon minimum depth was trusted: the
+    # horizon sees dg = 1, but its minimum exceeds n - l, so by Burch the
+    # true dg is at least 2
+    rng = random.Random(spec.seed)
+    a = [random_ideal(spec, rng) for _ in range(index + 1)][-1]
+    r = check_dg_dichotomy(a)
+    assert r.witness["dg"] == 1
+    assert r.witness["min_depth"] > spec.n - r.witness["analytic_spread"]
+    assert r.verdict == NOT_APPLICABLE
 
 
 def test_one_dimensional_prime_examples():
