@@ -36,6 +36,7 @@ from .homology import (
     SparseMatrix,
     koszul_betti,
     koszul_betti_totals,
+    koszul_proj_dim,
     lcm_lattice,
     local_cohomology_nonvanishing,
     rank,
@@ -48,7 +49,6 @@ from .invariants import (
     InvariantReport,
     NewtonPolyhedron,
     analytic_spread,
-    betti_numbers,
     cohomological_dimension,
     depth,
     dg,

@@ -3,9 +3,10 @@
 Provides the two independent Betti-number paths for quotients by monomial
 ideals: the Taylor complex on the minimal generators, and upper-Koszul
 simplicial complexes at the multidegrees of the lcm lattice.  Each serves
-as the other's oracle.  Also computes the nonvanishing degrees of local
-cohomology of squarefree quotients through links in the Stanley-Reisner
-complex.
+as the other's oracle.  The projective dimension alone comes from a pruned
+search over the same lattice complexes.  Also computes the nonvanishing
+degrees of local cohomology of squarefree quotients through links in the
+Stanley-Reisner complex.
 
 Simplicial chain complexes have one builder, :func:`_boundary_complex`,
 which takes faces as vertex bitmasks (bit v set when v is in the face).
@@ -26,7 +27,6 @@ from .core import (
     FieldSpec,
     MonomialIdeal,
     ResourceLimitError,
-    _unique_rows,
 )
 
 TAYLOR_GENERATOR_BOUND = 20
@@ -235,7 +235,9 @@ def _boundary_complex(faces) -> ChainComplex:
     taking subsets.  Each dimension's faces are indexed in increasing mask
     order, and the face v_0 < ... < v_k has boundary
     sum_p (-1)^p (face without v_p).  No faces gives the void complex,
-    which has no chain groups at all.
+    which has no chain groups at all.  Faces closed under taking subsets
+    only down to some dimension k give the maps D_i for i > k, which are
+    those of the whole complex.
     """
     by_dim: dict[int, list[int]] = {}
     for f in sorted(faces):
@@ -243,7 +245,7 @@ def _boundary_complex(faces) -> ChainComplex:
     index = {f: k for fs in by_dim.values() for k, f in enumerate(fs)}
     diffs = {}
     for i, fs in by_dim.items():
-        if i < 0:
+        if i - 1 not in by_dim:
             continue
         m = SparseMatrix(len(by_dim[i - 1]), len(fs))
         for col, f in enumerate(fs):
@@ -436,32 +438,54 @@ def taylor_homology(
 # lcm lattice and upper-Koszul complexes
 
 
-def lcm_lattice(a: MonomialIdeal) -> list[tuple[int, ...]]:
-    """All joins of nonempty generator subsets, sorted; excludes the bottom."""
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct entries of a nonempty 1-D array, sorted.  Sorting beat
+    the hashing of ``np.unique`` (NumPy 2.4) on lattice key blocks."""
+    keys = np.sort(keys)
+    return keys[np.append(True, keys[1:] != keys[:-1])]
+
+
+def lcm_lattice(a: MonomialIdeal) -> np.ndarray:
+    """All joins of nonempty generator subsets as the rows of an (L, n)
+    int64 array, sorted; excludes the bottom.
+
+    Each point is keyed by one mixed-radix integer over the column maxima,
+    with column 0 the most significant digit, so the keys sort as the rows
+    do.  The keys are int64, or Python ints once the radix product reaches
+    2^63, and sets of points are sorted key arrays.
+    """
+    n = a.context.n
     if a.is_zero:
-        return []
+        return np.zeros((0, n), dtype=np.int64)
     gens = a.exponent_matrix()
-    m, n = gens.shape
-    known: set[tuple[int, ...]] = set(map(tuple, gens.tolist()))
-    frontier = np.array(sorted(known), dtype=np.int64)
-    chunk = max(1, BLOCK_CELLS // m)
+    radix = [int(r) + 1 for r in gens.max(axis=0)]
+    places = [1] * n
+    for j in range(n - 1, 0, -1):
+        places[j - 1] = places[j] * radix[j]
+    dtype = np.int64 if places[0] * radix[0] < 1 << 63 else object
+    place = np.array(places, dtype=dtype)
+
+    def points(keys: np.ndarray) -> np.ndarray:
+        return np.stack([keys // p % r for p, r in zip(places, radix)],
+                        axis=1).astype(np.int64)
+
+    known = _distinct(gens @ place)
+    frontier = gens
+    chunk = max(1, BLOCK_CELLS // len(gens))
     while len(frontier):
-        fresh: set[tuple[int, ...]] = set()
-        for start in range(0, len(frontier), chunk):
-            block = frontier[start:start + chunk]
-            joins = np.maximum(block[:, None, :], gens[None, :, :]).reshape(-1, n)
-            fresh.update(
-                t for t in map(tuple, _unique_rows(joins).tolist()) if t not in known
-            )
-        if not fresh:
-            break
-        known.update(fresh)
+        fresh = _distinct(np.concatenate([
+            _distinct(np.maximum(frontier[start:start + chunk, None, :],
+                                 gens[None, :, :]).reshape(-1, n) @ place)
+            for start in range(0, len(frontier), chunk)
+        ]))
+        fresh = fresh[~np.isin(fresh, known, assume_unique=True)]
+        known = np.sort(np.concatenate((known, fresh)))
         if len(known) > LATTICE_SIZE_BOUND:
             raise ResourceLimitError(
                 f"lcm lattice exceeds {LATTICE_SIZE_BOUND} elements"
             )
-        frontier = np.array(sorted(fresh), dtype=np.int64)
-    return sorted(known)
+        frontier = points(fresh)
+    return points(known)
 
 
 def _carriers(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -530,19 +554,36 @@ def upper_koszul_complex(a: MonomialIdeal, b) -> SimplicialComplex:
     )
 
 
+def _koszul_points(a: MonomialIdeal):
+    """Yield ``(b, facets)`` at every lcm-lattice point b, as a tuple, whose
+    upper-Koszul complex is not a cone; facets are its maximal carriers as
+    bitmasks, largest first.
+
+    The carriers of all generators at a block of lattice points come from
+    one vectorised pass.  A point whose facets share a vertex is skipped:
+    its complex is a cone and has no reduced homology.
+    """
+    lattice = lcm_lattice(a)
+    gens = a.exponent_matrix()
+    step = max(1, BLOCK_CELLS // len(gens))
+    for start in range(0, len(lattice), step):
+        block = lattice[start:start + step]
+        for b, row in zip(block.tolist(), _carriers(gens, block).tolist()):
+            facets = _facets(row)
+            if facets and not reduce(and_, facets):
+                yield tuple(b), facets
+
+
 def koszul_betti(
     a: MonomialIdeal, field: FieldSpec | None = None
 ) -> dict[tuple[int, tuple[int, ...]], int]:
     """Multigraded Betti numbers of R/a over the lcm lattice.
 
     beta_{i,b} is the rank of reduced homology in degree i-2 of the
-    upper-Koszul complex at b; beta_{0,0} = 1 for a proper ideal.  The
-    carriers of all generators at a block of lattice points come from one
-    vectorised pass.  A point whose facets (maximal carriers) share a
-    vertex is skipped: its complex is a cone and has no reduced homology.
-    At every other point the faces, as bitmasks, go straight into the
-    boundary matrices, each matrix is ranked once, and points with the same
-    facets share one homology computation.
+    upper-Koszul complex at b; beta_{0,0} = 1 for a proper ideal.  Only the
+    points of :func:`_koszul_points` can contribute.  Their faces, as
+    bitmasks, go straight into the boundary matrices, each matrix is ranked
+    once, and points with the same facets share one homology computation.
     """
     if a.is_unit or a.is_zero:
         raise ValueError("betti numbers need a proper, nonzero ideal")
@@ -552,23 +593,52 @@ def koszul_betti(
     out: dict[tuple[int, tuple[int, ...]], int] = {(0, zero): 1}
     # nonzero reduced homology (degree, rank) of each complex met so far
     homology: dict[frozenset[int], list[tuple[int, int]]] = {}
-    lattice = lcm_lattice(a)
-    gens = a.exponent_matrix()
-    step = max(1, BLOCK_CELLS // len(gens))
-    for start in range(0, len(lattice), step):
-        block = lattice[start:start + step]
-        carriers = _carriers(gens, np.array(block, dtype=np.int64)).tolist()
-        for b, row in zip(block, carriers):
-            facets = _facets(row)
-            if not facets or reduce(and_, facets):
-                continue
-            key = frozenset(facets)
-            if key not in homology:
-                ranks = _boundary_complex(_down_closure(facets)).homology_ranks(field)
-                homology[key] = [(j, h) for j, h in ranks.items() if h]
-            for j, h in homology[key]:
-                out[(j + 2, b)] = h
+    for b, facets in _koszul_points(a):
+        key = frozenset(facets)
+        if key not in homology:
+            ranks = _boundary_complex(_down_closure(facets)).homology_ranks(field)
+            homology[key] = [(j, h) for j, h in ranks.items() if h]
+        for j, h in homology[key]:
+            out[(j + 2, b)] = h
     return out
+
+
+def koszul_proj_dim(a: MonomialIdeal, field: FieldSpec | None = None) -> int:
+    """Projective dimension of R/a over the lcm lattice, without the Betti
+    table.
+
+    The complex at a point with largest facet of size s has reduced
+    homology in degrees at most s - 1, so it gives Betti numbers beta_i with
+    i <= s + 1.  The distinct complexes are visited by that bound, highest
+    first, from best = 1 (beta_1 = mu).  A complex can raise best only by
+    homology in a degree j >= best - 1, so only the boundary maps of those
+    degrees are ranked, from the top down, and the first nonzero homology
+    ends the complex.  The search ends once no bound left exceeds best, or
+    best = n.
+    """
+    if a.is_unit or a.is_zero:
+        raise ValueError("projective dimension needs a proper, nonzero ideal")
+    if field is None:
+        field = a.context.field
+    bounds: dict[frozenset[int], int] = {}
+    for _, facets in _koszul_points(a):
+        bounds.setdefault(frozenset(facets), facets[0].bit_count() + 1)
+    best, n = 1, a.context.n
+    for facets, bound in sorted(bounds.items(), key=lambda kv: -kv[1]):
+        if bound <= best or best == n:
+            break
+        # the faces of dimension best - 2 and up: the maps D_j, j >= best - 1
+        chain = _boundary_complex(
+            f for f in _down_closure(facets) if f.bit_count() >= best - 1
+        )
+        above = 0  # rank of D_{j+1}
+        for j in range(bound - 2, best - 2, -1):
+            here = rank(chain.diffs[j], field)
+            if chain.dims[j] - here - above:
+                best = j + 2
+                break
+            above = here
+    return best
 
 
 def koszul_betti_totals(

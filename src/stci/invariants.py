@@ -1,10 +1,11 @@
 """Derived invariants of monomial ideals.
 
 Everything here reduces to the decomposition and homology engines: depth
-and projective dimension come from Betti numbers, cohomological dimension
-from the radical's projective dimension, formal grade from the dimension
-formula, analytic spread from the compact faces of the Newton polyhedron,
-and the arithmetic-rank upper bound from a Schmitt-Vogel partition search.
+and projective dimension come from the Taylor complex or the lcm lattice,
+cohomological dimension from the radical's projective dimension, formal
+grade from the dimension formula, analytic spread from the compact faces of
+the Newton polyhedron, and the arithmetic-rank upper bound from a
+Schmitt-Vogel partition search.
 
 Depth of high powers carries an explicit horizon and is never presented as
 certified: no effective stabilization bound is assumed.
@@ -13,6 +14,7 @@ certified: no effective stabilization bound is assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -21,18 +23,16 @@ import numpy as np
 from . import homology
 from .core import FieldSpec, Monomial, MonomialIdeal, ResourceLimitError
 from .decomposition import dim_quotient, height, minimal_primes
-from .linfeas import newton_facets
+from .linfeas import _bits, newton_facets
 
 TAYLOR_DISPATCH_BOUND = 8
 # Double-description rays, and faces the compact-face walk visits, for one
 # Newton polyhedron; the benchmark ideals have at most 69 facets.
 NEWTON_FACET_BOUND = 1 << 12
 
-_BETTI_CACHE: dict[tuple[MonomialIdeal, FieldSpec], tuple[int, ...]] = {}
-
 
 def clear_caches() -> None:
-    _BETTI_CACHE.clear()
+    _proj_dim.cache_clear()
 
 
 def _require_proper_nonzero(a: MonomialIdeal) -> None:
@@ -47,7 +47,7 @@ def _check(ok: bool, relation: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Betti numbers: dispatcher over Taylor / upper-Koszul with tensor splittings
+# projective dimension: dispatcher over Taylor / lattice with splittings
 
 
 def _connected_blocks(sets: list[frozenset[int]]) -> list[set[int]]:
@@ -109,84 +109,39 @@ def _product_split(a: MonomialIdeal) -> list[MonomialIdeal] | None:
     return factors
 
 
-def _convolve_tensor(bs: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Betti vector of a tensor product of quotients (disjoint-variable sum)."""
-    out = bs[0]
-    for b in bs[1:]:
-        res = [0] * (len(out) + len(b) - 1)
-        for p, x in enumerate(out):
-            for q, y in enumerate(b):
-                res[p + q] += x * y
-        out = tuple(res)
-    return out
+def proj_dim(a: MonomialIdeal, field: FieldSpec | None = None) -> int:
+    """Projective dimension of R/a.
 
-
-def _convolve_intersection(bs: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Betti vector of an intersection of ideals in pairwise disjoint variables.
-
-    For disjoint supports the Mayer-Vietoris sequence splits, giving
-    beta_i(R/(b ^ c)) = sum over p+q = i+1, p,q >= 1 of beta_p beta_q.
-    """
-    out = bs[0]
-    for b in bs[1:]:
-        res = [0] * (len(out) + len(b) - 1)
-        res[0] = 1
-        for p in range(1, len(out)):
-            for q in range(1, len(b)):
-                res[p + q - 1] += out[p] * b[q]
-        while res and res[-1] == 0:
-            res.pop()
-        out = tuple(res)
-    return out
-
-
-def betti_numbers(a: MonomialIdeal, field: FieldSpec | None = None) -> tuple[int, ...]:
-    """Total Betti numbers (beta_0, ..., beta_pd) of R/a.
-
-    Splits off disjoint-variable summands and factors before falling back
-    to the Taylor complex (small ideals) or the upper-Koszul path (large
-    ones, in particular powers).
+    Disjoint-variable summands add their projective dimensions, and k
+    factors of a product in disjoint variables add theirs less k - 1 (the
+    Mayer-Vietoris sequence of the intersection splits).  Other ideals go
+    to the Taylor complex when small, or to the lattice search.
     """
     _require_proper_nonzero(a)
-    if field is None:
-        field = a.context.field
-    key = (a, field)
-    cached = _BETTI_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _proj_dim(a, a.context.field if field is None else field)
 
+
+# one memo of (ideal, field) -> pd for the process, least recently used out
+@lru_cache(maxsize=1 << 12)
+def _proj_dim(a: MonomialIdeal, field: FieldSpec) -> int:
     components = _support_components(a)
     if len(components) > 1:
-        parts = [
-            MonomialIdeal.from_generators(
-                a.context, [a.generators[k] for k in comp]
-            )
+        pd = sum(
+            _proj_dim(MonomialIdeal.from_generators(
+                a.context, [a.generators[k] for k in comp]), field)
             for comp in components
-        ]
-        result = _convolve_tensor([betti_numbers(p, field) for p in parts])
+        )
     else:
         factors = _product_split(a) if a.mu >= 4 else None
         if factors is not None and len(factors) > 1:
-            result = _convolve_intersection(
-                [betti_numbers(f, field) for f in factors]
-            )
+            pd = sum(_proj_dim(f, field) for f in factors) - (len(factors) - 1)
         elif a.mu <= TAYLOR_DISPATCH_BOUND:
-            table = homology.taylor_homology(a, field)
-            result = tuple(table.get(i, 0) for i in range(max(table) + 1))
+            pd = max(homology.taylor_homology(a, field))
         else:
-            table = homology.koszul_betti_totals(a, field)
-            result = tuple(table.get(i, 0) for i in range(max(table) + 1))
-
-    if len(_BETTI_CACHE) > 200_000:
-        _BETTI_CACHE.clear()
-    _BETTI_CACHE[key] = result
-    return result
-
-
-def proj_dim(a: MonomialIdeal, field: FieldSpec | None = None) -> int:
-    """Projective dimension of R/a: the top nonvanishing Betti index."""
-    b = betti_numbers(a, field)
-    return len(b) - 1
+            pd = homology.koszul_proj_dim(a, field)
+    # Hilbert's syzygy theorem, and the length of the Taylor resolution
+    _check(1 <= pd <= min(a.context.n, a.mu), "1 <= pd <= min(n, mu)")
+    return pd
 
 
 def depth(a: MonomialIdeal, field: FieldSpec | None = None) -> int:
@@ -241,14 +196,6 @@ def _affine_dim(points: list[tuple[int, ...]]) -> int:
     base = points[0]
     rows = [[p[j] - base[j] for j in range(len(base))] for p in points[1:]]
     return homology.rank(rows)
-
-
-def _bits(x: int):
-    """The indices of the set bits of x, in increasing order."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 def _exposed(w, points) -> tuple[int, int]:

@@ -6,7 +6,8 @@ the facets of P, and the one other, (0, -1), is tight on no point.  Double
 description (Motzkin et al. 1953; Fukuda-Prodon 1996) cuts the simplicial
 cone of w >= 0 and w.p_1 >= c by one point at a time, joining each positive
 ray to each negative ray adjacent to it: no third ray is tight on every
-constraint both are tight on.
+constraint both are tight on.  That test ANDs, over those constraints, the
+bitmask of the rays tight on each.
 """
 
 from __future__ import annotations
@@ -32,14 +33,29 @@ def newton_facets(
         vals = [sum(w * x for w, x in zip(r, points[k])) - r[n] for r in rays]
         new_rays = [r for r, v in zip(rays, vals) if v >= 0]
         new_zs = [z | (v == 0) << (n + k) for z, v in zip(zs, vals) if v >= 0]
-        neg = [m for m, v in enumerate(vals) if v < 0]
+        # bit q of tight[c] is set when ray q is tight on constraint c
+        tight = [0] * (n + k)
+        for q, z in enumerate(zs):
+            for c in _bits(z):
+                tight[c] |= 1 << q
+        neg = sum(1 << m for m, v in enumerate(vals) if v < 0)
         for i in (i for i, v in enumerate(vals) if v > 0):
-            for m in neg:
-                common = zs[i] & zs[m]  # adjacent rays share n - 1 or more
-                if common.bit_count() < n - 1:
-                    continue
-                if any(z & common == common
-                       for q, z in enumerate(zs) if q != i and q != m):
+            # adjacent rays share n - 1 or more constraints, so m misses at
+            # most d of those of ray i; near[e] holds the negative rays that
+            # miss at most e of the constraints met so far
+            d = zs[i].bit_count() - (n - 1)
+            near = [neg] * (d + 1)
+            for c in _bits(zs[i]):
+                for e in range(d, 0, -1):
+                    near[e] = near[e] & tight[c] | near[e - 1]
+                near[0] &= tight[c]
+            for m in _bits(near[d]):
+                common = zs[i] & zs[m]
+                pair = 1 << i | 1 << m
+                on = (1 << len(zs)) - 1  # the rays tight wherever both are
+                for c in _bits(common):
+                    on &= tight[c]
+                if on != pair:
                     continue
                 ray = [vals[i] * y - vals[m] * x for x, y in zip(rays[i], rays[m])]
                 g = gcd(*ray)
@@ -52,3 +68,11 @@ def newton_facets(
                     )
         rays, zs = new_rays, new_zs
     return [(r[:n], r[n], z >> n) for r, z in zip(rays, zs) if any(r[:n])]
+
+
+def _bits(x: int):
+    """The indices of the set bits of x, in increasing order."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low

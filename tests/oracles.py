@@ -7,14 +7,15 @@ strands on the quotient's monomial basis, heights from exhaustive
 transversal search, and matrix ranks from dense Gaussian elimination over
 ``Fraction``.  Code that only the tests use lives here too: the full
 Taylor complex, a boundary-squared check for chain complexes with the
-sparse product behind it, the per-point lcm-lattice Betti composition
-that :func:`stci.homology.koszul_betti` replaces, Fourier-Motzkin
-feasibility with the all-subsets compact-face searches built on it that the
-facet walk of :mod:`stci.invariants` replaced, the all-submask
-Schmitt-Vogel search that :func:`stci.invariants.schmitt_vogel_upper`
-replaced with maximal levels, and the generator-splitting decomposition
-and subset-enumeration minimal primes that the incremental pass of
-:mod:`stci.decomposition` replaced.
+sparse product behind it, the tuple-set lcm-lattice closure and the
+per-point lcm-lattice Betti composition that :mod:`stci.homology`
+replaced, the Betti table that :func:`stci.invariants.proj_dim` no longer
+builds, Fourier-Motzkin feasibility with the all-subsets compact-face
+searches built on it that the facet walk of :mod:`stci.invariants`
+replaced, the all-submask Schmitt-Vogel search that
+:func:`stci.invariants.schmitt_vogel_upper` replaced with maximal levels,
+and the generator-splitting decomposition and subset-enumeration minimal
+primes that the incremental pass of :mod:`stci.decomposition` replaced.
 """
 
 from __future__ import annotations
@@ -29,11 +30,17 @@ from stci.homology import (
     ChainComplex,
     SparseMatrix,
     _subset_lcms,
-    lcm_lattice,
+    koszul_betti_totals,
     reduced_homology_ranks,
+    taylor_homology,
     upper_koszul_complex,
 )
-from stci.invariants import _affine_dim
+from stci.invariants import (
+    TAYLOR_DISPATCH_BOUND,
+    _affine_dim,
+    _product_split,
+    _support_components,
+)
 
 
 def monomials_up_to_degree(n: int, bound: int):
@@ -305,17 +312,93 @@ def taylor_chain_complex(a: MonomialIdeal, max_generators: int = 12) -> ChainCom
     return ChainComplex(dims=dims, diffs=diffs)
 
 
+def lcm_lattice_oracle(a: MonomialIdeal) -> list[tuple[int, ...]]:
+    """The lcm lattice as a closure over a Python set of tuples, sorted; the
+    packed-key :func:`stci.homology.lcm_lattice` replaced it."""
+    gens = [tuple(g) for g in a.exponent_matrix().tolist()]
+    known = set(gens)
+    frontier = known
+    while frontier:
+        frontier = {tuple(map(max, b, g)) for b in frontier for g in gens} - known
+        known |= frontier
+    return sorted(known)
+
+
 def lattice_betti_oracle(
     a: MonomialIdeal, field: FieldSpec
 ) -> dict[tuple[int, tuple[int, ...]], int]:
     """Multigraded Betti numbers point by point: the upper-Koszul complex at
     every lcm-lattice point, its reduced homology, and no shortcuts."""
     out = {(0, (0,) * a.context.n): 1}
-    for b in lcm_lattice(a):
+    for b in lcm_lattice_oracle(a):
         for j, h in reduced_homology_ranks(upper_koszul_complex(a, b), field).items():
             if h:
                 out[(j + 2, b)] = h
     return out
+
+
+def _convolve_tensor(bs: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Betti vector of a tensor product of quotients (disjoint-variable sum)."""
+    out = bs[0]
+    for b in bs[1:]:
+        res = [0] * (len(out) + len(b) - 1)
+        for p, x in enumerate(out):
+            for q, y in enumerate(b):
+                res[p + q] += x * y
+        out = tuple(res)
+    return out
+
+
+def _convolve_intersection(bs: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Betti vector of an intersection of ideals in pairwise disjoint variables.
+
+    For disjoint supports the Mayer-Vietoris sequence splits, giving
+    beta_i(R/(b ^ c)) = sum over p+q = i+1, p,q >= 1 of beta_p beta_q.
+    """
+    out = bs[0]
+    for b in bs[1:]:
+        res = [0] * (len(out) + len(b) - 1)
+        res[0] = 1
+        for p in range(1, len(out)):
+            for q in range(1, len(b)):
+                res[p + q - 1] += out[p] * b[q]
+        while res and res[-1] == 0:
+            res.pop()
+        out = tuple(res)
+    return out
+
+
+def betti_numbers_oracle(
+    a: MonomialIdeal, field: FieldSpec | None = None
+) -> tuple[int, ...]:
+    """Total Betti numbers (beta_0, ..., beta_pd) of R/a: the table that
+    :func:`stci.invariants.proj_dim` built before it searched for pd alone.
+
+    Splits off disjoint-variable summands and factors before falling back
+    to the Taylor complex (small ideals) or the upper-Koszul path (large
+    ones, in particular powers).
+    """
+    if field is None:
+        field = a.context.field
+    components = _support_components(a)
+    if len(components) > 1:
+        parts = [
+            MonomialIdeal.from_generators(
+                a.context, [a.generators[k] for k in comp]
+            )
+            for comp in components
+        ]
+        return _convolve_tensor([betti_numbers_oracle(p, field) for p in parts])
+    factors = _product_split(a) if a.mu >= 4 else None
+    if factors is not None and len(factors) > 1:
+        return _convolve_intersection(
+            [betti_numbers_oracle(f, field) for f in factors]
+        )
+    if a.mu <= TAYLOR_DISPATCH_BOUND:
+        table = taylor_homology(a, field)
+    else:
+        table = koszul_betti_totals(a, field)
+    return tuple(table.get(i, 0) for i in range(max(table) + 1))
 
 
 Row = tuple[tuple[Fraction, ...], Fraction]  # (coefficients, rhs) meaning <c,x> >= r

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +15,7 @@ from stci.homology import (
     boundary_chain_complex,
     koszul_betti,
     koszul_betti_totals,
+    koszul_proj_dim,
     lcm_lattice,
     local_cohomology_nonvanishing,
     rank,
@@ -27,6 +29,7 @@ from oracles import (
     brute_betti,
     dense_rank_fraction,
     lattice_betti_oracle,
+    lcm_lattice_oracle,
     sparse_matmul,
     taylor_chain_complex,
     validate_chain_complex,
@@ -236,7 +239,7 @@ def test_taylor_chain_complex_composes_to_zero():
 
 def test_principal_ideal_upper_koszul_is_irrelevant():
     a = ideal(CTX1, (2,))
-    assert lcm_lattice(a) == [(2,)]
+    assert lcm_lattice(a).tolist() == [[2]]
     assert upper_koszul_complex(a, (2,)).is_irrelevant
     assert koszul_betti(a) == {(0, (0,)): 1, (1, (2,)): 1}
 
@@ -248,6 +251,39 @@ def test_lattice_size_bound(monkeypatch):
         lcm_lattice(triangle())
     with pytest.raises(ResourceLimitError, match="lcm lattice exceeds 3"):
         koszul_betti_totals(triangle())
+    with pytest.raises(ResourceLimitError, match="lcm lattice exceeds 3"):
+        koszul_proj_dim(triangle())
+
+
+def seventy_variable_ideal():
+    """Seven generators over 70 variables: carriers and lattice keys no
+    longer fit an int64."""
+    ctx = RingContext(tuple(f"x{i}" for i in range(70)))
+    rows = []
+    for pair in ((0, 64), (64, 69), (1, 69), (63, 0), (2, 3), (3, 68), (68, 69)):
+        row = [0] * 70
+        for v in pair:
+            row[v] = 2 if v == 69 else 1
+        rows.append(row)
+    return MonomialIdeal.from_exponents(ctx, rows)
+
+
+def test_lcm_lattice_matches_tuple_closure():
+    rng = random.Random(43)
+    inputs = [triangle() ** 3, cycle(6) ** 2, path(6) ** 2, seventy_variable_ideal()]
+    for _ in range(30):
+        rows = [tuple(rng.randint(0, 4) for _ in range(4))
+                for _ in range(rng.randint(2, 10))]
+        inputs.append(MonomialIdeal.from_exponents(CTX4, [r for r in rows if any(r)]))
+    # exponents near 2^21.5 in three variables: the radix product passes 2^63
+    big = 3_000_000
+    huge = ideal(CTX3, (big, 1, 0), (0, big, 2), (5, 0, big), (1, 1, 1), (2, 0, 3))
+    inputs.append(huge)
+    for a in inputs:
+        lattice = lcm_lattice(a)
+        assert lattice.dtype == np.int64
+        assert [tuple(b) for b in lattice.tolist()] == lcm_lattice_oracle(a)
+    assert koszul_betti(huge) == lattice_betti_oracle(huge, Q)
 
 
 def test_unit_multidegree_has_beta_one():
@@ -303,15 +339,7 @@ def test_koszul_betti_matches_per_point_composition_mixed_degree(field):
 
 
 def test_koszul_betti_with_more_variables_than_mask_bits():
-    # carriers over 70 variables no longer fit an int64 bitmask
-    ctx = RingContext(tuple(f"x{i}" for i in range(70)))
-    rows = []
-    for pair in ((0, 64), (64, 69), (1, 69), (63, 0), (2, 3), (3, 68), (68, 69)):
-        row = [0] * 70
-        for v in pair:
-            row[v] = 2 if v == 69 else 1
-        rows.append(row)
-    a = MonomialIdeal.from_exponents(ctx, rows)
+    a = seventy_variable_ideal()
     assert koszul_betti(a) == lattice_betti_oracle(a, Q)
     assert koszul_betti_totals(a) == taylor_homology(a)
 
@@ -329,7 +357,7 @@ def test_cone_points_are_skipped_and_have_no_reduced_homology(monkeypatch):
     table = koszul_betti(a)
     monkeypatch.undo()
     cones, others = [], set()
-    for b in lcm_lattice(a):
+    for b in map(tuple, lcm_lattice(a).tolist()):
         k = upper_koszul_complex(a, b)
         facets = [f for f in k.faces if not any(f < g for g in k.faces)]
         if frozenset.intersection(*facets):

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stci
+import stci.homology as homology
 import stci.invariants as invariants
 from stci.core import FieldSpec, MonomialIdeal, ResourceLimitError, RingContext
 from stci.decomposition import dim_quotient
 from stci.homology import local_cohomology_nonvanishing
 from stci.invariants import (
     analytic_spread,
-    betti_numbers,
     cohomological_dimension,
     depth,
     dg,
@@ -27,11 +27,17 @@ from stci.invariants import (
     is_valid_sv_partition,
     min_depth_powers,
     newton_polyhedron,
+    proj_dim,
     report,
     schmitt_vogel_upper,
 )
 
-from oracles import analytic_spread_oracle, compact_faces_oracle, sv_levels_oracle
+from oracles import (
+    analytic_spread_oracle,
+    betti_numbers_oracle,
+    compact_faces_oracle,
+    sv_levels_oracle,
+)
 
 CTX2 = RingContext(("x", "y"))
 CTX3 = RingContext(("x", "y", "z"))
@@ -95,10 +101,12 @@ def test_betti_splits_match_direct_paths():
     # disjoint-variable sum: tensor convolution
     a = ideal(CTX4, (2, 0, 0, 0), (0, 0, 1, 1))
     from stci.homology import taylor_homology
-    assert dict(enumerate(betti_numbers(a))) == taylor_homology(a)
+    assert dict(enumerate(betti_numbers_oracle(a))) == taylor_homology(a)
+    assert proj_dim(a) == max(taylor_homology(a))
     # disjoint-variable product: intersection convolution
     b = two_planes() ** 2
-    assert dict(enumerate(betti_numbers(b))) == taylor_homology(b)
+    assert dict(enumerate(betti_numbers_oracle(b))) == taylor_homology(b)
+    assert proj_dim(b) == max(taylor_homology(b))
 
 
 def _pad_rows(rows, offset, n):
@@ -115,7 +123,8 @@ def test_sum_split_matches_taylor(rows_a, rows_b):
     if c.is_unit:
         return
     from stci.homology import taylor_homology
-    assert dict(enumerate(betti_numbers(c))) == taylor_homology(c)
+    assert dict(enumerate(betti_numbers_oracle(c))) == taylor_homology(c)
+    assert proj_dim(c) == max(taylor_homology(c))
 
 
 @given(rows_strategy(2, 2, 3), rows_strategy(2, 2, 3))
@@ -126,7 +135,8 @@ def test_product_split_matches_taylor(rows_a, rows_b):
     c = a * b
     assert c == (a & b)
     from stci.homology import taylor_homology
-    assert dict(enumerate(betti_numbers(c))) == taylor_homology(c)
+    assert dict(enumerate(betti_numbers_oracle(c))) == taylor_homology(c)
+    assert proj_dim(c) == max(taylor_homology(c))
 
 
 @given(rows_strategy(3, 3, 4))
@@ -145,6 +155,130 @@ def test_squarefree_fgrade_equals_depth(rows):
     locoh = local_cohomology_nonvanishing(a)
     assert min(locoh) == depth(a)
     assert max(locoh) == dim_quotient(a)
+
+
+# ---------------------------------------------------------------------------
+# projective dimension against the full Betti table
+
+Q = FieldSpec.rationals()
+F32003 = FieldSpec.prime(32003)
+
+
+def seeded_ideals(seed, count, n, top, mus):
+    """``count`` seeded ideals in n variables, exponents <= top, mu in ``mus``."""
+    rng = random.Random(seed)
+    ctx = RingContext(tuple(f"x{i}" for i in range(n)))
+    out = []
+    while len(out) < count:
+        rows = [tuple(rng.randint(0, top) for _ in range(n))
+                for _ in range(rng.randint(mus.start, mus.stop + 3))]
+        a = MonomialIdeal.from_exponents(ctx, [r for r in rows if any(r)])
+        if a.mu in mus:
+            out.append(a)
+    return out
+
+
+def cycle_ideal(n, vertices=None):
+    """The edge ideal of the cycle on ``vertices`` (default 0..n-1) in n
+    variables."""
+    vertices = vertices or list(range(n))
+    ctx = RingContext(tuple(f"x{i}" for i in range(n)))
+    rows = []
+    for u, v in zip(vertices, vertices[1:] + vertices[:1]):
+        row = [0] * n
+        row[u] = row[v] = 1
+        rows.append(tuple(row))
+    return MonomialIdeal.from_exponents(ctx, rows)
+
+
+def assert_pd_matches_oracle(a, field):
+    pd = len(betti_numbers_oracle(a, field)) - 1
+    assert homology.koszul_proj_dim(a, field) == pd
+    assert proj_dim(a, field) == pd
+
+
+@pytest.mark.parametrize("field", [Q, F32003], ids=str)
+def test_proj_dim_matches_betti_oracle_seeded(field):
+    # mu 9-14 takes the lattice search; mixed degree, then squarefree
+    for a in seeded_ideals(71, 24, 5, 3, range(9, 15)):
+        assert_pd_matches_oracle(a, field)
+    for a in seeded_ideals(72, 24, 7, 1, range(9, 15)):
+        assert_pd_matches_oracle(a, field)
+
+
+@pytest.mark.parametrize("field", [Q, F32003], ids=str)
+def test_proj_dim_matches_betti_oracle_on_splits(field):
+    ctx = RingContext(tuple(f"x{i}" for i in range(9)))
+    parts = [
+        [_pad_rows(a.exponent_matrix().tolist(), 3 * k, 9) for a in
+         seeded_ideals(73 + k, 6, 3, 2, range(2, 6))]
+        for k in range(3)
+    ]
+    for rows_a, rows_b, rows_c in zip(*parts):
+        a, b, c = (MonomialIdeal.from_exponents(ctx, r)
+                   for r in (rows_a, rows_b, rows_c))
+        for split in (a + b, a + b + c, a * b, a * b * c, a * b + c):
+            assert_pd_matches_oracle(split, field)
+
+
+@pytest.mark.parametrize("field", [Q, F32003], ids=str)
+def test_proj_dim_matches_betti_oracle_on_cycle_powers(field):
+    for n, top in ((7, 3), (8, 2)):
+        for t in range(1, top + 1):
+            assert_pd_matches_oracle(cycle_ideal(n) ** t, field)
+
+
+def test_proj_dim_matches_betti_oracle_past_64_variables():
+    # carriers and lattice keys outgrow int64; the 9-cycle has pd 6, far
+    # below n = 70, so the search runs until no bound is left above it
+    a = cycle_ideal(70, [0, 8, 16, 24, 32, 63, 64, 66, 69])
+    for field in (Q, F32003):
+        assert_pd_matches_oracle(a, field)
+        assert proj_dim(a, field) == 6
+
+
+@settings(max_examples=20)
+@given(rows_strategy(4, 3, 12))
+def test_proj_dim_matches_betti_oracle_drawn(rows):
+    assert_pd_matches_oracle(MonomialIdeal.from_exponents(CTX4, rows), Q)
+
+
+@settings(max_examples=20)
+@given(squarefree_strategy(6, 12))
+def test_proj_dim_matches_betti_oracle_drawn_squarefree(rows):
+    ctx = RingContext(tuple("abcdef"))
+    a = MonomialIdeal.from_exponents(ctx, rows)
+    if not a.is_unit:
+        assert_pd_matches_oracle(a, F32003)
+
+
+def test_proj_dim_check_survives_python_optimize():
+    # a Taylor table patched one degree past n breaks Hilbert's syzygy
+    # theorem; the explicit check must raise under -O too
+    out = run_python("""
+        import sys
+        import stci.homology as homology
+        import stci.invariants as inv
+        from stci.parser import evaluate_program
+        if __debug__:
+            sys.exit("not running under -O")
+        homology.taylor_homology = lambda a, field: {0: 1, a.context.n + 1: 1}
+        try:
+            inv.proj_dim(evaluate_program("ring x,y,z; (x*y, x*z, y*z)"))
+        except AssertionError as exc:
+            print(exc)
+    """, "-O")
+    assert out == "invariant violated: 1 <= pd <= min(n, mu)"
+
+
+def test_proj_dim_memo_is_bounded_and_cleared():
+    invariants.clear_caches()
+    proj_dim(two_planes())
+    proj_dim(two_planes())
+    info = invariants._proj_dim.cache_info()
+    assert info.hits >= 1 and info.maxsize == 4096
+    invariants.clear_caches()
+    assert invariants._proj_dim.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +415,30 @@ def staircase_sum_rows(size: int) -> list[tuple[int, ...]]:
 
 
 def test_analytic_spread_facet_bound():
-    # eight steps: 2410 facets, but the compact-face walk passes the bound;
-    # nine steps: the double-description rays pass it
-    for size, message in (
-        (8, "the compact-face walk visits more than 4096 faces"),
-        (9, "the Newton polyhedron needs more than 4096 double-description rays"),
+    # eight steps: 2410 facets, but the compact-face walk passes the bound
+    # (in the 10 s the subprocess gets); nine steps: the double-description
+    # rays pass it, within 0.5 s since adjacency reads the rays tight on each
+    # constraint from one bitmask
+    for size, message, seconds in (
+        (8, "the compact-face walk visits more than 4096 faces", 10),
+        (9, "the Newton polyhedron needs more than 4096 double-description rays",
+         0.5),
     ):
-        assert run_python(f"""
+        out = run_python(f"""
+            import time
             from stci import MonomialIdeal, RingContext, analytic_spread
             from stci.core import ResourceLimitError
             ctx = RingContext(tuple(f"x{{i}}" for i in range(9)))
+            a = MonomialIdeal.from_exponents(ctx, {staircase_sum_rows(size)!r})
+            start = time.perf_counter()
             try:
-                analytic_spread(
-                    MonomialIdeal.from_exponents(ctx, {staircase_sum_rows(size)!r})
-                )
+                analytic_spread(a)
             except ResourceLimitError as exc:
                 print(exc)
-        """) == message
+            print(time.perf_counter() - start)
+        """)
+        assert out.splitlines()[0] == message
+        assert float(out.splitlines()[1]) < seconds
     # without the ninth variable the staircases span a compact facet
     a = MonomialIdeal.from_exponents(
         CTX8, [r[:8] for r in staircase_sum_rows(8)]

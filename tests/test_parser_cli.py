@@ -276,6 +276,22 @@ def test_cli_huge_power_exits_within_budget(power):
     assert "resource" in done.stderr.lower()
 
 
+def test_cli_report_on_the_9_cycle_within_budget():
+    # the lcm lattice of (C9)^3 has 57435 points; building the whole Betti
+    # table over it, every complex ranked in every degree, took about 15 s
+    names = ",".join(f"x{i}" for i in range(9))
+    gens = ", ".join(f"x{i}*x{(i + 1) % 9}" for i in range(9))
+    src = str(Path(stci.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "stci.cli", "report", "--json", "--horizon", "3",
+         f"ring {names}; ({gens})"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=10,
+    )
+    assert done.returncode == EXIT_OK
+    assert json.loads(done.stdout)["invariants"]["proj_dim"] == 6
+
+
 def test_cli_closed_pipe_exits_1_without_traceback():
     # about 440 kB of JSON, more than a pipe buffer holds, read only in part
     src = str(Path(stci.__file__).resolve().parents[1])
