@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -30,6 +31,18 @@ BLOCK_CELLS = 1 << 12
 # Repeated squaring in a power doubles the generator count each step, so a
 # huge exponent trips this long before MAX_EXPONENT does.
 PAIR_CELL_BOUND = 1 << 22
+# Entries each memo keeps, least recently used out.
+MEMO_SIZE = 1 << 12
+# Every memo made by ``memo``; ``invariants.clear_caches`` empties them all.
+MEMOS: list = []
+
+
+def memo(fn):
+    """``fn`` with its results kept in a bounded LRU memo, keyed by its
+    (hashable, immutable) arguments and listed in ``MEMOS``."""
+    cached = lru_cache(maxsize=MEMO_SIZE)(fn)
+    MEMOS.append(cached)
+    return cached
 
 
 class ContextMismatchError(ValueError):
@@ -450,9 +463,7 @@ class MonomialIdeal:
             current = nxt
 
     def radical(self) -> "MonomialIdeal":
-        return MonomialIdeal.from_generators(
-            self.context, [g.radical() for g in self.generators]
-        )
+        return _radical(self)
 
     def bracket_power(self, q: int) -> "MonomialIdeal":
         """The ideal of q-th powers of the minimal generators."""
@@ -477,6 +488,11 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return f"MonomialIdeal{self}"
+
+
+@memo
+def _radical(a: MonomialIdeal) -> MonomialIdeal:
+    return MonomialIdeal.from_generators(a.context, [g.radical() for g in a.generators])
 
 
 def minimalize(gens: Iterable[Monomial]) -> MonomialIdeal:

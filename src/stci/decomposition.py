@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Monomial, MonomialIdeal, RingContext
+from .core import Monomial, MonomialIdeal, RingContext, memo
 
 
 def _require_proper_nonzero(a: MonomialIdeal) -> None:
@@ -124,6 +124,11 @@ def minimal_primes(a: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     variable lists.
     """
     _require_proper_nonzero(a)
+    return _minimal_primes(a)
+
+
+@memo
+def _minimal_primes(a: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     ctx = a.context
     rows = sorted({tuple(min(e, 1) for e in g.exponents) for g in a.generators})
     supports = sorted(

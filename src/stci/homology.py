@@ -31,6 +31,8 @@ from .core import (
 
 TAYLOR_GENERATOR_BOUND = 20
 LATTICE_SIZE_BOUND = 200_000
+# Variables of a Stanley-Reisner complex, whose 2^n faces are enumerated.
+STANLEY_REISNER_BOUND = 20
 # BLOCK_CELLS also sets lattice points times generators in one numpy block of
 # the lattice passes.  Small blocks cost no speed and keep the transient
 # arrays of a Betti computation near 0.5 MB; blocks of 64k cells added 1.5 MB
@@ -660,8 +662,11 @@ def _stanley_reisner_faces(a: MonomialIdeal) -> list[int]:
     if not a.is_squarefree:
         raise ValueError("Stanley-Reisner complexes need a squarefree ideal")
     n = a.context.n
-    if n > 20:
-        raise ResourceLimitError("Stanley-Reisner enumeration is bounded at 20 variables")
+    if n > STANLEY_REISNER_BOUND:
+        raise ResourceLimitError(
+            f"Stanley-Reisner enumeration is bounded at "
+            f"{STANLEY_REISNER_BOUND} variables"
+        )
     gen_masks = []
     for g in a.generators:
         mask = 0

@@ -14,14 +14,13 @@ certified: no effective stabilization bound is assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from . import homology
-from .core import FieldSpec, Monomial, MonomialIdeal, ResourceLimitError
+from .core import MEMOS, FieldSpec, Monomial, MonomialIdeal, ResourceLimitError, memo
 from .decomposition import dim_quotient, height, minimal_primes
 from .linfeas import _bits, newton_facets
 
@@ -32,7 +31,10 @@ NEWTON_FACET_BOUND = 1 << 12
 
 
 def clear_caches() -> None:
-    _proj_dim.cache_clear()
+    """Empty every memo: projective dimension, minimal primes, radical,
+    analytic spread and the Schmitt-Vogel bound."""
+    for cached in MEMOS:
+        cached.cache_clear()
 
 
 def _require_proper_nonzero(a: MonomialIdeal) -> None:
@@ -121,8 +123,7 @@ def proj_dim(a: MonomialIdeal, field: FieldSpec | None = None) -> int:
     return _proj_dim(a, a.context.field if field is None else field)
 
 
-# one memo of (ideal, field) -> pd for the process, least recently used out
-@lru_cache(maxsize=1 << 12)
+@memo
 def _proj_dim(a: MonomialIdeal, field: FieldSpec) -> int:
     components = _support_components(a)
     if len(components) > 1:
@@ -285,6 +286,11 @@ def analytic_spread(a: MonomialIdeal) -> int:
     dropped.
     """
     _require_proper_nonzero(a)
+    return _analytic_spread(a)
+
+
+@memo
+def _analytic_spread(a: MonomialIdeal) -> int:
     points = [g.exponents for g in a.generators]
     degrees = {sum(p) for p in points}
     if len(degrees) == 1:
@@ -496,6 +502,15 @@ def schmitt_vogel_upper(
     singleton partition is always valid, so upper <= mu.
     """
     _require_proper_nonzero(a)
+    return _schmitt_vogel_upper(
+        a, a.context.field if field is None else field, exact_bound
+    )
+
+
+@memo
+def _schmitt_vogel_upper(
+    a: MonomialIdeal, field: FieldSpec, exact_bound: int
+) -> AraBounds:
     gens = list(a.generators)
     mu = len(gens)
     pair_div = _pair_divisors([g.exponents for g in gens])

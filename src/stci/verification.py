@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import invariants
-from .core import FieldSpec, MonomialIdeal, RingContext
+from .core import FieldSpec, MonomialIdeal, ResourceLimitError, RingContext
 from .decomposition import dim_quotient, height, symbolic_power
-from .homology import local_cohomology_nonvanishing
+from .homology import STANLEY_REISNER_BOUND, local_cohomology_nonvanishing
 
 PASS = "pass"
 FAIL = "fail"
@@ -449,6 +449,14 @@ class RandomIdealSpec:
             raise ValueError("need at least one variable")
         if self.max_exponent < 1 or self.max_generators < 1:
             raise ValueError("exponent and generator bounds must be positive")
+        if self.squarefree and self.n < 2:
+            # every facet is then the whole vertex set: no nonface to draw
+            raise ValueError("random squarefree ideals need at least two variables")
+        if self.squarefree and self.n > STANLEY_REISNER_BOUND:
+            raise ResourceLimitError(
+                f"random squarefree ideals enumerate 2^n subsets; n = {self.n} "
+                f"exceeds the Stanley-Reisner bound {STANLEY_REISNER_BOUND}"
+            )
 
 
 def _random_squarefree(ctx: RingContext, rng: random.Random) -> MonomialIdeal:
@@ -512,6 +520,8 @@ def _fuzz_one(index: int, a: MonomialIdeal, horizon: int) -> list[CheckResult]:
 
 def fuzz(spec: RandomIdealSpec, count: int, horizon: int = 3) -> list[CheckResult]:
     """Run every applicable checker on ``count`` seeded random ideals."""
+    if count < 0:
+        raise ValueError(f"fuzz count must be non-negative, got {count}")
     rng = random.Random(spec.seed)
     ideals = [random_ideal(spec, rng) for _ in range(count)]
     return [r for i, a in enumerate(ideals) for r in _fuzz_one(i, a, horizon)]

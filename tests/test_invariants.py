@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stci
+import stci.decomposition as decomposition
 import stci.homology as homology
 import stci.invariants as invariants
-from stci.core import FieldSpec, MonomialIdeal, ResourceLimitError, RingContext
+from stci.core import MEMOS, FieldSpec, MonomialIdeal, ResourceLimitError, RingContext
 from stci.decomposition import dim_quotient
 from stci.homology import local_cohomology_nonvanishing
 from stci.invariants import (
@@ -30,6 +31,12 @@ from stci.invariants import (
     proj_dim,
     report,
     schmitt_vogel_upper,
+)
+from stci.verification import (
+    RandomIdealSpec,
+    check_chain,
+    check_dg_dichotomy,
+    random_ideal,
 )
 
 from oracles import (
@@ -271,14 +278,93 @@ def test_proj_dim_check_survives_python_optimize():
     assert out == "invariant violated: 1 <= pd <= min(n, mu)"
 
 
-def test_proj_dim_memo_is_bounded_and_cleared():
+# ---------------------------------------------------------------------------
+# memos
+
+
+MEMOIZED = {
+    "stci.core._radical",
+    "stci.decomposition._minimal_primes",
+    "stci.invariants._proj_dim",
+    "stci.invariants._analytic_spread",
+    "stci.invariants._schmitt_vogel_upper",
+}
+
+
+def memos_by_name():
+    return {f"{m.__module__}.{m.__qualname__}": m for m in MEMOS}
+
+
+def rp2_ideal():
+    """Stanley-Reisner ideal of the 6-vertex real projective plane: every
+    edge is a face, so the 10 triangles outside the complex generate it."""
+    facets = {(0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+              (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5)}
+    ctx = RingContext(tuple(f"x{i}" for i in range(6)))
+    return MonomialIdeal.from_exponents(ctx, [
+        [int(i in t) for i in range(6)]
+        for t in combinations(range(6), 3) if t not in facets
+    ])
+
+
+def test_memos_are_bounded_and_cleared():
+    memos = memos_by_name()
+    assert set(memos) == MEMOIZED
     invariants.clear_caches()
-    proj_dim(two_planes())
-    proj_dim(two_planes())
-    info = invariants._proj_dim.cache_info()
-    assert info.hits >= 1 and info.maxsize == 4096
+    report(two_planes())
+    for name, cached in memos.items():
+        info = cached.cache_info()
+        assert info.maxsize == 4096 and info.currsize >= 1, name
     invariants.clear_caches()
-    assert invariants._proj_dim.cache_info().currsize == 0
+    sizes = {name: m.cache_info().currsize for name, m in memos.items()}
+    assert sizes == dict.fromkeys(MEMOIZED, 0)
+
+
+def test_memo_keys_carry_the_field():
+    # the homology of RP^2 has 2-torsion, so pd over F_2 exceeds pd over Q
+    a = rp2_ideal()
+    assert a.mu == 10 and {g.degree for g in a.generators} == {3}
+    f2 = FieldSpec.prime(2)
+    invariants.clear_caches()
+    assert proj_dim(a) == 3 and schmitt_vogel_upper(a).lower == 3
+    assert proj_dim(a, f2) == 4 and schmitt_vogel_upper(a, f2).lower == 4
+    assert schmitt_vogel_upper(a, FieldSpec.rationals()).lower == 3
+    # None means the ring's field, so the rational call above was a hit
+    assert invariants._schmitt_vogel_upper.cache_info().misses == 2
+    a2 = MonomialIdeal.from_exponents(
+        RingContext(a.context.variables, f2), [g.exponents for g in a]
+    )
+    assert proj_dim(a2) == 4 and schmitt_vogel_upper(a2).lower == 4
+
+
+def test_each_invariant_of_one_ideal_is_computed_once():
+    # (x1,x3)(x2,x4) splits as a product, so proj_dim asks for the radical
+    # and the minimal primes again; horizon 1 keeps powers out
+    invariants.clear_caches()
+    check_chain(two_planes(), 1)
+    check_dg_dichotomy(two_planes(), 1)
+    memos = memos_by_name()
+    for name in MEMOIZED - {"stci.invariants._proj_dim"}:
+        info = memos[name].cache_info()
+        assert info.misses == 1 and info.hits >= 1, (name, info)
+
+
+@pytest.mark.parametrize("squarefree", [False, True])
+def test_memoized_results_equal_direct_computation(squarefree):
+    rng = random.Random(8)
+    spec = RandomIdealSpec(n=5, squarefree=squarefree, max_generators=7, seed=8)
+    direct = {name: m.__wrapped__ for name, m in memos_by_name().items()}
+    for _ in range(12):
+        a = random_ideal(spec, rng)
+        for _ in range(2):  # the second round reads the memos
+            assert a.radical() == direct["stci.core._radical"](a)
+            assert decomposition.minimal_primes(a) == direct[
+                "stci.decomposition._minimal_primes"](a)
+            assert analytic_spread(a) == direct["stci.invariants._analytic_spread"](a)
+            for field in (FieldSpec.rationals(), FieldSpec.prime(7)):
+                assert proj_dim(a, field) == direct["stci.invariants._proj_dim"](a, field)
+                assert schmitt_vogel_upper(a, field) == direct[
+                    "stci.invariants._schmitt_vogel_upper"](a, field, 9)
 
 
 # ---------------------------------------------------------------------------

@@ -312,15 +312,36 @@ def test_cli_closed_pipe_exits_1_without_traceback():
     assert err == b""
 
 
-def test_traced_benchmark_modules_are_loaded_by_the_cli():
-    # bench/spans.py wraps sys.modules[f"stci.{m}"] for every m in MODULES,
-    # so a renamed or unloaded module breaks the traced benchmark pass
+def bench_spans():
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_benchmark_modules_are_loaded_by_the_cli():
+    # bench/spans.py wraps sys.modules[f"stci.{m}"] for every m in MODULES,
+    # so a renamed or unloaded module breaks the traced benchmark pass
+    spans = bench_spans()
     import stci.cli, stci.invariants  # noqa: F401, E401
     assert [m for m in spans.MODULES if f"stci.{m}" not in sys.modules] == []
+
+
+def test_tracer_still_wraps_the_memoized_public_functions():
+    # the tracer wraps plain functions only; the memos sit behind them
+    import stci.cli, stci.decomposition, stci.invariants  # noqa: F401, E401
+
+    traced = ["decomposition.minimal_primes", "invariants.analytic_spread",
+              "invariants.schmitt_vogel_upper"]
+    tracer = bench_spans().Tracer()
+    tracer.install()
+    try:
+        assert run_cli(["report", TWO_PLANES])[0] == EXIT_OK
+    finally:
+        tracer.uninstall()
+    recorded = {tracer.names[k] for k in tracer.name}
+    assert [name for name in traced if name not in recorded] == []
 
 
 def test_cli_exponent_bound_exit_codes():
@@ -383,6 +404,24 @@ def test_cli_jobs_flag_is_gone(command):
     code, _, err = run_cli(command + ["--jobs", "2"])
     assert code == EXIT_USAGE
     assert "--jobs" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--n", "1", "--squarefree"], EXIT_USAGE),
+    (["--n", "25", "--squarefree", "--count", "1"], EXIT_RESOURCE),
+    (["--count", "-1"], EXIT_USAGE),
+])
+def test_cli_fuzz_rejects_hopeless_specs_at_once(argv, code):
+    # one variable never yielded a squarefree ideal (a loop without end), and
+    # past the Stanley-Reisner bound generation enumerated 2^n subsets first
+    src = str(Path(stci.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "stci.cli", "fuzz"] + argv,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=5,
+    )
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
 
 
 def test_cli_fuzz_count_zero():

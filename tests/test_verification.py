@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from stci.core import MonomialIdeal, RingContext
+from stci.core import MonomialIdeal, ResourceLimitError, RingContext
+from stci.homology import STANLEY_REISNER_BOUND
 from stci.verification import (
     FAIL,
     NOT_APPLICABLE,
@@ -152,6 +153,35 @@ def test_fuzz_deterministic_and_replayable():
 def test_fuzz_empty_campaign():
     spec = RandomIdealSpec(seed=1)
     assert fuzz(spec, 0) == []
+
+
+def test_fuzz_rejects_a_negative_count():
+    with pytest.raises(ValueError):
+        fuzz(RandomIdealSpec(seed=1), -1)
+
+
+def test_random_squarefree_spec_bounds():
+    with pytest.raises(ValueError):
+        RandomIdealSpec(n=1, squarefree=True)
+    with pytest.raises(ResourceLimitError):
+        RandomIdealSpec(n=STANLEY_REISNER_BOUND + 1, squarefree=True)
+    RandomIdealSpec(n=STANLEY_REISNER_BOUND, squarefree=True)
+    RandomIdealSpec(n=1)
+
+
+def test_random_squarefree_draws_are_pinned():
+    # the benchmark's output digest depends on these draws
+    expected = {
+        2: [["x1"], ["x2"], ["x2"]],
+        6: [["x1*x3", "x1*x5", "x2", "x3*x4", "x3*x5", "x4*x5", "x6"],
+            ["x2*x3", "x2*x6"], ["x4*x6"]],
+        12: [["x6"], ["x3*x4", "x4*x5", "x4*x6", "x4*x7", "x4*x10", "x4*x11"],
+             ["x2", "x4"]],
+    }
+    for n, gens in expected.items():
+        rng = random.Random(7)
+        spec = RandomIdealSpec(n=n, squarefree=True, seed=7)
+        assert [random_ideal(spec, rng).generator_strings() for _ in gens] == gens
 
 
 def test_fuzz_reports_not_applicable_rather_than_skipping():
