@@ -32,31 +32,23 @@ from .decomposition import (
 )
 from .homology import (
     ChainComplex,
-    SimplicialComplex,
     SparseMatrix,
-    koszul_betti,
-    koszul_betti_totals,
     koszul_proj_dim,
     lcm_lattice,
     local_cohomology_nonvanishing,
     rank,
-    reduced_homology_ranks,
-    stanley_reisner_complex,
     taylor_homology,
 )
 from .invariants import (
     AraBounds,
     InvariantReport,
-    NewtonPolyhedron,
     analytic_spread,
     cohomological_dimension,
     depth,
     dg,
-    fiber_growth_oracle,
     formal_grade,
     is_valid_sv_partition,
     min_depth_powers,
-    newton_polyhedron,
     proj_dim,
     report,
     schmitt_vogel_upper,

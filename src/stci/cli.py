@@ -157,7 +157,7 @@ def _cmd_report(args) -> int:
     field = FieldSpec.parse(args.field)
     horizon = _resolve_horizon(args.horizon)
     ctx, _, ideal = _parse_ideal(args.expr, field)
-    rep = invariants.report(ideal, horizon=horizon, field=field)
+    rep = invariants.report(ideal, horizon=horizon)
     payload = report_payload(ctx, ideal, rep)
     if args.json:
         print(json.dumps(payload, indent=2))

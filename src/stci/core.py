@@ -85,10 +85,6 @@ class FieldSpec:
         return cls(q)
 
     @property
-    def is_rationals(self) -> bool:
-        return self.modulus is None
-
-    @property
     def characteristic(self) -> int:
         return 0 if self.modulus is None else self.modulus
 
@@ -354,10 +350,6 @@ class MonomialIdeal:
     @property
     def is_unit(self) -> bool:
         return len(self.generators) == 1 and self.generators[0].is_unit
-
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
 
     @property
     def is_squarefree(self) -> bool:

@@ -1,12 +1,14 @@
 """Exact linear algebra and simplicial homology over the rationals or F_q.
 
-Provides the two independent Betti-number paths for quotients by monomial
-ideals: the Taylor complex on the minimal generators, and upper-Koszul
-simplicial complexes at the multidegrees of the lcm lattice.  Each serves
-as the other's oracle.  The projective dimension alone comes from a pruned
-search over the same lattice complexes.  Also computes the nonvanishing
-degrees of local cohomology of squarefree quotients through links in the
-Stanley-Reisner complex.
+Computes the projective dimension of quotients by monomial ideals in two
+ways: from the Betti numbers of the Taylor complex on the minimal
+generators, or by a pruned search over the upper-Koszul simplicial
+complexes at the multidegrees of the lcm lattice.  Also computes the
+nonvanishing degrees of local cohomology of squarefree quotients through
+links in the Stanley-Reisner complex.  Every computation on an ideal works
+over the field of the ideal's ring; :func:`rank` and
+:meth:`ChainComplex.homology_ranks`, which have no ring, take the field as
+an argument.
 
 Simplicial chain complexes have one builder, :func:`_boundary_complex`,
 which takes faces as vertex bitmasks (bit v set when v is in the face).
@@ -46,13 +48,10 @@ STANLEY_REISNER_BOUND = 20
 class SparseMatrix:
     """A sparse matrix stored as a triplet list, for exact rank computations."""
 
-    def __init__(self, nrows: int, ncols: int, triplets=()):
+    def __init__(self, nrows: int, ncols: int):
         self.nrows = nrows
         self.ncols = ncols
         self.entries: dict[tuple[int, int], object] = {}
-        for i, j, v in triplets:
-            if v:
-                self.entries[(i, j)] = v
 
     def __setitem__(self, key, value):
         if value:
@@ -262,109 +261,6 @@ def _boundary_complex(faces) -> ChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# simplicial complexes
-
-
-class SimplicialComplex:
-    """A finite simplicial complex given by its face set.
-
-    The VOID complex (no faces, not even the empty one) and the IRRELEVANT
-    complex (only the empty face) are distinct: the irrelevant complex has
-    reduced homology of rank one in degree -1, the void complex has none.
-    """
-
-    def __init__(self, vertex_count: int, faces):
-        self.vertex_count = vertex_count
-        self.faces = frozenset(frozenset(f) for f in faces)
-        for f in self.faces:
-            for v in f:
-                if not (0 <= v < vertex_count):
-                    raise ValueError(f"vertex {v} out of range")
-
-    @classmethod
-    def void(cls, vertex_count: int = 0) -> "SimplicialComplex":
-        return cls(vertex_count, [])
-
-    @classmethod
-    def irrelevant(cls, vertex_count: int = 0) -> "SimplicialComplex":
-        return cls(vertex_count, [frozenset()])
-
-    @classmethod
-    def from_facets(cls, vertex_count: int, facets) -> "SimplicialComplex":
-        faces = {frozenset()}
-        for facet in facets:
-            facet = tuple(sorted(set(facet)))
-            k = len(facet)
-            for mask in range(1 << k):
-                faces.add(frozenset(facet[i] for i in range(k) if mask >> i & 1))
-        return cls(vertex_count, faces)
-
-    @property
-    def is_void(self) -> bool:
-        return not self.faces
-
-    @property
-    def is_irrelevant(self) -> bool:
-        return self.faces == frozenset([frozenset()])
-
-    @property
-    def dim(self) -> int:
-        """Dimension; -1 for the irrelevant complex, -2 for the void one."""
-        if self.is_void:
-            return -2
-        return max(len(f) for f in self.faces) - 1
-
-    def faces_of_dim(self, i: int) -> list[tuple[int, ...]]:
-        return sorted(tuple(sorted(f)) for f in self.faces if len(f) == i + 1)
-
-    def link(self, sigma) -> "SimplicialComplex":
-        sigma = frozenset(sigma)
-        if sigma not in self.faces:
-            raise ValueError("link of a non-face")
-        faces = [f - sigma for f in self.faces if f >= sigma]
-        return SimplicialComplex(self.vertex_count, faces)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.vertex_count == other.vertex_count
-            and self.faces == other.faces
-        )
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.faces))
-
-    def __repr__(self) -> str:
-        if self.is_void:
-            return "SimplicialComplex(VOID)"
-        if self.is_irrelevant:
-            return "SimplicialComplex(IRRELEVANT)"
-        facets = sorted(
-            (tuple(sorted(f)) for f in self.faces
-             if not any(g > f for g in self.faces)),
-        )
-        return f"SimplicialComplex(facets={facets})"
-
-
-def boundary_chain_complex(
-    complex_: SimplicialComplex, field: FieldSpec = FieldSpec.rationals()
-) -> ChainComplex:
-    """The augmented (reduced) simplicial chain complex, C_{-1} included."""
-    return _boundary_complex(sum(1 << v for v in f) for f in complex_.faces)
-
-
-def reduced_homology_ranks(
-    complex_: SimplicialComplex, field: FieldSpec = FieldSpec.rationals()
-) -> dict[int, int]:
-    """Ranks of reduced homology for degrees -1 .. dim.
-
-    The void complex has no homology at all; the irrelevant complex has
-    rank one in degree -1.
-    """
-    return boundary_chain_complex(complex_).homology_ranks(field)
-
-
-# ---------------------------------------------------------------------------
 # Taylor complex
 
 
@@ -378,27 +274,22 @@ def _subset_lcms(exponents: np.ndarray) -> np.ndarray:
     return table
 
 
-def taylor_homology(
-    a: MonomialIdeal,
-    field: FieldSpec | None = None,
-    max_generators: int = TAYLOR_GENERATOR_BOUND,
-) -> dict[int, int]:
+def taylor_homology(a: MonomialIdeal) -> dict[int, int]:
     """Betti numbers of R/a from the Taylor complex on the minimal generators.
 
     The tensored differential only connects subsets with equal lcm, so the
     computation is blocked by lcm multidegree.  Raises ResourceLimitError
-    when mu exceeds ``max_generators``; use :func:`koszul_betti` for larger
-    ideals, in particular for powers.
+    when mu exceeds ``TAYLOR_GENERATOR_BOUND``; :func:`koszul_proj_dim`
+    gives the projective dimension of larger ideals, in particular powers.
     """
     if a.is_unit or a.is_zero:
         raise ValueError("betti numbers need a proper, nonzero ideal")
-    if field is None:
-        field = a.context.field
+    field = a.context.field
     mu = a.mu
-    if mu > max_generators:
+    if mu > TAYLOR_GENERATOR_BOUND:
         raise ResourceLimitError(
-            f"mu(a) = {mu} exceeds the Taylor bound {max_generators}; "
-            "use koszul_betti instead"
+            f"mu(a) = {mu} exceeds the Taylor bound {TAYLOR_GENERATOR_BOUND}; "
+            "use koszul_proj_dim for the projective dimension"
         )
     exps = a.exponent_matrix()
     lcms = _subset_lcms(exps)
@@ -539,23 +430,6 @@ def _down_closure(facets: list[int]) -> set[int]:
     return faces
 
 
-def upper_koszul_complex(a: MonomialIdeal, b) -> SimplicialComplex:
-    """The upper-Koszul complex at multidegree b, on the support of b.
-
-    Faces are the squarefree tau with x^(b - tau) in a.  Vertices are
-    relabelled to 0..s-1 following the sorted support of b.
-    """
-    b = tuple(int(x) for x in b)
-    supp = [j for j, e in enumerate(b) if e > 0]
-    carriers = _carriers(a.exponent_matrix(), np.array([b], dtype=np.int64))
-    facets = _facets(carriers[0].tolist())
-    return SimplicialComplex(
-        len(supp),
-        [frozenset(k for k, j in enumerate(supp) if f >> j & 1)
-         for f in _down_closure(facets)],
-    )
-
-
 def _koszul_points(a: MonomialIdeal):
     """Yield ``(b, facets)`` at every lcm-lattice point b, as a tuple, whose
     upper-Koszul complex is not a cone; facets are its maximal carriers as
@@ -576,36 +450,7 @@ def _koszul_points(a: MonomialIdeal):
                 yield tuple(b), facets
 
 
-def koszul_betti(
-    a: MonomialIdeal, field: FieldSpec | None = None
-) -> dict[tuple[int, tuple[int, ...]], int]:
-    """Multigraded Betti numbers of R/a over the lcm lattice.
-
-    beta_{i,b} is the rank of reduced homology in degree i-2 of the
-    upper-Koszul complex at b; beta_{0,0} = 1 for a proper ideal.  Only the
-    points of :func:`_koszul_points` can contribute.  Their faces, as
-    bitmasks, go straight into the boundary matrices, each matrix is ranked
-    once, and points with the same facets share one homology computation.
-    """
-    if a.is_unit or a.is_zero:
-        raise ValueError("betti numbers need a proper, nonzero ideal")
-    if field is None:
-        field = a.context.field
-    zero = (0,) * a.context.n
-    out: dict[tuple[int, tuple[int, ...]], int] = {(0, zero): 1}
-    # nonzero reduced homology (degree, rank) of each complex met so far
-    homology: dict[frozenset[int], list[tuple[int, int]]] = {}
-    for b, facets in _koszul_points(a):
-        key = frozenset(facets)
-        if key not in homology:
-            ranks = _boundary_complex(_down_closure(facets)).homology_ranks(field)
-            homology[key] = [(j, h) for j, h in ranks.items() if h]
-        for j, h in homology[key]:
-            out[(j + 2, b)] = h
-    return out
-
-
-def koszul_proj_dim(a: MonomialIdeal, field: FieldSpec | None = None) -> int:
+def koszul_proj_dim(a: MonomialIdeal) -> int:
     """Projective dimension of R/a over the lcm lattice, without the Betti
     table.
 
@@ -620,8 +465,7 @@ def koszul_proj_dim(a: MonomialIdeal, field: FieldSpec | None = None) -> int:
     """
     if a.is_unit or a.is_zero:
         raise ValueError("projective dimension needs a proper, nonzero ideal")
-    if field is None:
-        field = a.context.field
+    field = a.context.field
     bounds: dict[frozenset[int], int] = {}
     for _, facets in _koszul_points(a):
         bounds.setdefault(frozenset(facets), facets[0].bit_count() + 1)
@@ -641,16 +485,6 @@ def koszul_proj_dim(a: MonomialIdeal, field: FieldSpec | None = None) -> int:
                 break
             above = here
     return best
-
-
-def koszul_betti_totals(
-    a: MonomialIdeal, field: FieldSpec | None = None
-) -> dict[int, int]:
-    """Total Betti numbers, summing the multigraded ones per homological degree."""
-    out: dict[int, int] = {}
-    for (i, _), h in koszul_betti(a, field).items():
-        out[i] = out.get(i, 0) + h
-    return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -679,18 +513,7 @@ def _stanley_reisner_faces(a: MonomialIdeal) -> list[int]:
     ]
 
 
-def stanley_reisner_complex(a: MonomialIdeal) -> SimplicialComplex:
-    """The complex whose faces are the squarefree monomials outside ``a``."""
-    n = a.context.n
-    return SimplicialComplex(n, [
-        frozenset(j for j in range(n) if sigma >> j & 1)
-        for sigma in _stanley_reisner_faces(a)
-    ])
-
-
-def local_cohomology_nonvanishing(
-    a: MonomialIdeal, field: FieldSpec | None = None
-) -> frozenset[int]:
+def local_cohomology_nonvanishing(a: MonomialIdeal) -> frozenset[int]:
     """Degrees j with nonvanishing local cohomology of R/a at the maximal ideal.
 
     For a squarefree ideal, j contributes exactly when some face of the
@@ -702,13 +525,11 @@ def local_cohomology_nonvanishing(
         raise ValueError("local cohomology support needs a proper, nonzero ideal")
     if not a.is_squarefree:
         raise ValueError("this computation requires a squarefree ideal")
-    if field is None:
-        field = a.context.field
     faces = _stanley_reisner_faces(a)
     out: set[int] = set()
     for sigma in faces:
         link = [f ^ sigma for f in faces if f & sigma == sigma]
-        for j, h in _boundary_complex(link).homology_ranks(field).items():
+        for j, h in _boundary_complex(link).homology_ranks(a.context.field).items():
             if h:
                 out.add(j + sigma.bit_count() + 1)
     return frozenset(out)

@@ -5,7 +5,9 @@ and projective dimension come from the Taylor complex or the lcm lattice,
 cohomological dimension from the radical's projective dimension, formal
 grade from the dimension formula, analytic spread from the compact faces of
 the Newton polyhedron, and the arithmetic-rank upper bound from a
-Schmitt-Vogel partition search.
+Schmitt-Vogel partition search.  Invariants that depend on the coefficient
+field, from the projective dimension on, use the field of the ideal's ring,
+and every memo is keyed by the ideal alone.
 
 Depth of high powers carries an explicit horizon and is never presented as
 certified: no effective stabilization bound is assumed.
@@ -20,11 +22,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import homology
-from .core import MEMOS, FieldSpec, Monomial, MonomialIdeal, ResourceLimitError, memo
+from .core import MEMOS, Monomial, MonomialIdeal, ResourceLimitError, memo
 from .decomposition import dim_quotient, height, minimal_primes
 from .linfeas import _bits, newton_facets
 
 TAYLOR_DISPATCH_BOUND = 8
+# Largest mu for the exact Schmitt-Vogel search; the greedy search runs above.
+SV_EXACT_BOUND = 9
 # Double-description rays, and faces the compact-face walk visits, for one
 # Newton polyhedron; the benchmark ideals have at most 69 facets.
 NEWTON_FACET_BOUND = 1 << 12
@@ -111,46 +115,47 @@ def _product_split(a: MonomialIdeal) -> list[MonomialIdeal] | None:
     return factors
 
 
-def proj_dim(a: MonomialIdeal, field: FieldSpec | None = None) -> int:
+def proj_dim(a: MonomialIdeal) -> int:
     """Projective dimension of R/a.
 
     Disjoint-variable summands add their projective dimensions, and k
     factors of a product in disjoint variables add theirs less k - 1 (the
     Mayer-Vietoris sequence of the intersection splits).  Other ideals go
-    to the Taylor complex when small, or to the lattice search.
+    to the Taylor complex when small, or to the lattice search.  The field
+    is that of the ideal's ring.
     """
     _require_proper_nonzero(a)
-    return _proj_dim(a, a.context.field if field is None else field)
+    return _proj_dim(a)
 
 
 @memo
-def _proj_dim(a: MonomialIdeal, field: FieldSpec) -> int:
+def _proj_dim(a: MonomialIdeal) -> int:
     components = _support_components(a)
     if len(components) > 1:
         pd = sum(
             _proj_dim(MonomialIdeal.from_generators(
-                a.context, [a.generators[k] for k in comp]), field)
+                a.context, [a.generators[k] for k in comp]))
             for comp in components
         )
     else:
         factors = _product_split(a) if a.mu >= 4 else None
         if factors is not None and len(factors) > 1:
-            pd = sum(_proj_dim(f, field) for f in factors) - (len(factors) - 1)
+            pd = sum(_proj_dim(f) for f in factors) - (len(factors) - 1)
         elif a.mu <= TAYLOR_DISPATCH_BOUND:
-            pd = max(homology.taylor_homology(a, field))
+            pd = max(homology.taylor_homology(a))
         else:
-            pd = homology.koszul_proj_dim(a, field)
+            pd = homology.koszul_proj_dim(a)
     # Hilbert's syzygy theorem, and the length of the Taylor resolution
     _check(1 <= pd <= min(a.context.n, a.mu), "1 <= pd <= min(n, mu)")
     return pd
 
 
-def depth(a: MonomialIdeal, field: FieldSpec | None = None) -> int:
+def depth(a: MonomialIdeal) -> int:
     """depth of R/a, by the Auslander-Buchsbaum formula n - pd."""
-    return a.context.n - proj_dim(a, field)
+    return a.context.n - proj_dim(a)
 
 
-def cohomological_dimension(a: MonomialIdeal, field: FieldSpec | None = None) -> int:
+def cohomological_dimension(a: MonomialIdeal) -> int:
     """cd(a, R): the top nonvanishing local cohomology index with support in a.
 
     Local cohomology with support in ``a`` depends only on the radical, and
@@ -158,37 +163,20 @@ def cohomological_dimension(a: MonomialIdeal, field: FieldSpec | None = None) ->
     quotient, so we compute pd(R / rad a).
     """
     _require_proper_nonzero(a)
-    return proj_dim(a.radical(), field)
+    return proj_dim(a.radical())
 
 
-def formal_grade(a: MonomialIdeal, field: FieldSpec | None = None) -> int:
+def formal_grade(a: MonomialIdeal) -> int:
     """Least nonvanishing index of formal local cohomology, as n - cd."""
     _require_proper_nonzero(a)
-    fg = a.context.n - cohomological_dimension(a, field)
+    fg = a.context.n - cohomological_dimension(a)
     if a.is_squarefree:
-        _check(fg == depth(a, field), "squarefree formal grade equals depth")
+        _check(fg == depth(a), "squarefree formal grade equals depth")
     return fg
 
 
 # ---------------------------------------------------------------------------
 # analytic spread via the Newton polyhedron
-
-
-@dataclass(frozen=True)
-class CompactFace:
-    """A compact face: the argmin set of a strictly positive weight."""
-
-    weight: tuple[int, ...]
-    points: tuple[tuple[int, ...], ...]
-    dim: int
-
-
-@dataclass(frozen=True)
-class NewtonPolyhedron:
-    """Generator exponent points with the compact faces of their polyhedron."""
-
-    points: tuple[tuple[int, ...], ...]
-    compact_faces: tuple[CompactFace, ...]
 
 
 def _affine_dim(points: list[tuple[int, ...]]) -> int:
@@ -206,27 +194,27 @@ def _exposed(w, points) -> tuple[int, int]:
     return least, sum(1 << k for k, v in enumerate(values) if v == least)
 
 
-def _compact_faces(points, every: bool) -> dict[int, tuple[int, ...]]:
-    """Compact faces of the Newton polyhedron of ``points``, each as the mask
-    of the points on it mapped to a strictly positive integer weight whose
-    argmin over the points is that face.
+def _compact_faces(points) -> dict[int, tuple[int, ...]]:
+    """Compact faces of the Newton polyhedron of ``points``, every maximal
+    one among them, each as the mask of the points on it mapped to a
+    strictly positive integer weight whose argmin over the points is that
+    face.
 
     A face is compact when the normals of the facets through it cover every
     variable, and their sum is then such a weight.  The walk starts at the
     facets and cuts each face that is not compact by each facet covering one
     variable that its own facets miss; a compact face inside it lies on one
     of those, so every compact face lies in a compact face the walk reaches.
-    With ``every`` it cuts compact faces by every facet too and returns them
-    all.  Without, it stops at the first compact face on each path, which
-    leaves out no maximal one, and it returns just a compact facet when there
-    is one, as no compact face is larger.
+    It stops at the first compact face on each path, which leaves out no
+    maximal one, and it returns just a compact facet when there is one, as
+    no compact face is larger.
     """
     facets = newton_facets(points, NEWTON_FACET_BOUND)
     for w, c, mask in facets:
         _check(min(w) >= 0 and _exposed(w, points) == (c, mask),
                "a facet is valid and tight exactly on its points")
     compact = [(mask, w) for w, _, mask in facets if min(w) > 0]
-    if compact and not every:
+    if compact:
         return dict(compact[:1])
     # facet sets as bitmasks: through each point, and with w_j > 0 for each j
     through = [sum(1 << i for i, f in enumerate(facets) if f[2] >> k & 1)
@@ -256,25 +244,10 @@ def _compact_faces(points, every: bool) -> dict[int, tuple[int, ...]]:
             _check(min(weight) > 0 and _exposed(weight, points)[1] == face,
                    "a compact face is the argmin of a strictly positive weight")
             found[face] = weight
-            if not every:
-                continue
-            cuts = everyone
         for i in _bits(cuts & ~fs):
             if face & facets[i][2]:
                 stack.append(face & facets[i][2])
     return found
-
-
-def newton_polyhedron(a: MonomialIdeal) -> NewtonPolyhedron:
-    """Exponent points and the full list of compact faces."""
-    _require_proper_nonzero(a)
-    points = [g.exponents for g in a.generators]
-    faces = []
-    for mask, weight in _compact_faces(points, every=True).items():
-        pts = tuple(p for k, p in enumerate(points) if mask >> k & 1)
-        faces.append(CompactFace(weight, pts, _affine_dim(list(pts))))
-    faces.sort(key=lambda f: (f.dim, f.points))
-    return NewtonPolyhedron(tuple(points), tuple(faces))
 
 
 def analytic_spread(a: MonomialIdeal) -> int:
@@ -299,39 +272,8 @@ def _analytic_spread(a: MonomialIdeal) -> int:
     points = [tuple(p[j] for j in used) for p in points]
     return 1 + max(
         _affine_dim([p for k, p in enumerate(points) if mask >> k & 1])
-        for mask in _compact_faces(points, every=False)
+        for mask in _compact_faces(points)
     )
-
-
-class GrowthEstimate(NamedTuple):
-    value: int | None
-    stabilized: bool
-    generator_counts: tuple[int, ...]
-
-
-def fiber_growth_oracle(a: MonomialIdeal, horizon: int) -> GrowthEstimate:
-    """Estimate the fiber-cone dimension from the growth of mu(a^t).
-
-    Finds the least d for which the d-th finite differences of mu(a^t),
-    t <= horizon, vanish at the tail, so mu grows like a polynomial of
-    degree d - 1.  Horizons below 4 never stabilize.  Used as a test
-    oracle for :func:`analytic_spread`, not as the primary value.
-    """
-    _require_proper_nonzero(a)
-    counts = [1]
-    power = None
-    for _ in range(horizon):
-        power = a if power is None else power * a
-        counts.append(power.mu)
-    counts = tuple(counts)
-    if horizon < 4:
-        return GrowthEstimate(None, False, counts)
-    seq = list(counts)
-    for d in range(1, len(seq)):
-        seq = [seq[i + 1] - seq[i] for i in range(len(seq) - 1)]
-        if len(seq) >= 2 and seq[-1] == 0 and seq[-2] == 0:
-            return GrowthEstimate(d, True, counts)
-    return GrowthEstimate(None, False, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +288,6 @@ class AraBounds:
     upper: int
     certified: bool
     witness: tuple[tuple[Monomial, ...], ...]
-
-    def witness_strings(self) -> list[list[str]]:
-        return [[str(m) for m in level] for level in self.witness]
 
 
 def is_valid_sv_partition(
@@ -490,33 +429,27 @@ def _sv_greedy(gens: list[Monomial], pair_div: dict[tuple[int, int], int]) -> li
     return best
 
 
-def schmitt_vogel_upper(
-    a: MonomialIdeal, field: FieldSpec | None = None, exact_bound: int = 9
-) -> AraBounds:
+def schmitt_vogel_upper(a: MonomialIdeal) -> AraBounds:
     """Upper bound on the arithmetic rank from a Schmitt-Vogel partition.
 
     Searches partitions P_0, ..., P_r of the generators with |P_0| = 1 where
     every product of two distinct members of a level is divisible by an
     earlier member; then r + 1 elements (the level sums) generate ``a`` up
-    to radical.  Exhaustive for mu <= ``exact_bound``, greedy beyond; the
+    to radical.  Exhaustive for mu <= ``SV_EXACT_BOUND``, greedy beyond; the
     singleton partition is always valid, so upper <= mu.
     """
     _require_proper_nonzero(a)
-    return _schmitt_vogel_upper(
-        a, a.context.field if field is None else field, exact_bound
-    )
+    return _schmitt_vogel_upper(a)
 
 
 @memo
-def _schmitt_vogel_upper(
-    a: MonomialIdeal, field: FieldSpec, exact_bound: int
-) -> AraBounds:
+def _schmitt_vogel_upper(a: MonomialIdeal) -> AraBounds:
     gens = list(a.generators)
     mu = len(gens)
     pair_div = _pair_divisors([g.exponents for g in gens])
     if mu <= 1:
         level_masks = [1] if mu else []
-    elif mu <= exact_bound:
+    elif mu <= SV_EXACT_BOUND:
         level_masks = _sv_exact(gens, pair_div)
     else:
         level_masks = _sv_greedy(gens, pair_div)
@@ -524,7 +457,7 @@ def _schmitt_vogel_upper(
         tuple(gens[i] for i in range(mu) if block >> i & 1)
         for block in level_masks
     )
-    lower = cohomological_dimension(a, field)
+    lower = cohomological_dimension(a)
     upper = len(level_masks)
     bounds = AraBounds(lower, upper, lower == upper, witness)
     _check(is_valid_sv_partition(a, witness), "valid Schmitt-Vogel partition")
@@ -546,9 +479,7 @@ class DgResult(NamedTuple):
     horizon: int
 
 
-def min_depth_powers(
-    a: MonomialIdeal, horizon: int, field: FieldSpec | None = None
-) -> MinDepthResult:
+def min_depth_powers(a: MonomialIdeal, horizon: int) -> MinDepthResult:
     """min over 1 <= t <= horizon of depth R/a^t; explicitly uncertified.
 
     Stabilization of depth of powers holds eventually, but no effective
@@ -559,19 +490,19 @@ def min_depth_powers(
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     power = a
-    best = depth(power, field)
+    best = depth(power)
     for _ in range(horizon - 1):
         if best == 0:
             break
         power = power * a
-        best = min(best, depth(power, field))
+        best = min(best, depth(power))
     _check(0 <= best <= a.context.n, "0 <= depth <= n")
     return MinDepthResult(best, horizon, False)
 
 
-def dg(a: MonomialIdeal, horizon: int, field: FieldSpec | None = None) -> DgResult:
+def dg(a: MonomialIdeal, horizon: int) -> DgResult:
     """formal grade minus the observed minimum depth of powers."""
-    value = formal_grade(a, field) - min_depth_powers(a, horizon, field).value
+    value = formal_grade(a) - min_depth_powers(a, horizon).value
     _check(value >= 0, "dg >= 0")
     return DgResult(value, horizon)
 
@@ -597,7 +528,6 @@ class InvariantReport:
     cohen_macaulay: bool
     cohomologically_ci: bool
     stci_certified: bool
-    field: FieldSpec
 
     def invariants_dict(self) -> dict:
         """The invariants/flags payload, in the published key order."""
@@ -635,25 +565,19 @@ class InvariantReport:
         }
 
 
-def report(
-    a: MonomialIdeal,
-    horizon: int = 3,
-    field: FieldSpec | None = None,
-) -> InvariantReport:
+def report(a: MonomialIdeal, horizon: int = 3) -> InvariantReport:
     """Assemble the full invariant report; internal inequalities checked."""
     _require_proper_nonzero(a)
-    if field is None:
-        field = a.context.field
     n = a.context.n
     ht = height(a)
     dim_q = dim_quotient(a)
-    pd = proj_dim(a, field)
+    pd = proj_dim(a)
     dep = n - pd
-    cd = cohomological_dimension(a, field)
+    cd = cohomological_dimension(a)
     fg = n - cd
     spread = analytic_spread(a)
-    ara = schmitt_vogel_upper(a, field)
-    md = min_depth_powers(a, horizon, field)
+    ara = schmitt_vogel_upper(a)
+    md = min_depth_powers(a, horizon)
     dg_res = DgResult(fg - md.value, horizon)
     squarefree = a.is_squarefree
     rep = InvariantReport(
@@ -674,7 +598,6 @@ def report(
         cohen_macaulay=dep == dim_q,
         cohomologically_ci=ht == cd,
         stci_certified=ara.certified and ara.upper == ht,
-        field=field,
     )
     _check(rep.height <= rep.cd, "height <= cd")
     _check(rep.ara.lower == rep.cd <= rep.ara.upper <= rep.mu,

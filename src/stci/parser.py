@@ -166,10 +166,6 @@ class _Parser:
             )
         return self.advance()
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
-
     # expr := term { "&" term }
     def expr(self) -> IdealExpression:
         node = self.term()

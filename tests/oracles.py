@@ -5,42 +5,50 @@ avoiding the code paths under test: ideal membership is decided monomial
 by monomial over a bounded degree range, Betti numbers come from Koszul
 strands on the quotient's monomial basis, heights from exhaustive
 transversal search, and matrix ranks from dense Gaussian elimination over
-``Fraction``.  Code that only the tests use lives here too: the full
-Taylor complex, a boundary-squared check for chain complexes with the
-sparse product behind it, the tuple-set lcm-lattice closure and the
-per-point lcm-lattice Betti composition that :mod:`stci.homology`
-replaced, the Betti table that :func:`stci.invariants.proj_dim` no longer
-builds, Fourier-Motzkin feasibility with the all-subsets compact-face
+``Fraction``.  Code that only the tests use lives here too: ``over_field``,
+which moves an ideal to another coefficient field, since the library takes
+the field from the ring; the full Taylor complex, a boundary-squared check
+for chain complexes with the sparse product behind it; simplicial complexes
+as face sets with their reduced homology, upper-Koszul and Stanley-Reisner
+complexes; the tuple-set lcm-lattice closure, the per-point lcm-lattice
+Betti composition and the multigraded Betti numbers of the lattice walk
+(``koszul_betti``) that :func:`stci.homology.koszul_proj_dim` replaced,
+and the Betti table that :func:`stci.invariants.proj_dim` no longer
+builds; Fourier-Motzkin feasibility with the all-subsets compact-face
 searches built on it that the facet walk of :mod:`stci.invariants`
-replaced, the all-submask Schmitt-Vogel search that
-:func:`stci.invariants.schmitt_vogel_upper` replaced with maximal levels,
-and the generator-splitting decomposition and subset-enumeration minimal
-primes that the incremental pass of :mod:`stci.decomposition` replaced.
+replaced; the growth of mu(a^t) as an estimate of the analytic spread; the
+all-submask Schmitt-Vogel search that
+:func:`stci.invariants.schmitt_vogel_upper` replaced with maximal levels;
+the generator-splitting decomposition and subset-enumeration minimal
+primes that the incremental pass of :mod:`stci.decomposition` replaced;
+and the subset enumeration of random Stanley-Reisner ideals that the
+prime intersection of :mod:`stci.verification` replaced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
-from stci.core import FieldSpec, Monomial, MonomialIdeal, ResourceLimitError
-from stci.homology import (
-    ChainComplex,
-    SparseMatrix,
-    _subset_lcms,
-    koszul_betti_totals,
-    reduced_homology_ranks,
-    taylor_homology,
-    upper_koszul_complex,
-)
+from stci import homology
+from stci.core import FieldSpec, Monomial, MonomialIdeal, ResourceLimitError, RingContext
+from stci.homology import ChainComplex, SparseMatrix, _subset_lcms, taylor_homology
 from stci.invariants import (
     TAYLOR_DISPATCH_BOUND,
     _affine_dim,
     _product_split,
     _support_components,
 )
+
+
+def over_field(a: MonomialIdeal, field: FieldSpec) -> MonomialIdeal:
+    """The ideal with the generators of ``a`` in the ring of its variables
+    over ``field``."""
+    ctx = RingContext(a.context.variables, field)
+    return MonomialIdeal.from_exponents(ctx, [g.exponents for g in a.generators])
 
 
 def monomials_up_to_degree(n: int, bound: int):
@@ -312,6 +320,164 @@ def taylor_chain_complex(a: MonomialIdeal, max_generators: int = 12) -> ChainCom
     return ChainComplex(dims=dims, diffs=diffs)
 
 
+class SimplicialComplex:
+    """A finite simplicial complex given by its face set.
+
+    The VOID complex (no faces, not even the empty one) and the IRRELEVANT
+    complex (only the empty face) are distinct: the irrelevant complex has
+    reduced homology of rank one in degree -1, the void complex has none.
+    """
+
+    def __init__(self, vertex_count: int, faces):
+        self.vertex_count = vertex_count
+        self.faces = frozenset(frozenset(f) for f in faces)
+        for f in self.faces:
+            for v in f:
+                if not (0 <= v < vertex_count):
+                    raise ValueError(f"vertex {v} out of range")
+
+    @classmethod
+    def void(cls, vertex_count: int = 0) -> "SimplicialComplex":
+        return cls(vertex_count, [])
+
+    @classmethod
+    def irrelevant(cls, vertex_count: int = 0) -> "SimplicialComplex":
+        return cls(vertex_count, [frozenset()])
+
+    @classmethod
+    def from_facets(cls, vertex_count: int, facets) -> "SimplicialComplex":
+        faces = {frozenset()}
+        for facet in facets:
+            facet = tuple(sorted(set(facet)))
+            k = len(facet)
+            for mask in range(1 << k):
+                faces.add(frozenset(facet[i] for i in range(k) if mask >> i & 1))
+        return cls(vertex_count, faces)
+
+    @property
+    def is_void(self) -> bool:
+        return not self.faces
+
+    @property
+    def is_irrelevant(self) -> bool:
+        return self.faces == frozenset([frozenset()])
+
+    @property
+    def dim(self) -> int:
+        """Dimension; -1 for the irrelevant complex, -2 for the void one."""
+        if self.is_void:
+            return -2
+        return max(len(f) for f in self.faces) - 1
+
+    def faces_of_dim(self, i: int) -> list[tuple[int, ...]]:
+        return sorted(tuple(sorted(f)) for f in self.faces if len(f) == i + 1)
+
+    def link(self, sigma) -> "SimplicialComplex":
+        sigma = frozenset(sigma)
+        if sigma not in self.faces:
+            raise ValueError("link of a non-face")
+        faces = [f - sigma for f in self.faces if f >= sigma]
+        return SimplicialComplex(self.vertex_count, faces)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SimplicialComplex)
+            and self.vertex_count == other.vertex_count
+            and self.faces == other.faces
+        )
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.faces))
+
+    def __repr__(self) -> str:
+        if self.is_void:
+            return "SimplicialComplex(VOID)"
+        if self.is_irrelevant:
+            return "SimplicialComplex(IRRELEVANT)"
+        facets = sorted(
+            (tuple(sorted(f)) for f in self.faces
+             if not any(g > f for g in self.faces)),
+        )
+        return f"SimplicialComplex(facets={facets})"
+
+
+def boundary_chain_complex(complex_: SimplicialComplex) -> ChainComplex:
+    """The augmented (reduced) simplicial chain complex, C_{-1} included."""
+    return homology._boundary_complex(sum(1 << v for v in f) for f in complex_.faces)
+
+
+def reduced_homology_ranks(
+    complex_: SimplicialComplex, field: FieldSpec = FieldSpec.rationals()
+) -> dict[int, int]:
+    """Ranks of reduced homology for degrees -1 .. dim.
+
+    The void complex has no homology at all; the irrelevant complex has
+    rank one in degree -1.
+    """
+    return boundary_chain_complex(complex_).homology_ranks(field)
+
+
+def upper_koszul_complex(a: MonomialIdeal, b) -> SimplicialComplex:
+    """The upper-Koszul complex at multidegree b, on the support of b.
+
+    Faces are the squarefree tau with x^(b - tau) in a.  Vertices are
+    relabelled to 0..s-1 following the sorted support of b.
+    """
+    b = tuple(int(x) for x in b)
+    supp = [j for j, e in enumerate(b) if e > 0]
+    carriers = homology._carriers(a.exponent_matrix(), np.array([b], dtype=np.int64))
+    facets = homology._facets(carriers[0].tolist())
+    return SimplicialComplex(
+        len(supp),
+        [frozenset(k for k, j in enumerate(supp) if f >> j & 1)
+         for f in homology._down_closure(facets)],
+    )
+
+
+def stanley_reisner_complex(a: MonomialIdeal) -> SimplicialComplex:
+    """The complex whose faces are the squarefree monomials outside ``a``."""
+    n = a.context.n
+    return SimplicialComplex(n, [
+        frozenset(j for j in range(n) if sigma >> j & 1)
+        for sigma in homology._stanley_reisner_faces(a)
+    ])
+
+
+def koszul_betti(a: MonomialIdeal) -> dict[tuple[int, tuple[int, ...]], int]:
+    """Multigraded Betti numbers of R/a over the lcm lattice.
+
+    beta_{i,b} is the rank of reduced homology in degree i-2 of the
+    upper-Koszul complex at b; beta_{0,0} = 1 for a proper ideal.  Only the
+    non-cone points of the lattice walk can contribute.  Their faces, as
+    bitmasks, go straight into the boundary matrices, each matrix is ranked
+    once, and points with the same facets share one homology computation.
+    """
+    if a.is_unit or a.is_zero:
+        raise ValueError("betti numbers need a proper, nonzero ideal")
+    zero = (0,) * a.context.n
+    out: dict[tuple[int, tuple[int, ...]], int] = {(0, zero): 1}
+    # nonzero reduced homology (degree, rank) of each complex met so far
+    found: dict[frozenset[int], list[tuple[int, int]]] = {}
+    for b, facets in homology._koszul_points(a):
+        key = frozenset(facets)
+        if key not in found:
+            chain = homology._boundary_complex(homology._down_closure(facets))
+            found[key] = [
+                (j, h) for j, h in chain.homology_ranks(a.context.field).items() if h
+            ]
+        for j, h in found[key]:
+            out[(j + 2, b)] = h
+    return out
+
+
+def koszul_betti_totals(a: MonomialIdeal) -> dict[int, int]:
+    """Total Betti numbers, summing the multigraded ones per homological degree."""
+    out: dict[int, int] = {}
+    for (i, _), h in koszul_betti(a).items():
+        out[i] = out.get(i, 0) + h
+    return dict(sorted(out.items()))
+
+
 def lcm_lattice_oracle(a: MonomialIdeal) -> list[tuple[int, ...]]:
     """The lcm lattice as a closure over a Python set of tuples, sorted; the
     packed-key :func:`stci.homology.lcm_lattice` replaced it."""
@@ -324,12 +490,12 @@ def lcm_lattice_oracle(a: MonomialIdeal) -> list[tuple[int, ...]]:
     return sorted(known)
 
 
-def lattice_betti_oracle(
-    a: MonomialIdeal, field: FieldSpec
-) -> dict[tuple[int, tuple[int, ...]], int]:
+def lattice_betti_oracle(a: MonomialIdeal) -> dict[tuple[int, tuple[int, ...]], int]:
     """Multigraded Betti numbers point by point: the upper-Koszul complex at
-    every lcm-lattice point, its reduced homology, and no shortcuts."""
+    every lcm-lattice point, its reduced homology over the ring's field, and
+    no shortcuts."""
     out = {(0, (0,) * a.context.n): 1}
+    field = a.context.field
     for b in lcm_lattice_oracle(a):
         for j, h in reduced_homology_ranks(upper_koszul_complex(a, b), field).items():
             if h:
@@ -368,18 +534,15 @@ def _convolve_intersection(bs: list[tuple[int, ...]]) -> tuple[int, ...]:
     return out
 
 
-def betti_numbers_oracle(
-    a: MonomialIdeal, field: FieldSpec | None = None
-) -> tuple[int, ...]:
-    """Total Betti numbers (beta_0, ..., beta_pd) of R/a: the table that
-    :func:`stci.invariants.proj_dim` built before it searched for pd alone.
+def betti_numbers_oracle(a: MonomialIdeal) -> tuple[int, ...]:
+    """Total Betti numbers (beta_0, ..., beta_pd) of R/a over the ring's
+    field: the table that :func:`stci.invariants.proj_dim` built before it
+    searched for pd alone.
 
     Splits off disjoint-variable summands and factors before falling back
     to the Taylor complex (small ideals) or the upper-Koszul path (large
     ones, in particular powers).
     """
-    if field is None:
-        field = a.context.field
     components = _support_components(a)
     if len(components) > 1:
         parts = [
@@ -388,16 +551,16 @@ def betti_numbers_oracle(
             )
             for comp in components
         ]
-        return _convolve_tensor([betti_numbers_oracle(p, field) for p in parts])
+        return _convolve_tensor([betti_numbers_oracle(p) for p in parts])
     factors = _product_split(a) if a.mu >= 4 else None
     if factors is not None and len(factors) > 1:
         return _convolve_intersection(
-            [betti_numbers_oracle(f, field) for f in factors]
+            [betti_numbers_oracle(f) for f in factors]
         )
     if a.mu <= TAYLOR_DISPATCH_BOUND:
-        table = taylor_homology(a, field)
+        table = taylor_homology(a)
     else:
-        table = koszul_betti_totals(a, field)
+        table = koszul_betti_totals(a)
     return tuple(table.get(i, 0) for i in range(max(table) + 1))
 
 
@@ -619,6 +782,38 @@ def analytic_spread_oracle(a: MonomialIdeal) -> int:
     return best + 1
 
 
+class GrowthEstimate(NamedTuple):
+    value: int | None
+    stabilized: bool
+    generator_counts: tuple[int, ...]
+
+
+def fiber_growth_oracle(a: MonomialIdeal, horizon: int) -> GrowthEstimate:
+    """Estimate the fiber-cone dimension from the growth of mu(a^t).
+
+    Finds the least d for which the d-th finite differences of mu(a^t),
+    t <= horizon, vanish at the tail, so mu grows like a polynomial of
+    degree d - 1.  Horizons below 4 never stabilize.  A test oracle for
+    :func:`stci.invariants.analytic_spread`.
+    """
+    if a.is_zero or a.is_unit:
+        raise ValueError("the growth oracle needs a proper, nonzero ideal")
+    counts = [1]
+    power = None
+    for _ in range(horizon):
+        power = a if power is None else power * a
+        counts.append(power.mu)
+    counts = tuple(counts)
+    if horizon < 4:
+        return GrowthEstimate(None, False, counts)
+    seq = list(counts)
+    for d in range(1, len(seq)):
+        seq = [seq[i + 1] - seq[i] for i in range(len(seq) - 1)]
+        if len(seq) >= 2 and seq[-1] == 0 and seq[-2] == 0:
+            return GrowthEstimate(d, True, counts)
+    return GrowthEstimate(None, False, counts)
+
+
 def sv_levels_oracle(a: MonomialIdeal) -> list[int]:
     """Level masks of a shortest Schmitt-Vogel partition of the generators of
     ``a``, by breadth-first search over placed-generator masks that tries
@@ -740,4 +935,27 @@ def minimal_primes_oracle(a: MonomialIdeal) -> list[MonomialIdeal]:
             ctx, [[int(j == i) for j in range(ctx.n)] for i in sorted(t)]
         )
         for t in covers
+    )
+
+
+def random_squarefree_oracle(ctx: RingContext, rng) -> MonomialIdeal:
+    """Stanley-Reisner ideal of a complex with random facets, drawn with the
+    same ``rng`` calls as :func:`stci.verification._random_squarefree`: the
+    minimal nonfaces found by testing every vertex subset in increasing
+    size against the facets and the nonfaces found so far."""
+    n = ctx.n
+    facets = []
+    for _ in range(rng.randint(1, n - 1)):
+        facets.append(frozenset(rng.sample(range(n), rng.randint(1, n - 1))))
+    nonfaces = []
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            s = frozenset(subset)
+            if any(f >= s for f in facets):
+                continue
+            if any(s > frozenset(m) for m in nonfaces):
+                continue
+            nonfaces.append(subset)
+    return MonomialIdeal.from_exponents(
+        ctx, [[int(i in s) for i in range(n)] for s in nonfaces]
     )

@@ -13,12 +13,11 @@ import time
 from stci.cli import main
 from stci.core import Monomial, MonomialIdeal, RingContext
 from stci.decomposition import dim_quotient, height, symbolic_power
-from stci.homology import koszul_betti_totals, taylor_homology
+from stci.homology import taylor_homology
 from stci.invariants import (
     analytic_spread,
     depth,
     dg,
-    fiber_growth_oracle,
     formal_grade,
     report,
 )
@@ -29,7 +28,7 @@ from stci.verification import (
     random_ideal,
 )
 
-from oracles import brute_betti
+from oracles import brute_betti, fiber_growth_oracle, koszul_betti_totals
 
 
 def _announce(number: int, ok: bool, message: str) -> None:

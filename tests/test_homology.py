@@ -1,4 +1,6 @@
-"""Exact rank, simplicial homology, and the two Betti-number paths."""
+"""Exact rank, simplicial homology, the Taylor complex and the lattice
+search, against the oracles and the multigraded Betti numbers of the
+lattice walk."""
 
 import random
 from fractions import Fraction
@@ -10,28 +12,29 @@ from hypothesis import given, strategies as st
 from stci import homology
 from stci.core import FieldSpec, MonomialIdeal, ResourceLimitError, RingContext
 from stci.homology import (
-    SimplicialComplex,
     SparseMatrix,
-    boundary_chain_complex,
-    koszul_betti,
-    koszul_betti_totals,
     koszul_proj_dim,
     lcm_lattice,
     local_cohomology_nonvanishing,
     rank,
-    reduced_homology_ranks,
-    stanley_reisner_complex,
     taylor_homology,
-    upper_koszul_complex,
 )
 
 from oracles import (
+    SimplicialComplex,
+    boundary_chain_complex,
     brute_betti,
     dense_rank_fraction,
+    koszul_betti,
+    koszul_betti_totals,
     lattice_betti_oracle,
     lcm_lattice_oracle,
+    over_field,
+    reduced_homology_ranks,
     sparse_matmul,
+    stanley_reisner_complex,
     taylor_chain_complex,
+    upper_koszul_complex,
     validate_chain_complex,
 )
 
@@ -197,9 +200,10 @@ def test_taylor_examples():
     assert taylor_homology(ideal(CTX2, (1, 0), (0, 1))) == {0: 1, 1: 2, 2: 1}
 
 
-def test_taylor_resource_bound():
+def test_taylor_resource_bound(monkeypatch):
+    monkeypatch.setattr(homology, "TAYLOR_GENERATOR_BOUND", 2)
     with pytest.raises(ResourceLimitError, match="koszul"):
-        taylor_homology(triangle(), max_generators=2)
+        taylor_homology(triangle())
 
 
 def test_chain_complex_rejects_bad_boundaries():
@@ -283,7 +287,7 @@ def test_lcm_lattice_matches_tuple_closure():
         lattice = lcm_lattice(a)
         assert lattice.dtype == np.int64
         assert [tuple(b) for b in lattice.tolist()] == lcm_lattice_oracle(a)
-    assert koszul_betti(huge) == lattice_betti_oracle(huge, Q)
+    assert koszul_betti(huge) == lattice_betti_oracle(huge)
 
 
 def test_unit_multidegree_has_beta_one():
@@ -320,8 +324,8 @@ def path(n):
                          ids=["C5", "C6", "P6"])
 def test_koszul_betti_matches_per_point_composition_on_edge_ideals(graph, field):
     for t in (1, 2):
-        a = graph ** t
-        assert koszul_betti(a, field) == lattice_betti_oracle(a, field)
+        a = over_field(graph ** t, field)
+        assert koszul_betti(a) == lattice_betti_oracle(a)
 
 
 @pytest.mark.parametrize("field", [Q, F2], ids=str)
@@ -335,12 +339,13 @@ def test_koszul_betti_matches_per_point_composition_mixed_degree(field):
         a = MonomialIdeal.from_exponents(CTX4, [r for r in rows if any(r)])
         if a.is_zero:
             continue
-        assert koszul_betti(a, field) == lattice_betti_oracle(a, field)
+        a = over_field(a, field)
+        assert koszul_betti(a) == lattice_betti_oracle(a)
 
 
 def test_koszul_betti_with_more_variables_than_mask_bits():
     a = seventy_variable_ideal()
-    assert koszul_betti(a) == lattice_betti_oracle(a, Q)
+    assert koszul_betti(a) == lattice_betti_oracle(a)
     assert koszul_betti_totals(a) == taylor_homology(a)
 
 
@@ -396,9 +401,9 @@ def test_betti_paths_match_quotient_koszul_oracle(rows):
 @given(rows_strategy(4, 1, 5))
 def test_betti_field_independent_for_small_squarefree(rows):
     a = MonomialIdeal.from_exponents(CTX4, rows)
-    over_q = taylor_homology(a, Q)
-    assert taylor_homology(a, F2) == over_q
-    assert taylor_homology(a, F3) == over_q
+    over_q = taylor_homology(a)
+    assert taylor_homology(over_field(a, F2)) == over_q
+    assert taylor_homology(over_field(a, F3)) == over_q
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,9 @@ from stci.invariants import (
     cohomological_dimension,
     depth,
     dg,
-    fiber_growth_oracle,
     formal_grade,
     is_valid_sv_partition,
     min_depth_powers,
-    newton_polyhedron,
     proj_dim,
     report,
     schmitt_vogel_upper,
@@ -43,6 +41,8 @@ from oracles import (
     analytic_spread_oracle,
     betti_numbers_oracle,
     compact_faces_oracle,
+    fiber_growth_oracle,
+    over_field,
     sv_levels_oracle,
 )
 
@@ -199,9 +199,10 @@ def cycle_ideal(n, vertices=None):
 
 
 def assert_pd_matches_oracle(a, field):
-    pd = len(betti_numbers_oracle(a, field)) - 1
-    assert homology.koszul_proj_dim(a, field) == pd
-    assert proj_dim(a, field) == pd
+    a = over_field(a, field)
+    pd = len(betti_numbers_oracle(a)) - 1
+    assert homology.koszul_proj_dim(a) == pd
+    assert proj_dim(a) == pd
 
 
 @pytest.mark.parametrize("field", [Q, F32003], ids=str)
@@ -241,7 +242,7 @@ def test_proj_dim_matches_betti_oracle_past_64_variables():
     a = cycle_ideal(70, [0, 8, 16, 24, 32, 63, 64, 66, 69])
     for field in (Q, F32003):
         assert_pd_matches_oracle(a, field)
-        assert proj_dim(a, field) == 6
+        assert proj_dim(over_field(a, field)) == 6
 
 
 @settings(max_examples=20)
@@ -269,7 +270,7 @@ def test_proj_dim_check_survives_python_optimize():
         from stci.parser import evaluate_program
         if __debug__:
             sys.exit("not running under -O")
-        homology.taylor_homology = lambda a, field: {0: 1, a.context.n + 1: 1}
+        homology.taylor_homology = lambda a: {0: 1, a.context.n + 1: 1}
         try:
             inv.proj_dim(evaluate_program("ring x,y,z; (x*y, x*z, y*z)"))
         except AssertionError as exc:
@@ -321,27 +322,21 @@ def test_memos_are_bounded_and_cleared():
 
 
 def test_memo_keys_carry_the_field():
-    # the homology of RP^2 has 2-torsion, so pd over F_2 exceeds pd over Q
+    # the homology of RP^2 has 2-torsion, so pd over F_2 exceeds pd over Q;
+    # a memo key is the ideal alone, and its ring carries the field
     a = rp2_ideal()
     assert a.mu == 10 and {g.degree for g in a.generators} == {3}
-    f2 = FieldSpec.prime(2)
     invariants.clear_caches()
-    assert proj_dim(a) == 3 and schmitt_vogel_upper(a).lower == 3
-    assert proj_dim(a, f2) == 4 and schmitt_vogel_upper(a, f2).lower == 4
-    assert schmitt_vogel_upper(a, FieldSpec.rationals()).lower == 3
-    # None means the ring's field, so the rational call above was a hit
-    assert invariants._schmitt_vogel_upper.cache_info().misses == 2
-    a2 = MonomialIdeal.from_exponents(
-        RingContext(a.context.variables, f2), [g.exponents for g in a]
-    )
-    assert proj_dim(a2) == 4 and schmitt_vogel_upper(a2).lower == 4
+    assert proj_dim(a) == 3
+    assert proj_dim(over_field(a, FieldSpec.prime(2))) == 4
+    assert invariants._proj_dim.cache_info().misses == 2
 
 
 def test_each_invariant_of_one_ideal_is_computed_once():
     # (x1,x3)(x2,x4) splits as a product, so proj_dim asks for the radical
     # and the minimal primes again; horizon 1 keeps powers out
     invariants.clear_caches()
-    check_chain(two_planes(), 1)
+    check_chain(two_planes())
     check_dg_dichotomy(two_planes(), 1)
     memos = memos_by_name()
     for name in MEMOIZED - {"stci.invariants._proj_dim"}:
@@ -362,9 +357,10 @@ def test_memoized_results_equal_direct_computation(squarefree):
                 "stci.decomposition._minimal_primes"](a)
             assert analytic_spread(a) == direct["stci.invariants._analytic_spread"](a)
             for field in (FieldSpec.rationals(), FieldSpec.prime(7)):
-                assert proj_dim(a, field) == direct["stci.invariants._proj_dim"](a, field)
-                assert schmitt_vogel_upper(a, field) == direct[
-                    "stci.invariants._schmitt_vogel_upper"](a, field, 9)
+                b = over_field(a, field)
+                assert proj_dim(b) == direct["stci.invariants._proj_dim"](b)
+                assert schmitt_vogel_upper(b) == direct[
+                    "stci.invariants._schmitt_vogel_upper"](b)
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +530,18 @@ def test_analytic_spread_facet_bound():
 
 def test_compact_face_walk_bound(monkeypatch):
     # the simplex x0^2..x11^2 plus a cubic: 13 facets, one of them compact,
-    # and the 4095 compact faces of the simplex, which newton_polyhedron walks
+    # so the 4095 compact faces of the simplex are never walked
     ctx = RingContext(tuple(f"x{i}" for i in range(12)))
     rows = [tuple(2 * (i == j) for i in range(12)) for j in range(12)]
     a = MonomialIdeal.from_exponents(ctx, rows + [(1, 1, 1) + (0,) * 9])
-    monkeypatch.setattr(invariants, "NEWTON_FACET_BOUND", 1000)
+    monkeypatch.setattr(invariants, "NEWTON_FACET_BOUND", 500)
     assert analytic_spread(a) == 12
-    with pytest.raises(ResourceLimitError, match="walk visits more than 1000"):
-        newton_polyhedron(a)
+    # four 4-step staircases times a ninth variable: 90 facets, none of them
+    # compact, and a walk over more than 500 faces
+    ctx = RingContext(tuple(f"x{i}" for i in range(9)))
+    a = MonomialIdeal.from_exponents(ctx, staircase_sum_rows(4))
+    with pytest.raises(ResourceLimitError, match="walk visits more than 500"):
+        analytic_spread(a)
 
 
 def test_facet_checks_survive_python_optimize():
@@ -566,13 +566,31 @@ def test_facet_checks_survive_python_optimize():
 
 
 def compact_faces(a):
-    return {(f.points, f.dim) for f in newton_polyhedron(a).compact_faces}
+    """The faces ``invariants._compact_faces`` returns for the generators of
+    ``a``, as ``{(points, dim): weight}``."""
+    points = [g.exponents for g in a.generators]
+    out = {}
+    for mask, weight in invariants._compact_faces(points).items():
+        assert invariants._exposed(weight, points)[1] == mask
+        pts = tuple(p for k, p in enumerate(points) if mask >> k & 1)
+        out[(pts, invariants._affine_dim(list(pts)))] = weight
+    return out
+
+
+def assert_compact_faces_match_oracle(a):
+    """Every face returned is a compact face of the Fourier-Motzkin oracle,
+    exposed by its strictly positive weight, and the largest has the
+    oracle's top dimension."""
+    faces, oracle = compact_faces(a), compact_faces_oracle(a)
+    assert set(faces) <= oracle, a
+    assert all(min(w) > 0 for w in faces.values()), a
+    assert max(d for _, d in faces) == max(d for _, d in oracle), a
 
 
 def test_compact_faces_match_fourier_motzkin_oracle_seeded():
     ideals = seeded_mixed_degree_ideals(40, seed=13)
     for a in ideals + seeded_squarefree_ideals(20, seed=13):
-        assert compact_faces(a) == compact_faces_oracle(a), a
+        assert_compact_faces_match_oracle(a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -584,24 +602,20 @@ def test_compact_faces_match_fourier_motzkin_oracle_drawn(rows):
     ctx = RingContext(tuple(f"x{i}" for i in range(len(rows[0]))))
     a = MonomialIdeal.from_exponents(ctx, rows)
     if not a.is_unit:
-        assert compact_faces(a) == compact_faces_oracle(a)
+        assert_compact_faces_match_oracle(a)
 
 
 def test_newton_polyhedron_structure():
-    np_obj = newton_polyhedron(ideal(CTX2, (2, 0), (1, 1), (0, 3)))
-    assert np_obj.points == ((2, 0), (1, 1), (0, 3))
-    for face in np_obj.compact_faces:
-        assert face.dim <= 1
-        values = [
-            sum(w * x for w, x in zip(face.weight, p)) for p in np_obj.points
-        ]
-        face_values = [
-            sum(w * x for w, x in zip(face.weight, p)) for p in face.points
-        ]
+    points = ((2, 0), (1, 1), (0, 3))
+    faces = compact_faces(ideal(CTX2, *points))
+    for (face_points, dim), weight in faces.items():
+        assert dim <= 1
+        values = [sum(w * x for w, x in zip(weight, p)) for p in points]
+        face_values = [sum(w * x for w, x in zip(weight, p)) for p in face_points]
         assert len(set(face_values)) == 1
         assert min(values) == face_values[0]
-        assert all(w >= 1 for w in face.weight)
-    assert max(f.dim for f in np_obj.compact_faces) + 1 == 2
+        assert all(w >= 1 for w in weight)
+    assert max(dim for _, dim in faces) + 1 == 2
 
 
 def test_face_method_matches_rank_shortcut_for_equigenerated():
@@ -617,8 +631,7 @@ def test_face_method_matches_rank_shortcut_for_equigenerated():
         a = MonomialIdeal.from_exponents(CTX3, sorted(rows))
         if a.is_unit:
             continue
-        np_obj = newton_polyhedron(a)
-        face_value = 1 + max(f.dim for f in np_obj.compact_faces)
+        face_value = 1 + max(dim for _, dim in compact_faces(a))
         assert analytic_spread(a) == face_value
 
 
@@ -669,7 +682,7 @@ def test_sv_triangle():
     assert sv.upper == 2 and sv.certified
 
 
-def test_sv_greedy_fallback_still_valid():
+def test_sv_greedy_fallback_still_valid(monkeypatch):
     rng = random.Random(3)
     rows = set()
     while len(rows) < 11:
@@ -677,7 +690,10 @@ def test_sv_greedy_fallback_still_valid():
         if any(row):
             rows.add(row)
     a = MonomialIdeal.from_exponents(CTX4, sorted(rows))
-    sv = schmitt_vogel_upper(a, exact_bound=4)
+    assert a.mu > 4
+    monkeypatch.setattr(invariants, "SV_EXACT_BOUND", 4)
+    # past the memo, which is keyed by the ideal alone
+    sv = invariants._schmitt_vogel_upper.__wrapped__(a)
     assert sv.upper <= a.mu
     assert is_valid_sv_partition(a, sv.witness)
 
@@ -909,5 +925,5 @@ def test_bracket_power_depth_invariance(rows, q):
 def test_prime_field_reports_same_chain(rows):
     ctx = RingContext(("x", "y", "z"), FieldSpec.prime(2))
     a = MonomialIdeal.from_exponents(ctx, rows)
-    rep = report(a, horizon=2, field=FieldSpec.prime(2))
+    rep = report(a, horizon=2)
     assert rep.height <= rep.cd <= rep.ara.upper <= rep.mu

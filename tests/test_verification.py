@@ -1,6 +1,7 @@
 """Checkers, the reference suite, fuzz campaigns, and replayability."""
 
 import random
+import time
 
 import pytest
 
@@ -19,12 +20,15 @@ from stci.verification import (
     check_one_dimensional_prime,
     check_squarefree_cm,
     fuzz,
+    _random_squarefree,
     random_ideal,
     replay,
     run_reference_suite,
     triangle_edge_ideal,
     two_planes_ideal,
 )
+
+from oracles import random_squarefree_oracle
 
 CTX3 = RingContext(("x", "y", "z"))
 CTX4 = RingContext(("x1", "x2", "x3", "x4"))
@@ -182,6 +186,24 @@ def test_random_squarefree_draws_are_pinned():
         rng = random.Random(7)
         spec = RandomIdealSpec(n=n, squarefree=True, seed=7)
         assert [random_ideal(spec, rng).generator_strings() for _ in gens] == gens
+
+
+def test_random_squarefree_draws_match_subset_enumeration():
+    for n in range(2, 11):
+        ctx = RingContext(tuple(f"x{i}" for i in range(1, n + 1)))
+        for seed in range(20):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert _random_squarefree(ctx, rng) == random_squarefree_oracle(
+                    ctx, oracle_rng)
+
+
+def test_random_squarefree_draw_in_20_variables_is_fast():
+    # enumerating the 2^20 vertex subsets took seconds
+    spec = RandomIdealSpec(n=20, squarefree=True, seed=0)
+    start = time.perf_counter()
+    random_ideal(spec, random.Random(0))
+    assert time.perf_counter() - start < 1
 
 
 def test_fuzz_reports_not_applicable_rather_than_skipping():
