@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -335,6 +335,15 @@ class MonomialIdeal:
         return cls.from_generators(
             context, [Monomial(context, tuple(r)) for r in rows]
         )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the memos hash their key ideal on every lookup; equal fields give
+        # equal hashes, as with the dataclass hash this replaces
+        return hash((self.context, self.generators))
 
     # -- structure -------------------------------------------------------
 

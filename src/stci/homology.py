@@ -430,60 +430,79 @@ def _down_closure(facets: list[int]) -> set[int]:
     return faces
 
 
-def _koszul_points(a: MonomialIdeal):
-    """Yield ``(b, facets)`` at every lcm-lattice point b, as a tuple, whose
-    upper-Koszul complex is not a cone; facets are its maximal carriers as
-    bitmasks, largest first.
+def _largest_carriers(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The size of the largest carrier at every point, as a length-L array.
 
-    The carriers of all generators at a block of lattice points come from
-    one vectorised pass.  A point whose facets share a vertex is skipped:
-    its complex is a cone and has no reduced homology.
+    Runs the per-variable loop of :func:`_carriers`, but counts the
+    variables with e_j < b_j instead of setting their bits, so the sizes
+    are int64 for any number of variables.
     """
-    lattice = lcm_lattice(a)
-    gens = a.exponent_matrix()
-    step = max(1, BLOCK_CELLS // len(gens))
-    for start in range(0, len(lattice), step):
-        block = lattice[start:start + step]
-        for b, row in zip(block.tolist(), _carriers(gens, block).tolist()):
-            facets = _facets(row)
-            if facets and not reduce(and_, facets):
-                yield tuple(b), facets
+    divides = np.ones((len(points), len(gens)), dtype=bool)
+    size = np.zeros(divides.shape, dtype=np.int64)
+    for j in range(gens.shape[1]):
+        g, b = gens[None, :, j], points[:, j, None]
+        divides &= g <= b
+        size += g < b
+    return np.where(divides, size, -1).max(axis=1)
 
 
 def koszul_proj_dim(a: MonomialIdeal) -> int:
     """Projective dimension of R/a over the lcm lattice, without the Betti
     table.
 
-    The complex at a point with largest facet of size s has reduced
+    The complex at a point with largest carrier of size s has reduced
     homology in degrees at most s - 1, so it gives Betti numbers beta_i with
-    i <= s + 1.  The distinct complexes are visited by that bound, highest
-    first, from best = 1 (beta_1 = mu).  A complex can raise best only by
-    homology in a degree j >= best - 1, so only the boundary maps of those
-    degrees are ranked, from the top down, and the first nonzero homology
-    ends the complex.  The search ends once no bound left exceeds best, or
-    best = n.
+    i <= s + 1.  One vectorised pass finds s at every point.  Points with
+    s = n are skipped: their complex is the full simplex, a cone.  The rest
+    are visited in groups of equal s, highest first and in lattice order
+    within a group, from best = 1 (beta_1 = mu); since s + 1 <= n, the walk
+    ends at the first point with s + 1 <= best, in particular once best = n.
+    Only the points visited get their carriers, facets and cone test (a
+    complex whose facets share a vertex is a cone, with no reduced
+    homology).  A complex can raise best only by homology in a degree
+    j >= best - 1, so only the boundary maps of those degrees are ranked,
+    from the top down, and the first nonzero homology ends the complex.
+    Each distinct complex is ranked once.
     """
     if a.is_unit or a.is_zero:
         raise ValueError("projective dimension needs a proper, nonzero ideal")
     field = a.context.field
-    bounds: dict[frozenset[int], int] = {}
-    for _, facets in _koszul_points(a):
-        bounds.setdefault(frozenset(facets), facets[0].bit_count() + 1)
-    best, n = 1, a.context.n
-    for facets, bound in sorted(bounds.items(), key=lambda kv: -kv[1]):
-        if bound <= best or best == n:
-            break
-        # the faces of dimension best - 2 and up: the maps D_j, j >= best - 1
-        chain = _boundary_complex(
-            f for f in _down_closure(facets) if f.bit_count() >= best - 1
-        )
-        above = 0  # rank of D_{j+1}
-        for j in range(bound - 2, best - 2, -1):
-            here = rank(chain.diffs[j], field)
-            if chain.dims[j] - here - above:
-                best = j + 2
-                break
-            above = here
+    n = a.context.n
+    lattice = lcm_lattice(a)
+    gens = a.exponent_matrix()
+    step = max(1, BLOCK_CELLS // len(gens))
+    sizes = np.concatenate([
+        _largest_carriers(gens, lattice[start:start + step])
+        for start in range(0, len(lattice), step)
+    ])
+    order = np.argsort(-sizes, kind="stable")
+    order = order[sizes[order] < n]
+    seen: set[frozenset[int]] = set()
+    best = 1
+    for start in range(0, len(order), step):
+        chosen = order[start:start + step]
+        for s, row in zip(sizes[chosen].tolist(),
+                          _carriers(gens, lattice[chosen]).tolist()):
+            if s + 1 <= best:
+                return best
+            facets = _facets(row)
+            if reduce(and_, facets):
+                continue
+            key = frozenset(facets)
+            if key in seen:
+                continue
+            seen.add(key)
+            # the faces of dimension best - 2 and up: the maps D_j, j >= best - 1
+            chain = _boundary_complex(
+                f for f in _down_closure(facets) if f.bit_count() >= best - 1
+            )
+            above = 0  # rank of D_{j+1}
+            for j in range(s - 1, best - 2, -1):
+                here = rank(chain.diffs[j], field)
+                if chain.dims[j] - here - above:
+                    best = j + 2
+                    break
+                above = here
     return best
 
 

@@ -252,9 +252,7 @@ def check_disjoint_prime_intersection(
     return CheckResult(name, PASS if ok else FAIL, witness)
 
 
-def check_frobenius(
-    a: MonomialIdeal, q: int, horizon: int = 3, name: str = "frobenius"
-) -> CheckResult:
+def check_frobenius(a: MonomialIdeal, q: int, name: str = "frobenius") -> CheckResult:
     """Bracket powers: the sandwich a^(mu q) <= a^[q] <= a^q, equal radicals,
     unchanged depth, and depth <= fgrade <= dim of the quotient."""
     if q < 2:
@@ -497,7 +495,7 @@ def _fuzz_one(index: int, a: MonomialIdeal, horizon: int) -> list[CheckResult]:
         check_squarefree_cm(a, name=f"squarefree-cm[{index}]"),
     ]
     if a.mu <= 4:
-        results.append(check_frobenius(a, 2, horizon, name=f"frobenius[{index}]"))
+        results.append(check_frobenius(a, 2, name=f"frobenius[{index}]"))
     return results
 
 
@@ -529,9 +527,7 @@ _CHECKER_REGISTRY = {
         w.get("horizon", 3),
         name=name,
     ),
-    "frobenius": lambda w, name: check_frobenius(
-        _rebuild(w), w["q"], w.get("horizon", 3), name=name
-    ),
+    "frobenius": lambda w, name: check_frobenius(_rebuild(w), w["q"], name=name),
 }
 
 

@@ -11,30 +11,41 @@ the field from the ring; the full Taylor complex, a boundary-squared check
 for chain complexes with the sparse product behind it; simplicial complexes
 as face sets with their reduced homology, upper-Koszul and Stanley-Reisner
 complexes; the tuple-set lcm-lattice closure, the per-point lcm-lattice
-Betti composition and the multigraded Betti numbers of the lattice walk
-(``koszul_betti``) that :func:`stci.homology.koszul_proj_dim` replaced,
-and the Betti table that :func:`stci.invariants.proj_dim` no longer
-builds; Fourier-Motzkin feasibility with the all-subsets compact-face
-searches built on it that the facet walk of :mod:`stci.invariants`
-replaced; the growth of mu(a^t) as an estimate of the analytic spread; the
-all-submask Schmitt-Vogel search that
-:func:`stci.invariants.schmitt_vogel_upper` replaced with maximal levels;
-the generator-splitting decomposition and subset-enumeration minimal
-primes that the incremental pass of :mod:`stci.decomposition` replaced;
-and the subset enumeration of random Stanley-Reisner ideals that the
-prime intersection of :mod:`stci.verification` replaced.
+Betti composition, and the full lattice walk over every point
+(``koszul_points``) with the multigraded Betti numbers it gives
+(``koszul_betti``), which :func:`stci.homology.koszul_proj_dim` replaced
+by a walk over the points that can still raise pd, and the Betti table
+that :func:`stci.invariants.proj_dim` no longer builds; Fourier-Motzkin
+feasibility with the all-subsets compact-face searches built on it that
+the facet walk of :mod:`stci.invariants` replaced; the growth of mu(a^t)
+as an estimate of the analytic spread; the all-submask Schmitt-Vogel
+search that :func:`stci.invariants.schmitt_vogel_upper` replaced with
+maximal levels; the generator-splitting decomposition and
+subset-enumeration minimal primes that the incremental pass of
+:mod:`stci.decomposition` replaced; and the subset enumeration of random
+Stanley-Reisner ideals that the prime intersection of
+:mod:`stci.verification` replaced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
+from operator import and_
 from typing import NamedTuple
 
 import numpy as np
 
 from stci import homology
-from stci.core import FieldSpec, Monomial, MonomialIdeal, ResourceLimitError, RingContext
+from stci.core import (
+    BLOCK_CELLS,
+    FieldSpec,
+    Monomial,
+    MonomialIdeal,
+    ResourceLimitError,
+    RingContext,
+)
 from stci.homology import ChainComplex, SparseMatrix, _subset_lcms, taylor_homology
 from stci.invariants import (
     TAYLOR_DISPATCH_BOUND,
@@ -443,6 +454,27 @@ def stanley_reisner_complex(a: MonomialIdeal) -> SimplicialComplex:
     ])
 
 
+def koszul_points(a: MonomialIdeal):
+    """Yield ``(b, facets)`` at every lcm-lattice point b, as a tuple, whose
+    upper-Koszul complex is not a cone; facets are its maximal carriers as
+    bitmasks, largest first.
+
+    The full walk that :func:`stci.homology.koszul_proj_dim` replaced with
+    one over the points that can still raise the projective dimension: the
+    carriers of all generators at a block of lattice points come from one
+    vectorised pass, and a point whose facets share a vertex is skipped.
+    """
+    lattice = homology.lcm_lattice(a)
+    gens = a.exponent_matrix()
+    step = max(1, BLOCK_CELLS // len(gens))
+    for start in range(0, len(lattice), step):
+        block = lattice[start:start + step]
+        for b, row in zip(block.tolist(), homology._carriers(gens, block).tolist()):
+            facets = homology._facets(row)
+            if facets and not reduce(and_, facets):
+                yield tuple(b), facets
+
+
 def koszul_betti(a: MonomialIdeal) -> dict[tuple[int, tuple[int, ...]], int]:
     """Multigraded Betti numbers of R/a over the lcm lattice.
 
@@ -458,7 +490,7 @@ def koszul_betti(a: MonomialIdeal) -> dict[tuple[int, tuple[int, ...]], int]:
     out: dict[tuple[int, tuple[int, ...]], int] = {(0, zero): 1}
     # nonzero reduced homology (degree, rank) of each complex met so far
     found: dict[frozenset[int], list[tuple[int, int]]] = {}
-    for b, facets in homology._koszul_points(a):
+    for b, facets in koszul_points(a):
         key = frozenset(facets)
         if key not in found:
             chain = homology._boundary_complex(homology._down_closure(facets))

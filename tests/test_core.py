@@ -70,6 +70,23 @@ def test_minimalize_removes_duplicates():
     assert a.mu == 1
 
 
+def test_equal_ideals_built_separately_hash_equal():
+    # the hash is cached on first use, so read it before and after building
+    # the equal ideal, from generators in another order and by a power
+    a = ideal(CTX3, (2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2))
+    h = hash(a)
+    b = ideal(RingContext(("x", "y", "z")),
+              (0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 2, 0), (1, 1, 0), (2, 0, 0))
+    c = CTX3.maximal_ideal() ** 2
+    assert a == b == c and a is not b
+    assert hash(a) == h == hash(b) == hash(c)
+    assert {a: 1}[b] == 1 and c in {b}
+    other = MonomialIdeal.from_exponents(
+        RingContext(("x", "y", "z"), FieldSpec.prime(2)), a.exponent_matrix().tolist()
+    )
+    assert other != a
+
+
 def test_mixed_contexts_rejected():
     other = RingContext(("x", "y", "z"), FieldSpec.prime(5))
     with pytest.raises(ContextMismatchError):

@@ -22,6 +22,7 @@ from stci.homology import (
 
 from oracles import (
     SimplicialComplex,
+    betti_numbers_oracle,
     boundary_chain_complex,
     brute_betti,
     dense_rank_fraction,
@@ -404,6 +405,82 @@ def test_betti_field_independent_for_small_squarefree(rows):
     over_q = taylor_homology(a)
     assert taylor_homology(over_field(a, F2)) == over_q
     assert taylor_homology(over_field(a, F3)) == over_q
+
+
+# ---------------------------------------------------------------------------
+# the projective-dimension walk
+
+
+def largest_carriers(a):
+    return homology._largest_carriers(a.exponent_matrix(), lcm_lattice(a))
+
+
+def count_facet_calls(monkeypatch):
+    """Record each point whose carriers reach ``homology._facets``."""
+    calls = []
+    real_facets = homology._facets
+
+    def counting_facets(row):
+        calls.append(row)
+        return real_facets(row)
+
+    monkeypatch.setattr(homology, "_facets", counting_facets)
+    return calls
+
+
+def assert_pd_matches_betti_oracle(a, field):
+    a = over_field(a, field)
+    assert koszul_proj_dim(a) == len(betti_numbers_oracle(a)) - 1
+
+
+@pytest.mark.parametrize("field", [Q, F2], ids=str)
+def test_pd_walk_below_top_points_that_are_full_simplices(field):
+    # the points of largest carrier size n carry the full simplex, a cone,
+    # and are skipped; pd comes from the groups below them
+    rng = random.Random(5)
+    kept = below_n = 0
+    while kept < 40:
+        rows = [tuple(rng.randint(0, 3) for _ in range(4))
+                for _ in range(rng.randint(4, 12))]
+        a = MonomialIdeal.from_exponents(CTX4, [r for r in rows if any(r)])
+        if a.is_zero or a.is_unit or largest_carriers(a).max() < 4:
+            continue
+        assert_pd_matches_betti_oracle(a, field)
+        kept += 1
+        below_n += koszul_proj_dim(a) < 4
+    assert below_n >= 20
+
+
+@pytest.mark.parametrize("field", [Q, F2], ids=str)
+def test_pd_walk_stops_in_the_middle_of_a_group(monkeypatch, field):
+    # m^t reaches pd = n at a point of carrier size n - 1 that is not the
+    # last of its size; the points of size n are full simplices
+    for n, t in ((2, 3), (3, 2), (3, 3), (4, 2)):
+        ctx = RingContext(tuple(f"x{i}" for i in range(n)), field)
+        a = ctx.maximal_ideal() ** t
+        sizes = largest_carriers(a)
+        assert sizes.max() == n
+        calls = count_facet_calls(monkeypatch)
+        pd = koszul_proj_dim(a)
+        monkeypatch.undo()
+        assert pd == n == len(betti_numbers_oracle(a)) - 1
+        assert 0 < len(calls) < (sizes == n - 1).sum()
+
+
+@pytest.mark.parametrize("field", [Q, F2], ids=str)
+def test_pd_walk_with_more_variables_than_mask_bits(field):
+    a = seventy_variable_ideal()
+    assert homology._carriers(a.exponent_matrix(), lcm_lattice(a)).dtype == object
+    for b in (a, a ** 2):
+        assert_pd_matches_betti_oracle(b, field)
+
+
+def test_pd_walk_passes_fewer_points_to_facets_than_the_lattice_has(monkeypatch):
+    a = cycle(6) ** 3
+    points = len(lcm_lattice(a))
+    calls = count_facet_calls(monkeypatch)
+    assert koszul_proj_dim(a) == 4
+    assert 0 < len(calls) < points
 
 
 # ---------------------------------------------------------------------------
