@@ -24,7 +24,6 @@ from .core import (
 from .decomposition import (
     IrreducibleComponent,
     dim_quotient,
-    has_depth_zero,
     height,
     irreducible_decomposition,
     minimal_primes,
@@ -32,7 +31,6 @@ from .decomposition import (
 )
 from .homology import (
     ChainComplex,
-    SparseMatrix,
     koszul_proj_dim,
     lcm_lattice,
     local_cohomology_nonvanishing,

@@ -6,8 +6,8 @@ unique finite set of irreducible ones.  One incremental pass computes it:
 the generators are added one at a time, and each irreducible component not
 containing the new generator splits into one component per variable of
 its support.  Minimal primes are the components of the radical; height,
-dimension of the quotient, symbolic powers of squarefree ideals, and a
-saturation-based depth-zero test are derived from them.
+dimension of the quotient and symbolic powers of squarefree ideals are
+derived from them.
 """
 
 from __future__ import annotations
@@ -167,13 +167,3 @@ def symbolic_power(a: MonomialIdeal, t: int) -> MonomialIdeal:
         result = result & (p ** t)
     return result
 
-
-def has_depth_zero(a: MonomialIdeal) -> bool:
-    """True iff the maximal ideal is associated to the quotient.
-
-    Detected by saturation: depth zero means saturating by the maximal
-    ideal changes ``a``.
-    """
-    _require_proper_nonzero(a)
-    m = a.context.maximal_ideal()
-    return a.saturate(m) != a

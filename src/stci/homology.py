@@ -10,17 +10,18 @@ over the field of the ideal's ring; :func:`rank` and
 :meth:`ChainComplex.homology_ranks`, which have no ring, take the field as
 an argument.
 
-Simplicial chain complexes have one builder, :func:`_boundary_complex`,
-which takes faces as vertex bitmasks (bit v set when v is in the face).
+Chain complexes, the Taylor strands included, have one builder,
+:func:`_boundary_complex`, which takes faces as vertex bitmasks (bit v set
+when v is in the face).  Every matrix is one form, sparse integer rows, and
+every rank comes from one elimination loop, :func:`_eliminate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import reduce
 from math import gcd
-from operator import and_
+from operator import and_, index
 
 import numpy as np
 
@@ -42,82 +43,7 @@ STANLEY_REISNER_BOUND = 20
 
 
 # ---------------------------------------------------------------------------
-# sparse matrices and exact rank
-
-
-class SparseMatrix:
-    """A sparse matrix stored as a triplet list, for exact rank computations."""
-
-    def __init__(self, nrows: int, ncols: int):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries: dict[tuple[int, int], object] = {}
-
-    def __setitem__(self, key, value):
-        if value:
-            self.entries[key] = value
-        else:
-            self.entries.pop(key, None)
-
-    def __getitem__(self, key):
-        return self.entries.get(key, 0)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    @classmethod
-    def from_rows(cls, rows) -> "SparseMatrix":
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        m = cls(nrows, ncols)
-        for i, r in enumerate(rows):
-            for j, v in enumerate(r):
-                if v:
-                    m[(i, j)] = v
-        return m
-
-
-def _integer_row(row: dict[int, object], q: int | None) -> dict[int, int]:
-    """A row with Fraction or numpy entries as Python ints: over F_q each
-    entry becomes a representative of its residue, over the rationals the
-    row is scaled by the lcm of its denominators (which keeps the rank)."""
-    if q:
-        out = {}
-        for j, v in row.items():
-            if isinstance(v, Fraction):
-                den = v.denominator % q
-                if den == 0:
-                    raise ZeroDivisionError("denominator divisible by the modulus")
-                out[j] = v.numerator * pow(den, q - 2, q)
-            else:
-                out[j] = int(v)
-        return out
-    denom = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    return {j: int(v * denom) for j, v in row.items()}
-
-
-def _field_rows(matrix: SparseMatrix, q: int | None) -> dict[int, dict[int, int]]:
-    """The nonzero rows as dicts of Python ints, reduced mod q over F_q."""
-    rows: dict[int, dict[int, object]] = {}
-    for (i, j), v in matrix.entries.items():
-        rows.setdefault(i, {})[j] = v
-    out: dict[int, dict[int, int]] = {}
-    for i, row in rows.items():
-        if any(type(v) is not int for v in row.values()):
-            row = _integer_row(row, q)
-        if q:
-            row = {j: w for j, v in row.items() if (w := v % q)}
-        if row:
-            out[i] = row
-    return out
+# sparse rows {row: {col: int}} and exact rank
 
 
 def _normalize_row(row: dict[int, int]) -> None:
@@ -154,7 +80,16 @@ def _combine(row: dict[int, int], pivot_row: dict[int, int], pj: int,
 
 
 def _eliminate(rows: dict[int, dict[int, int]], q: int | None) -> int:
-    """Rank of integer rows by sparse elimination with Markowitz pivots."""
+    """Rank of sparse integer rows over the rationals (q None) or F_q, by
+    sparse elimination with Markowitz pivots.
+
+    Entries are reduced mod q and empty rows dropped on entry; the rows
+    passed in, the dict and each row, are left unchanged.
+    """
+    if q:
+        rows = {i: {j: w for j, v in row.items() if (w := v % q)}
+                for i, row in rows.items()}
+    rows = {i: row for i, row in rows.items() if row}
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
@@ -192,20 +127,18 @@ def _eliminate(rows: dict[int, dict[int, int]], q: int | None) -> int:
 
 
 def rank(matrix, field: FieldSpec = FieldSpec.rationals()) -> int:
-    """Exact rank of a matrix over the given field.
+    """Exact rank over the given field of a sequence of integer rows or an
+    integer numpy array.
 
-    Accepts a SparseMatrix, a sequence of rows, or a numpy array.  Over the
-    rationals the elimination is fraction-free on integer-cleared rows; over
-    a prime field it reduces entries modulo q first.
+    A float or Fraction entry raises TypeError: ranks here are exact.
     """
-    if not isinstance(matrix, SparseMatrix):
-        if isinstance(matrix, np.ndarray):
-            matrix = SparseMatrix.from_rows(matrix.tolist())
-        else:
-            matrix = SparseMatrix.from_rows(matrix)
-    if matrix.is_zero():
-        return 0
-    return _eliminate(_field_rows(matrix, field.modulus), field.modulus)
+    if isinstance(matrix, np.ndarray):
+        matrix = matrix.tolist()
+    return _eliminate(
+        {i: {j: w for j, v in enumerate(row) if (w := index(v))}
+         for i, row in enumerate(matrix)},
+        field.modulus,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +150,13 @@ class ChainComplex:
     """Boundary maps D_i : C_i -> C_{i-1} with D_i . D_{i+1} = 0."""
 
     dims: dict[int, int]
-    diffs: dict[int, SparseMatrix] = dc_field(default_factory=dict)
+    # D_i as sparse rows: {index in C_{i-1}: {index in C_i: int}}
+    diffs: dict[int, dict[int, dict[int, int]]] = dc_field(default_factory=dict)
 
     def homology_ranks(self, field: FieldSpec = FieldSpec.rationals()) -> dict[int, int]:
         """dim C_i - rank D_i - rank D_{i+1} in each degree; every
         differential is ranked once."""
-        ranks = {i: rank(d, field) for i, d in self.diffs.items()}
+        ranks = {i: _eliminate(d, field.modulus) for i, d in self.diffs.items()}
         return {
             i: dim - ranks.get(i, 0) - ranks.get(i + 1, 0)
             for i, dim in sorted(self.dims.items())
@@ -230,32 +164,35 @@ class ChainComplex:
 
 
 def _boundary_complex(faces) -> ChainComplex:
-    """The augmented chain complex of the complex with the given faces.
+    """The augmented chain complex spanned by the given faces.
 
-    Faces are vertex bitmasks, the empty face 0 included, closed under
-    taking subsets.  Each dimension's faces are indexed in increasing mask
-    order, and the face v_0 < ... < v_k has boundary
-    sum_p (-1)^p (face without v_p).  No faces gives the void complex,
-    which has no chain groups at all.  Faces closed under taking subsets
-    only down to some dimension k give the maps D_i for i > k, which are
-    those of the whole complex.
+    Faces are distinct vertex bitmasks, each dimension's indexed in
+    increasing mask order.  The face v_0 < ... < v_k has boundary
+    sum_p (-1)^p (face without v_p), less the terms whose face is not
+    given: when the faces missing from the down-closure are closed under
+    taking subsets, this is the quotient by their complex.  Faces closed
+    under taking subsets, 0 included, give the simplicial complex; no faces
+    give the void complex, which has no chain groups at all.  Faces closed
+    under taking subsets only down to dimension k give the maps D_i for
+    i > k, which are those of the whole complex.
     """
     by_dim: dict[int, list[int]] = {}
     for f in sorted(faces):
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    index = {f: k for fs in by_dim.values() for k, f in enumerate(fs)}
+    position = {f: k for fs in by_dim.values() for k, f in enumerate(fs)}
     diffs = {}
     for i, fs in by_dim.items():
         if i - 1 not in by_dim:
             continue
-        m = SparseMatrix(len(by_dim[i - 1]), len(fs))
+        rows: dict[int, dict[int, int]] = {}
         for col, f in enumerate(fs):
             sign, rest = 1, f
             while rest:
                 low = rest & -rest
-                m.entries[(index[f ^ low], col)] = sign
+                if (k := position.get(f ^ low)) is not None:
+                    rows.setdefault(k, {})[col] = sign
                 sign, rest = -sign, rest ^ low
-        diffs[i] = m
+        diffs[i] = rows
     dims = {i: len(fs) for i, fs in sorted(by_dim.items())}
     return ChainComplex(dims=dims, diffs=diffs)
 
@@ -278,9 +215,13 @@ def taylor_homology(a: MonomialIdeal) -> dict[int, int]:
     """Betti numbers of R/a from the Taylor complex on the minimal generators.
 
     The tensored differential only connects subsets with equal lcm, so the
-    computation is blocked by lcm multidegree.  Raises ResourceLimitError
-    when mu exceeds ``TAYLOR_GENERATOR_BOUND``; :func:`koszul_proj_dim`
-    gives the projective dimension of larger ideals, in particular powers.
+    computation is blocked by lcm multidegree.  The strand at one lcm L is
+    the quotient complex that :func:`_boundary_complex` builds from the
+    subsets with lcm L as faces, a subset of i generators in dimension
+    i - 1: the subsets with smaller lcm are closed under taking subsets.
+    Raises ResourceLimitError when mu exceeds ``TAYLOR_GENERATOR_BOUND``;
+    :func:`koszul_proj_dim` gives the projective dimension of larger
+    ideals, in particular powers.
     """
     if a.is_unit or a.is_zero:
         raise ValueError("betti numbers need a proper, nonzero ideal")
@@ -291,39 +232,15 @@ def taylor_homology(a: MonomialIdeal) -> dict[int, int]:
             f"mu(a) = {mu} exceeds the Taylor bound {TAYLOR_GENERATOR_BOUND}; "
             "use koszul_proj_dim for the projective dimension"
         )
-    exps = a.exponent_matrix()
-    lcms = _subset_lcms(exps)
+    lcms = _subset_lcms(a.exponent_matrix())
     classes: dict[bytes, list[int]] = {}
     for mask in range(1 << mu):
         classes.setdefault(lcms[mask].tobytes(), []).append(mask)
     betti: dict[int, int] = {}
     for members in classes.values():
-        members_set = set(members)
-        by_size: dict[int, list[int]] = {}
-        for mask in members:
-            by_size.setdefault(bin(mask).count("1"), []).append(mask)
-        index = {
-            i: {mask: k for k, mask in enumerate(sorted(masks))}
-            for i, masks in by_size.items()
-        }
-        ranks: dict[int, int] = {}
-        for i, masks in by_size.items():
-            if i - 1 not in by_size:
-                ranks[i] = 0
-                continue
-            m = SparseMatrix(len(by_size[i - 1]), len(masks))
-            for mask in masks:
-                col = index[i][mask]
-                members_of = [b for b in range(mu) if mask >> b & 1]
-                for pos, b in enumerate(members_of):
-                    sub = mask ^ (1 << b)
-                    if sub in members_set:
-                        m[(index[i - 1][sub], col)] = -1 if pos % 2 else 1
-            ranks[i] = rank(m, field)
-        for i, masks in by_size.items():
-            h = len(masks) - ranks.get(i, 0) - ranks.get(i + 1, 0)
+        for j, h in _boundary_complex(members).homology_ranks(field).items():
             if h:
-                betti[i] = betti.get(i, 0) + h
+                betti[j + 1] = betti.get(j + 1, 0) + h
     return dict(sorted(betti.items()))
 
 
@@ -402,8 +319,10 @@ def _carriers(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _facets(carriers) -> list[int]:
-    """The maximal carriers, i.e. the facets of the upper-Koszul complex;
-    -1 entries (non-dividing generators) are ignored."""
+    """The maximal bitmasks among the given ones: of the carriers at a
+    point, the facets of its upper-Koszul complex; of the faces of a
+    complex, its facets.  -1 entries (non-dividing generators) are
+    ignored."""
     distinct = set(carriers)
     distinct.discard(-1)
     facets: list[int] = []
@@ -466,7 +385,7 @@ def koszul_proj_dim(a: MonomialIdeal) -> int:
     """
     if a.is_unit or a.is_zero:
         raise ValueError("projective dimension needs a proper, nonzero ideal")
-    field = a.context.field
+    q = a.context.field.modulus
     n = a.context.n
     lattice = lcm_lattice(a)
     gens = a.exponent_matrix()
@@ -498,7 +417,7 @@ def koszul_proj_dim(a: MonomialIdeal) -> int:
             )
             above = 0  # rank of D_{j+1}
             for j in range(s - 1, best - 2, -1):
-                here = rank(chain.diffs[j], field)
+                here = _eliminate(chain.diffs[j], q)
                 if chain.dims[j] - here - above:
                     best = j + 2
                     break
@@ -538,17 +457,25 @@ def local_cohomology_nonvanishing(a: MonomialIdeal) -> frozenset[int]:
     For a squarefree ideal, j contributes exactly when some face of the
     Stanley-Reisner complex has a link with reduced homology in degree
     j - |face| - 1.  The minimum of the set is the depth of the quotient
-    and the maximum is its dimension.
+    and the maximum is its dimension.  The link of a face sigma is the
+    down-closure of F - sigma over the facets F containing sigma; when
+    those share a vertex, the link is a cone with no reduced homology and
+    is skipped.
     """
     if a.is_unit or a.is_zero:
         raise ValueError("local cohomology support needs a proper, nonzero ideal")
     if not a.is_squarefree:
         raise ValueError("this computation requires a squarefree ideal")
     faces = _stanley_reisner_faces(a)
+    facets = _facets(faces)
+    field = a.context.field
     out: set[int] = set()
     for sigma in faces:
-        link = [f ^ sigma for f in faces if f & sigma == sigma]
-        for j, h in _boundary_complex(link).homology_ranks(a.context.field).items():
+        star = [f ^ sigma for f in facets if f & sigma == sigma]
+        if reduce(and_, star):
+            continue
+        chain = _boundary_complex(_down_closure(star))
+        for j, h in chain.homology_ranks(field).items():
             if h:
                 out.add(j + sigma.bit_count() + 1)
     return frozenset(out)

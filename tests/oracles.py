@@ -8,9 +8,11 @@ transversal search, and matrix ranks from dense Gaussian elimination over
 ``Fraction``.  Code that only the tests use lives here too: ``over_field``,
 which moves an ideal to another coefficient field, since the library takes
 the field from the ring; the full Taylor complex, a boundary-squared check
-for chain complexes with the sparse product behind it; simplicial complexes
+for chain complexes with the product of sparse rows behind it; simplicial complexes
 as face sets with their reduced homology, upper-Koszul and Stanley-Reisner
-complexes; the tuple-set lcm-lattice closure, the per-point lcm-lattice
+complexes; the face-by-face scan for the links of Hochster's formula that
+the facet-built links of :func:`stci.homology.local_cohomology_nonvanishing`
+replaced; the tuple-set lcm-lattice closure, the per-point lcm-lattice
 Betti composition, and the full lattice walk over every point
 (``koszul_points``) with the multigraded Betti numbers it gives
 (``koszul_betti``), which :func:`stci.homology.koszul_proj_dim` replaced
@@ -46,7 +48,7 @@ from stci.core import (
     ResourceLimitError,
     RingContext,
 )
-from stci.homology import ChainComplex, SparseMatrix, _subset_lcms, taylor_homology
+from stci.homology import ChainComplex, _subset_lcms, taylor_homology
 from stci.invariants import (
     TAYLOR_DISPATCH_BOUND,
     _affine_dim,
@@ -267,32 +269,31 @@ def from_rows(ctx, rows) -> MonomialIdeal:
     return MonomialIdeal.from_generators(ctx, [Monomial(ctx, r) for r in rows])
 
 
-def sparse_matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """The product a @ b of two sparse matrices."""
-    if a.ncols != b.nrows:
-        raise ValueError("shape mismatch")
-    by_row: dict[int, dict[int, object]] = {}
-    for (i, j), v in b.entries.items():
-        by_row.setdefault(i, {})[j] = v
-    out = SparseMatrix(a.nrows, b.ncols)
-    for (i, k), v in a.entries.items():
-        row = by_row.get(k)
-        if not row:
-            continue
-        for j, w in row.items():
-            out[(i, j)] = out[(i, j)] + v * w
+def sparse_matmul(a: dict, b: dict) -> dict:
+    """The product a @ b of two matrices given as sparse rows
+    ``{row: {col: value}}``; zero entries and zero rows are left out."""
+    out = {}
+    for i, row in a.items():
+        acc: dict[int, object] = {}
+        for k, v in row.items():
+            for j, w in b.get(k, {}).items():
+                acc[j] = acc.get(j, 0) + v * w
+        if acc := {j: v for j, v in acc.items() if v}:
+            out[i] = acc
     return out
 
 
 def validate_chain_complex(cc: ChainComplex) -> None:
-    """Raise ValueError unless consecutive boundaries compose to zero."""
+    """Raise ValueError unless every boundary D_i fits C_i -> C_{i-1} of
+    ``cc.dims`` and consecutive boundaries compose to zero."""
+    for i, d in cc.diffs.items():
+        nrows, ncols = cc.dims.get(i - 1, 0), cc.dims.get(i, 0)
+        if not all(0 <= r < nrows and all(0 <= c < ncols for c in row)
+                   for r, row in d.items()):
+            raise ValueError(f"boundary shapes at degree {i} do not compose")
     for i, d in cc.diffs.items():
         up = cc.diffs.get(i + 1)
-        if up is None:
-            continue
-        if d.ncols != up.nrows:
-            raise ValueError(f"boundary shapes at degree {i} do not compose")
-        if not sparse_matmul(d, up).is_zero():
+        if up is not None and sparse_matmul(d, up):
             raise ValueError(f"boundary squared is nonzero at degree {i}")
 
 
@@ -300,7 +301,8 @@ def taylor_chain_complex(a: MonomialIdeal, max_generators: int = 12) -> ChainCom
     """The full Taylor complex of the minimal generators, tensored to the field.
 
     Exponential in mu; meant for small ideals and for validating the blocked
-    computation in :func:`stci.homology.taylor_homology`.
+    computation in :func:`stci.homology.taylor_homology`.  Degree i holds
+    the subsets of i generators, in increasing mask order.
     """
     if a.is_unit or a.is_zero:
         raise ValueError("taylor complex needs a proper, nonzero ideal")
@@ -320,14 +322,14 @@ def taylor_chain_complex(a: MonomialIdeal, max_generators: int = 12) -> ChainCom
     dims = {i: len(masks) for i, masks in by_size.items()}
     diffs = {}
     for i in range(1, mu + 1):
-        m = SparseMatrix(dims[i - 1], dims[i])
+        rows: dict[int, dict[int, int]] = {}
         for mask, col in index[i].items():
             members = [b for b in range(mu) if mask >> b & 1]
             for pos, b in enumerate(members):
                 sub = mask ^ (1 << b)
                 if np.array_equal(lcms[sub], lcms[mask]):
-                    m[(index[i - 1][sub], col)] = -1 if pos % 2 else 1
-        diffs[i] = m
+                    rows.setdefault(index[i - 1][sub], {})[col] = -1 if pos % 2 else 1
+        diffs[i] = rows
     return ChainComplex(dims=dims, diffs=diffs)
 
 
@@ -452,6 +454,21 @@ def stanley_reisner_complex(a: MonomialIdeal) -> SimplicialComplex:
         frozenset(j for j in range(n) if sigma >> j & 1)
         for sigma in homology._stanley_reisner_faces(a)
     ])
+
+
+def local_cohomology_oracle(a: MonomialIdeal) -> frozenset[int]:
+    """Degrees of nonvanishing local cohomology of a squarefree R/a, by
+    Hochster's formula face by face: the link of every face of the
+    Stanley-Reisner complex from a scan over all faces, and its reduced
+    homology.  The links built from the facets, with cones skipped, of
+    :func:`stci.homology.local_cohomology_nonvanishing` replaced it."""
+    delta = stanley_reisner_complex(a)
+    out = set()
+    for sigma in delta.faces:
+        for j, h in reduced_homology_ranks(delta.link(sigma), a.context.field).items():
+            if h:
+                out.add(j + len(sigma) + 1)
+    return frozenset(out)
 
 
 def koszul_points(a: MonomialIdeal):

@@ -14,7 +14,6 @@ import stci
 from stci.core import Monomial, MonomialIdeal, RingContext
 from stci.decomposition import (
     dim_quotient,
-    has_depth_zero,
     height,
     irreducible_decomposition,
     minimal_primes,
@@ -297,15 +296,21 @@ def test_symbolic_equals_ordinary_for_variable_primes(variables, t):
 # depth-zero detection
 
 
+def saturation_moves(a: MonomialIdeal) -> bool:
+    """Depth zero, seen as the maximal ideal being associated: saturating
+    by it changes ``a``."""
+    return a.saturate(a.context.maximal_ideal()) != a
+
+
 def test_depth_zero_examples():
     tri = triangle()
-    assert has_depth_zero(tri ** 2)
-    assert not has_depth_zero(tri)
     ctx = RingContext(("x", "y"))
-    assert not has_depth_zero(ideal(ctx, (1, 0)))
+    for a, zero in ((tri ** 2, True), (tri, False), (ideal(ctx, (1, 0)), False)):
+        assert saturation_moves(a) == zero
+        assert (depth(a) == 0) == zero
 
 
 @given(rows_strategy(3, 3, 4))
 def test_depth_zero_agrees_with_betti_depth(rows):
     a = MonomialIdeal.from_exponents(CTX3, rows)
-    assert has_depth_zero(a) == (depth(a) == 0)
+    assert saturation_moves(a) == (depth(a) == 0)

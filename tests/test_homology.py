@@ -2,8 +2,10 @@
 search, against the oracles and the multigraded Betti numbers of the
 lattice walk."""
 
+import copy
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, strategies as st
 from stci import homology
 from stci.core import FieldSpec, MonomialIdeal, ResourceLimitError, RingContext
 from stci.homology import (
-    SparseMatrix,
+    ChainComplex,
     koszul_proj_dim,
     lcm_lattice,
     local_cohomology_nonvanishing,
@@ -30,6 +32,7 @@ from oracles import (
     koszul_betti_totals,
     lattice_betti_oracle,
     lcm_lattice_oracle,
+    local_cohomology_oracle,
     over_field,
     reduced_homology_ranks,
     sparse_matmul,
@@ -65,11 +68,24 @@ def test_rank_examples():
     assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
     assert rank([[0, 0], [0, 0]]) == 0
     assert rank([[1, 2], [2, 4]]) == 1
+    assert rank([]) == 0
+    assert rank(np.array([[1, 2], [2, 4]], dtype=np.int64)) == 1
+    assert rank(np.array([[2, 0], [0, 2]], dtype=np.int64), F2) == 0
+    assert rank(np.zeros((0, 3), dtype=np.int64)) == 0
 
 
 def test_rank_with_fractions_and_prime_fields():
-    m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
-    assert rank(m) == dense_rank_fraction(m)
+    # ranks are exact: non-integer entries are refused, never truncated
+    for m in (
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]],
+        [[0.5, 1], [1, 2]],
+        np.array([[0.5, 1.0], [1.0, 2.0]]),
+    ):
+        for field in (Q, F2):
+            with pytest.raises(TypeError):
+                rank(m, field)
+    with pytest.raises(TypeError):
+        rank([[0.4]], F2)
     # [[1,2],[2,4]] over F2 reduces to [[1,0],[0,0]]
     assert rank([[1, 2], [2, 4]], F2) == 1
     assert rank([[2, 0], [0, 2]], F2) == 0
@@ -111,11 +127,27 @@ def test_rank_against_dense_oracle_random():
         assert rank(rows, FieldSpec.prime(q)) == _dense_rank_mod(rows, q)
 
 
+def test_eliminate_leaves_its_rows_unchanged():
+    rng = random.Random(5)
+    for _ in range(40):
+        rows = {
+            i: {j: v for j in range(5) if (v := rng.randint(-3, 3))}
+            for i in range(rng.randint(1, 6))
+        }
+        before = copy.deepcopy(rows)
+        dense = [[rows[i].get(j, 0) for j in range(5)] for i in sorted(rows)]
+        assert homology._eliminate(rows, None) == dense_rank_fraction(dense)
+        assert homology._eliminate(rows, 3) == _dense_rank_mod(dense, 3)
+        assert rows == before
+
+
 def test_sparse_matrix_matmul():
-    a = SparseMatrix.from_rows([[1, 2], [0, 1]])
-    b = SparseMatrix.from_rows([[1, 0], [3, 1]])
-    c = sparse_matmul(a, b)
-    assert (c[(0, 0)], c[(0, 1)], c[(1, 0)], c[(1, 1)]) == (7, 2, 3, 1)
+    a = {0: {0: 1, 1: 2}, 1: {1: 1}}
+    b = {0: {0: 1}, 1: {0: 3, 1: 1}}
+    assert sparse_matmul(a, b) == {0: {0: 7, 1: 2}, 1: {0: 3, 1: 1}}
+    # zero entries and zero rows are left out
+    c = sparse_matmul({0: {0: 1, 1: 1}, 1: {1: 2}}, {0: {0: 1}, 1: {0: -1}})
+    assert c == {1: {0: -2}}
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +209,13 @@ def test_boundary_squared_zero_and_euler_characteristic():
 
 def test_homology_ranks_ranks_each_differential_once(monkeypatch):
     ranked = []
-    real_rank = homology.rank
+    real_eliminate = homology._eliminate
 
-    def counting_rank(matrix, field=Q):
-        ranked.append(id(matrix))
-        return real_rank(matrix, field)
+    def counting_eliminate(rows, q):
+        ranked.append(id(rows))
+        return real_eliminate(rows, q)
 
-    monkeypatch.setattr(homology, "rank", counting_rank)
+    monkeypatch.setattr(homology, "_eliminate", counting_eliminate)
     k = SimplicialComplex.from_facets(5, [(0, 1, 2), (1, 2, 3), (3, 4), (0, 4)])
     cc = boundary_chain_complex(k)
     h = cc.homology_ranks(Q)
@@ -208,34 +240,44 @@ def test_taylor_resource_bound(monkeypatch):
 
 
 def test_chain_complex_rejects_bad_boundaries():
-    from stci.homology import ChainComplex
     bad = ChainComplex(
         dims={0: 1, 1: 1, 2: 1},
-        diffs={
-            1: SparseMatrix.from_rows([[1]]),
-            2: SparseMatrix.from_rows([[1]]),
-        },
+        diffs={1: {0: {0: 1}}, 2: {0: {0: 1}}},
     )
     with pytest.raises(ValueError, match="boundary squared"):
         validate_chain_complex(bad)
+    # D_2 as the 2 x 1 matrix [[0], [1]], while C_1 has dimension 1
     mismatched = ChainComplex(
         dims={0: 2, 1: 1, 2: 1},
-        diffs={
-            1: SparseMatrix.from_rows([[1], [0]]),
-            2: SparseMatrix.from_rows([[0], [1]]),
-        },
+        diffs={1: {0: {0: 1}}, 2: {1: {0: 1}}},
     )
     with pytest.raises(ValueError, match="compose"):
         validate_chain_complex(mismatched)
 
 
 def test_taylor_chain_complex_composes_to_zero():
-    for a in (triangle(), ideal(CTX2, (2, 0), (1, 1), (0, 3))):
+    ideals = [triangle(), ideal(CTX2, (2, 0), (1, 1), (0, 3))]
+    rng = random.Random(29)
+    while len(ideals) < 24:
+        ctx = rng.choice([CTX3, CTX4])
+        # monomials of one degree, which are minimal, plus a few of any degree
+        degree = rng.randint(2, 3)
+        cube = product(range(degree + 1), repeat=ctx.n)
+        level = [e for e in cube if sum(e) == degree]
+        rows = rng.sample(level, rng.randint(1, min(8, len(level))))
+        rows += [tuple(rng.randint(0, 2) for _ in range(ctx.n))
+                 for _ in range(rng.randint(0, 2))]
+        a = MonomialIdeal.from_exponents(ctx, [r for r in rows if any(r)])
+        if a.mu <= 8:
+            ideals.append(a)
+    assert max(a.mu for a in ideals) >= 7
+    for a in ideals:
         cc = taylor_chain_complex(a)
         validate_chain_complex(cc)
-        h = cc.homology_ranks(Q)
-        expected = taylor_homology(a)
-        assert {i: r for i, r in h.items() if r} == expected
+        for field in (Q, F2):
+            h = cc.homology_ranks(field)
+            expected = taylor_homology(over_field(a, field))
+            assert {i: r for i, r in h.items() if r} == expected
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +546,19 @@ def test_local_cohomology_examples():
     assert local_cohomology_nonvanishing(
         ideal(CTX2, (1, 0), (0, 1))
     ) == frozenset({0})
+
+
+def test_local_cohomology_matches_the_face_scan():
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        ctx = RingContext(tuple(f"x{j}" for j in range(n)), rng.choice([Q, F2]))
+        rows = [tuple(rng.randint(0, 1) for _ in range(n))
+                for _ in range(rng.randint(1, 6))]
+        a = MonomialIdeal.from_exponents(ctx, [r for r in rows if any(r)])
+        if a.is_zero or a.is_unit:
+            continue
+        assert local_cohomology_nonvanishing(a) == local_cohomology_oracle(a)
 
 
 def test_local_cohomology_rejects_non_squarefree():
