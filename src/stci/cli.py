@@ -9,8 +9,7 @@ Subcommands:
 * ``fuzz``         run the checkers over seeded random ideals
 
 Exit codes: 0 success / all checks pass, 1 some check failed (or stdout
-closed), 2 usage or parse error, 3 a resource bound was hit.  ``--horizon``
-falls back to the ``STCI_HORIZON`` environment variable, flags win.
+closed), 2 usage or parse error, 3 a resource bound was hit.
 """
 
 from __future__ import annotations
@@ -125,40 +124,25 @@ def _read_program(arg: str) -> str:
     return arg
 
 
-def _resolve_horizon(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("STCI_HORIZON")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"bad STCI_HORIZON value {env!r}") from None
-    return 3
-
-
-def _parse_ideal(arg: str, field: FieldSpec):
-    text = _read_program(arg)
-    ctx, node = parse(text, field)
+def _parse_ideal(args):
+    field = FieldSpec.parse(args.field)
+    ctx, node = parse(_read_program(args.expr), field)
     return ctx, node, evaluate(ctx, node)
 
 
-def report_payload(ctx, ideal: MonomialIdeal, rep) -> dict:
+def _header(ctx, ideal: MonomialIdeal) -> dict:
+    """The ``ring`` and ``ideal`` entries that lead every JSON payload on an
+    ideal."""
     return {
-        "ring": {
-            "variables": list(ctx.variables),
-            "field": str(ctx.field),
-        },
+        "ring": {"variables": list(ctx.variables), "field": str(ctx.field)},
         "ideal": {"generators": ideal.generator_strings()},
-    } | rep.invariants_dict()
+    }
 
 
 def _cmd_report(args) -> int:
-    field = FieldSpec.parse(args.field)
-    horizon = _resolve_horizon(args.horizon)
-    ctx, _, ideal = _parse_ideal(args.expr, field)
-    rep = invariants.report(ideal, horizon=horizon)
-    payload = report_payload(ctx, ideal, rep)
+    ctx, _, ideal = _parse_ideal(args)
+    rep = invariants.report(ideal, horizon=args.horizon)
+    payload = _header(ctx, ideal) | rep.invariants_dict()
     if args.json:
         print(json.dumps(payload, indent=2))
         return EXIT_OK
@@ -182,14 +166,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    field = FieldSpec.parse(args.field)
-    ctx, node, ideal = _parse_ideal(args.expr, field)
+    ctx, node, ideal = _parse_ideal(args)
     if args.json:
-        payload = {
-            "ring": {"variables": list(ctx.variables), "field": str(ctx.field)},
-            "ideal": {"generators": ideal.generator_strings()},
-            "canonical": format_program(ctx, node),
-        }
+        payload = _header(ctx, ideal) | {"canonical": format_program(ctx, node)}
         print(json.dumps(payload, indent=2))
     else:
         print(f"ring {', '.join(ctx.variables)}; {ideal}")
@@ -197,14 +176,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    field = FieldSpec.parse(args.field)
-    ctx, _, ideal = _parse_ideal(args.expr, field)
+    ctx, _, ideal = _parse_ideal(args)
     components = irreducible_decomposition(ideal)
     primes = minimal_primes(ideal)
     if args.json:
-        payload = {
-            "ring": {"variables": list(ctx.variables), "field": str(ctx.field)},
-            "ideal": {"generators": ideal.generator_strings()},
+        payload = _header(ctx, ideal) | {
             "components": [c.ideal().generator_strings() for c in components],
             "minimal_primes": [p.generator_strings() for p in primes],
         }
@@ -219,31 +195,31 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _print_check_lines(results) -> None:
-    width = max(len(r.name) for r in results)
-    for r in results:
-        print(f"{r.verdict.upper():<15} {r.name:<{width}}")
-
-
-def _cmd_verify_paper(args) -> int:
-    horizon = _resolve_horizon(args.horizon)
-    results = run_reference_suite(horizon=horizon)
+def _print_checks(args, payload: dict, results) -> int:
+    """Print check results, as ``payload`` plus ``checks`` and ``all_pass``
+    under ``--json`` or else as one verdict line each, and return the exit
+    code."""
     failed = [r for r in results if r.failed]
     if args.json:
-        payload = {
-            "horizon": horizon,
+        payload |= {
             "checks": [r.to_json_dict() for r in results],
             "all_pass": not failed,
         }
         print(json.dumps(payload, indent=2))
     else:
-        _print_check_lines(results)
+        width = max((len(r.name) for r in results), default=0)
+        for r in results:
+            print(f"{r.verdict.upper():<15} {r.name:<{width}}")
         print(f"{len(results)} checks, {len(failed)} failures")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
+def _cmd_verify_paper(args) -> int:
+    results = run_reference_suite(horizon=args.horizon)
+    return _print_checks(args, {"horizon": args.horizon}, results)
+
+
 def _cmd_fuzz(args) -> int:
-    horizon = _resolve_horizon(args.horizon)
     spec = RandomIdealSpec(
         n=args.n,
         squarefree=args.squarefree,
@@ -251,28 +227,19 @@ def _cmd_fuzz(args) -> int:
         max_generators=args.max_generators,
         seed=args.seed,
     )
-    results = fuzz(spec, args.count, horizon=horizon)
-    failed = [r for r in results if r.failed]
-    if args.json:
-        payload = {
-            "spec": {
-                "n": spec.n,
-                "squarefree": spec.squarefree,
-                "max_exponent": spec.max_exponent,
-                "max_generators": spec.max_generators,
-                "seed": spec.seed,
-            },
-            "count": args.count,
-            "horizon": horizon,
-            "checks": [r.to_json_dict() for r in results],
-            "all_pass": not failed,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        if results:
-            _print_check_lines(results)
-        print(f"{len(results)} checks, {len(failed)} failures")
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    results = fuzz(spec, args.count, horizon=args.horizon)
+    payload = {
+        "spec": {
+            "n": spec.n,
+            "squarefree": spec.squarefree,
+            "max_exponent": spec.max_exponent,
+            "max_generators": spec.max_generators,
+            "seed": spec.seed,
+        },
+        "count": args.count,
+        "horizon": args.horizon,
+    }
+    return _print_checks(args, payload, results)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -283,32 +250,32 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, expr=True):
+    def add_common(p, expr=True, horizon=True):
         if expr:
             p.add_argument("expr", help="ideal program text or a file containing one")
             p.add_argument("--field", default="rational",
                            help="coefficient field: rational or fp:<q>")
+        if horizon:
+            p.add_argument("--horizon", type=int, default=3,
+                           help="power horizon for min-depth and dg (default 3)")
         p.add_argument("--json", action="store_true", help="structured output")
 
     p_report = sub.add_parser("report", help="compute the full invariant report")
     add_common(p_report)
-    p_report.add_argument("--horizon", type=int, default=None,
-                          help="power horizon for min-depth and dg (default 3)")
     p_report.set_defaults(func=_cmd_report)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression")
-    add_common(p_eval)
+    add_common(p_eval, horizon=False)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_dec = sub.add_parser("decompose",
                            help="irreducible components and minimal primes")
-    add_common(p_dec)
+    add_common(p_dec, horizon=False)
     p_dec.set_defaults(func=_cmd_decompose)
 
     p_verify = sub.add_parser("verify-paper",
                               help="run the built-in reference checks")
     add_common(p_verify, expr=False)
-    p_verify.add_argument("--horizon", type=int, default=None)
     p_verify.set_defaults(func=_cmd_verify_paper)
 
     p_fuzz = sub.add_parser("fuzz", help="run checkers on seeded random ideals")
@@ -319,7 +286,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--max-generators", type=int, default=5)
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--count", type=int, default=20)
-    p_fuzz.add_argument("--horizon", type=int, default=None)
     p_fuzz.set_defaults(func=_cmd_fuzz)
     return top
 

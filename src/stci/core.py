@@ -84,10 +84,6 @@ class FieldSpec:
     def prime(cls, q: int) -> "FieldSpec":
         return cls(q)
 
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.modulus is None else self.modulus
-
     def __str__(self) -> str:
         return "rational" if self.modulus is None else f"fp:{self.modulus}"
 
@@ -198,13 +194,6 @@ class Monomial:
     def divides(self, other: "Monomial") -> bool:
         _check_same_context(self, other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        _check_same_context(self, other)
-        return Monomial(
-            self.context,
-            tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)),
-        )
 
     def gcd(self, other: "Monomial") -> "Monomial":
         _check_same_context(self, other)

@@ -31,10 +31,11 @@ from .core import (
     MonomialIdeal,
     ResourceLimitError,
 )
+from .decomposition import minimal_primes
 
 TAYLOR_GENERATOR_BOUND = 20
 LATTICE_SIZE_BOUND = 200_000
-# Variables of a Stanley-Reisner complex, whose 2^n faces are enumerated.
+# Variables of a Stanley-Reisner complex, whose up to 2^n faces are all visited.
 STANLEY_REISNER_BOUND = 20
 # BLOCK_CELLS also sets lattice points times generators in one numpy block of
 # the lattice passes.  Small blocks cost no speed and keep the transient
@@ -429,48 +430,36 @@ def koszul_proj_dim(a: MonomialIdeal) -> int:
 # Stanley-Reisner complexes and local cohomology support
 
 
-def _stanley_reisner_faces(a: MonomialIdeal) -> list[int]:
-    """Bitmasks of the squarefree monomials outside ``a``."""
-    if not a.is_squarefree:
-        raise ValueError("Stanley-Reisner complexes need a squarefree ideal")
-    n = a.context.n
-    if n > STANLEY_REISNER_BOUND:
-        raise ResourceLimitError(
-            f"Stanley-Reisner enumeration is bounded at "
-            f"{STANLEY_REISNER_BOUND} variables"
-        )
-    gen_masks = []
-    for g in a.generators:
-        mask = 0
-        for j in g.support():
-            mask |= 1 << j
-        gen_masks.append(mask)
-    return [
-        sigma for sigma in range(1 << n)
-        if not any(gm & ~sigma == 0 for gm in gen_masks)
-    ]
-
-
 def local_cohomology_nonvanishing(a: MonomialIdeal) -> frozenset[int]:
     """Degrees j with nonvanishing local cohomology of R/a at the maximal ideal.
 
     For a squarefree ideal, j contributes exactly when some face of the
     Stanley-Reisner complex has a link with reduced homology in degree
     j - |face| - 1.  The minimum of the set is the depth of the quotient
-    and the maximum is its dimension.  The link of a face sigma is the
-    down-closure of F - sigma over the facets F containing sigma; when
-    those share a vertex, the link is a cone with no reduced homology and
-    is skipped.
+    and the maximum is its dimension.  The facets of the complex are the
+    complements of the supports of the minimal primes of ``a``.  The link
+    of a face sigma is the down-closure of F - sigma over the facets F
+    containing sigma; when those share a vertex, the link is a cone with no
+    reduced homology and is skipped.
     """
     if a.is_unit or a.is_zero:
         raise ValueError("local cohomology support needs a proper, nonzero ideal")
     if not a.is_squarefree:
         raise ValueError("this computation requires a squarefree ideal")
-    faces = _stanley_reisner_faces(a)
-    facets = _facets(faces)
+    n = a.context.n
+    if n > STANLEY_REISNER_BOUND:
+        raise ResourceLimitError(
+            f"Stanley-Reisner enumeration is bounded at "
+            f"{STANLEY_REISNER_BOUND} variables"
+        )
+    full = (1 << n) - 1
+    facets = [
+        full & ~sum(1 << j for g in p.generators for j in g.support())
+        for p in minimal_primes(a)
+    ]
     field = a.context.field
     out: set[int] = set()
-    for sigma in faces:
+    for sigma in _down_closure(facets):
         star = [f ^ sigma for f in facets if f & sigma == sigma]
         if reduce(and_, star):
             continue

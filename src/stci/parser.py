@@ -16,11 +16,16 @@ Grammar (EBNF)::
 brackets group ideal expressions; round brackets only delimit generator
 lists.  ``^[n]`` is the bracket (generator-wise) power and ``^(n)`` the
 symbolic power, which requires a squarefree base.
+
+The syntax tree has three node kinds: :class:`Literal` (a generator list),
+:class:`BinaryOp` (``&``, ``+`` or ``*`` on two expressions) and
+:class:`PowerOp` (an ordinary, bracket or symbolic power).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, and_, mul
 
 from .core import FieldSpec, Monomial, MonomialIdeal, RingContext
 from .decomposition import symbolic_power
@@ -35,6 +40,23 @@ class ParseError(ValueError):
 
 class EvaluationError(ValueError):
     """A well-formed expression whose evaluation violates a contract."""
+
+
+# Binding strength of the binary operators, all left-associative; a power
+# suffix binds tighter than any of them.
+_PRECEDENCE = {"&": 1, "+": 2, "*": 2}
+_ATOM = 3
+# The bracket that opens a power's exponent ("" for an ordinary power) and
+# the one that closes it.
+_CLOSE = {"": "", "[": "]", "(": ")"}
+# The operations are looked up on their operands at call time, so wrappers
+# installed later on MonomialIdeal's methods or on symbolic_power still apply.
+_BINARY = {"&": and_, "+": add, "*": mul}
+_POWER = {
+    "": pow,
+    "[": lambda a, t: a.bracket_power(t),
+    "(": lambda a, t: symbolic_power(a, t),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -107,46 +129,27 @@ class Literal(IdealExpression):
 
 
 @dataclass(frozen=True)
-class Sum(IdealExpression):
+class BinaryOp(IdealExpression):
+    op: str  # "&", "+" or "*"
     left: IdealExpression
     right: IdealExpression
 
 
 @dataclass(frozen=True)
-class Product(IdealExpression):
-    left: IdealExpression
-    right: IdealExpression
-
-
-@dataclass(frozen=True)
-class Intersection(IdealExpression):
-    left: IdealExpression
-    right: IdealExpression
-
-
-@dataclass(frozen=True)
-class Power(IdealExpression):
+class PowerOp(IdealExpression):
+    bracket: str  # "" ordinary, "[" bracket, "(" symbolic
     base: IdealExpression
     exponent: int
 
 
-@dataclass(frozen=True)
-class BracketPower(IdealExpression):
-    base: IdealExpression
-    exponent: int
-
-
-@dataclass(frozen=True)
-class SymbolicPower(IdealExpression):
-    base: IdealExpression
-    exponent: int
+def _found(tok: _Token) -> str:
+    return "end of input" if tok.kind == "eof" else repr(tok.text)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], variables: tuple[str, ...]):
-        self.tokens = tokens
+    def __init__(self, text: str, variables: tuple[str, ...] = ()):
+        self.tokens = _tokenize(text)
         self.pos = 0
-        self.variables = variables
         self.var_index = {v: i for i, v in enumerate(variables)}
 
     def peek(self) -> _Token:
@@ -158,46 +161,60 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, what: str | None = None) -> _Token:
+        """The next token, which must be of ``kind``; ``what`` describes it
+        in the error, which otherwise quotes the punctuation ``kind``."""
         tok = self.peek()
         if tok.kind != kind:
-            found = tok.text or "end of input"
-            raise ParseError(
-                f"expected {what or kind!r}, found {found!r}", tok.line, tok.column
-            )
+            raise ParseError(f"expected {what or repr(kind)}, found {_found(tok)}",
+                             tok.line, tok.column)
         return self.advance()
 
-    # expr := term { "&" term }
-    def expr(self) -> IdealExpression:
-        node = self.term()
-        while self.peek().kind == "&":
-            self.advance()
-            node = Intersection(node, self.term())
-        return node
+    def end(self) -> None:
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"unexpected trailing input {tok.text!r}",
+                             tok.line, tok.column)
 
-    # term := atom { ("+"|"*") atom }
-    def term(self) -> IdealExpression:
+    # program := "ring" ident { "," ident } ";" expr
+    def program(self) -> tuple[tuple[str, ...], IdealExpression]:
+        tok = self.peek()
+        if tok.kind != "ident" or tok.text != "ring":
+            raise ParseError("program must start with a ring declaration",
+                             tok.line, tok.column)
+        self.advance()
+        names = [self.expect("ident", "a variable name")]
+        while self.peek().kind == ",":
+            self.advance()
+            names.append(self.expect("ident", "a variable name"))
+        self.expect(";")
+        self.var_index = {t.text: i for i, t in enumerate(names)}
+        if len(self.var_index) != len(names):
+            raise ParseError("variable names must be distinct",
+                             names[0].line, names[0].column)
+        node = self.expr()
+        self.end()
+        return tuple(self.var_index), node
+
+    # expr := term { "&" term };  term := atom { ("+"|"*") atom }
+    def expr(self, level: int = 1) -> IdealExpression:
+        """An expression whose operators have precedence ``level`` or more.
+
+        Precedence climbing: the right operand of an operator takes only
+        operators that bind tighter, so each level is left-associative.
+        """
         node = self.atom()
-        while self.peek().kind in ("+", "*"):
-            op = self.advance()
-            rhs = self.atom()
-            node = Sum(node, rhs) if op.kind == "+" else Product(node, rhs)
+        while _PRECEDENCE.get(self.peek().kind, 0) >= level:
+            op = self.advance().kind
+            node = BinaryOp(op, node, self.expr(_PRECEDENCE[op] + 1))
         return node
 
     def atom(self) -> IdealExpression:
-        tok = self.peek()
-        if tok.kind == "(":
-            node = self.literal()
-        elif tok.kind == "[":
+        if self.peek().kind == "[":
             self.advance()
             node = self.expr()
-            self.expect("]", "']'")
+            self.expect("]")
         else:
-            found = tok.text or "end of input"
-            raise ParseError(
-                f"expected a generator list or '[', found {found!r}",
-                tok.line,
-                tok.column,
-            )
+            node = self.literal()
         return self.power_suffix(node)
 
     def power_suffix(self, node: IdealExpression) -> IdealExpression:
@@ -205,25 +222,18 @@ class _Parser:
             return node
         self.advance()
         tok = self.peek()
-        if tok.kind == "nat":
-            n = self.positive_nat()
-            return Power(node, n)
-        if tok.kind == "[":
-            self.advance()
-            n = self.positive_nat()
-            self.expect("]", "']'")
-            return BracketPower(node, n)
-        if tok.kind == "(":
-            self.advance()
-            n = self.positive_nat()
-            self.expect(")", "')'")
-            return SymbolicPower(node, n)
-        found = tok.text or "end of input"
-        raise ParseError(
-            f"malformed power: expected a number, '[n]' or '(n)', found {found!r}",
-            tok.line,
-            tok.column,
-        )
+        if tok.kind not in ("nat", "[", "("):
+            raise ParseError(
+                f"malformed power: expected a number, '[n]' or '(n)', "
+                f"found {_found(tok)}",
+                tok.line,
+                tok.column,
+            )
+        bracket = "" if tok.kind == "nat" else self.advance().kind
+        exponent = self.positive_nat()
+        if bracket:
+            self.expect(_CLOSE[bracket])
+        return PowerOp(bracket, node, exponent)
 
     def positive_nat(self) -> int:
         tok = self.expect("nat", "a number")
@@ -234,7 +244,7 @@ class _Parser:
 
     # literal := "(" monomial { "," monomial } ")"
     def literal(self) -> Literal:
-        open_tok = self.expect("(", "'('")
+        open_tok = self.expect("(", "a generator list or '['")
         if self.peek().kind == ")":
             raise ParseError(
                 "empty generator list", open_tok.line, open_tok.column
@@ -243,17 +253,12 @@ class _Parser:
         while self.peek().kind == ",":
             self.advance()
             rows.append(self.monomial())
-        tok = self.peek()
-        if tok.kind != ")":
-            found = tok.text or "end of input"
-            raise ParseError(f"expected ',' or ')', found {found!r}",
-                             tok.line, tok.column)
-        self.advance()
+        self.expect(")", "',' or ')'")
         return Literal(tuple(rows))
 
     # monomial := factor { "*" factor }
     def monomial(self) -> tuple[int, ...]:
-        exps = [0] * len(self.variables)
+        exps = [0] * len(self.var_index)
         self.factor(exps)
         while self.peek().kind == "*":
             self.advance()
@@ -277,43 +282,8 @@ def parse(
     text: str, field: FieldSpec = FieldSpec.rationals()
 ) -> tuple[RingContext, IdealExpression]:
     """Parse a full program: a ring declaration followed by an expression."""
-    tokens = _tokenize(text)
-    if not tokens or tokens[0].kind != "ident" or tokens[0].text != "ring":
-        tok = tokens[0]
-        raise ParseError("program must start with a ring declaration",
-                         tok.line, tok.column)
-    pos = 1
-    variables = []
-    while True:
-        tok = tokens[pos]
-        if tok.kind != "ident":
-            found = tok.text or "end of input"
-            raise ParseError(f"expected a variable name, found {found!r}",
-                             tok.line, tok.column)
-        variables.append(tok.text)
-        pos += 1
-        if tokens[pos].kind == ",":
-            pos += 1
-            continue
-        break
-    tok = tokens[pos]
-    if tok.kind != ";":
-        found = tok.text or "end of input"
-        raise ParseError(f"expected ';' after the ring declaration, found {found!r}",
-                         tok.line, tok.column)
-    pos += 1
-    if len(set(variables)) != len(variables):
-        raise ParseError("variable names must be distinct", tokens[1].line,
-                         tokens[1].column)
-    parser = _Parser(tokens, tuple(variables))
-    parser.pos = pos
-    node = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}",
-                         tok.line, tok.column)
-    ctx = RingContext(tuple(variables), field)
-    return ctx, node
+    variables, node = _Parser(text).program()
+    return RingContext(variables, field), node
 
 
 def evaluate(ctx: RingContext, node: IdealExpression) -> MonomialIdeal:
@@ -322,20 +292,12 @@ def evaluate(ctx: RingContext, node: IdealExpression) -> MonomialIdeal:
         return MonomialIdeal.from_generators(
             ctx, [Monomial(ctx, row) for row in node.rows]
         )
-    if isinstance(node, Sum):
-        return evaluate(ctx, node.left) + evaluate(ctx, node.right)
-    if isinstance(node, Product):
-        return evaluate(ctx, node.left) * evaluate(ctx, node.right)
-    if isinstance(node, Intersection):
-        return evaluate(ctx, node.left) & evaluate(ctx, node.right)
-    if isinstance(node, Power):
-        return evaluate(ctx, node.base) ** node.exponent
-    if isinstance(node, BracketPower):
-        return evaluate(ctx, node.base).bracket_power(node.exponent)
-    if isinstance(node, SymbolicPower):
+    if isinstance(node, BinaryOp):
+        return _BINARY[node.op](evaluate(ctx, node.left), evaluate(ctx, node.right))
+    if isinstance(node, PowerOp):
         base = evaluate(ctx, node.base)
         try:
-            return symbolic_power(base, node.exponent)
+            return _POWER[node.bracket](base, node.exponent)
         except ValueError as exc:
             raise EvaluationError(str(exc)) from None
     raise TypeError(f"unknown expression node {node!r}")
@@ -364,43 +326,28 @@ def _format_monomial_row(variables: tuple[str, ...], row: tuple[int, ...]) -> st
     return "*".join(parts)
 
 
-_PREC_INTERSECT = 1
-_PREC_TERM = 2
-_PREC_ATOM = 3
-
-
 def _format(node: IdealExpression, variables: tuple[str, ...]) -> tuple[str, int]:
+    """The text of ``node`` and the precedence of its outermost operator."""
     if isinstance(node, Literal):
         inner = ", ".join(_format_monomial_row(variables, r) for r in node.rows)
-        return f"({inner})", _PREC_ATOM
-    if isinstance(node, (Sum, Product)):
-        op = " + " if isinstance(node, Sum) else " * "
+        return f"({inner})", _ATOM
+    if isinstance(node, BinaryOp):
+        prec = _PRECEDENCE[node.op]
         lt, lp = _format(node.left, variables)
         rt, rp = _format(node.right, variables)
-        if lp < _PREC_TERM:
+        # left-associative: only a right operand binds as loosely as op
+        if lp < prec:
             lt = f"[{lt}]"
-        if rp <= _PREC_TERM:
+        if rp <= prec:
             rt = f"[{rt}]"
-        return lt + op + rt, _PREC_TERM
-    if isinstance(node, Intersection):
-        lt, lp = _format(node.left, variables)
-        rt, rp = _format(node.right, variables)
-        if rp <= _PREC_INTERSECT:
-            rt = f"[{rt}]"
-        return lt + " & " + rt, _PREC_INTERSECT
-    if isinstance(node, (Power, BracketPower, SymbolicPower)):
+        return f"{lt} {node.op} {rt}", prec
+    if isinstance(node, PowerOp):
         bt, _ = _format(node.base, variables)
         # the grammar allows one power suffix per atom, so only a literal
         # can stand unbracketed under a power
         if not isinstance(node.base, Literal):
             bt = f"[{bt}]"
-        if isinstance(node, Power):
-            suffix = f"^{node.exponent}"
-        elif isinstance(node, BracketPower):
-            suffix = f"^[{node.exponent}]"
-        else:
-            suffix = f"^({node.exponent})"
-        return bt + suffix, _PREC_ATOM
+        return f"{bt}^{node.bracket}{node.exponent}{_CLOSE[node.bracket]}", _ATOM
     raise TypeError(f"unknown expression node {node!r}")
 
 
@@ -412,11 +359,7 @@ def format_program(ctx: RingContext, node: IdealExpression) -> str:
 
 def parse_monomial(ctx: RingContext, text: str) -> Monomial:
     """Parse a bare monomial like ``x^2*y`` inside an existing context."""
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, ctx.variables)
+    parser = _Parser(text, ctx.variables)
     row = parser.monomial()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}",
-                         tok.line, tok.column)
+    parser.end()
     return Monomial(ctx, row)

@@ -10,10 +10,11 @@ which moves an ideal to another coefficient field, since the library takes
 the field from the ring; the full Taylor complex, a boundary-squared check
 for chain complexes with the product of sparse rows behind it; simplicial complexes
 as face sets with their reduced homology, upper-Koszul and Stanley-Reisner
-complexes; the face-by-face scan for the links of Hochster's formula that
-the facet-built links of :func:`stci.homology.local_cohomology_nonvanishing`
-replaced; the tuple-set lcm-lattice closure, the per-point lcm-lattice
-Betti composition, and the full lattice walk over every point
+complexes, the Stanley-Reisner faces from a scan of all vertex subsets and
+the face-by-face links of Hochster's formula that the links built from the
+facets, taken from the minimal primes, of
+:func:`stci.homology.local_cohomology_nonvanishing` replaced; the tuple-set
+lcm-lattice closure, the per-point lcm-lattice Betti composition, and the full lattice walk over every point
 (``koszul_points``) with the multigraded Betti numbers it gives
 (``koszul_betti``), which :func:`stci.homology.koszul_proj_dim` replaced
 by a walk over the points that can still raise pd, and the Betti table
@@ -448,11 +449,16 @@ def upper_koszul_complex(a: MonomialIdeal, b) -> SimplicialComplex:
 
 
 def stanley_reisner_complex(a: MonomialIdeal) -> SimplicialComplex:
-    """The complex whose faces are the squarefree monomials outside ``a``."""
+    """The complex whose faces are the squarefree monomials outside ``a``,
+    from a scan of all 2^n vertex subsets against every generator."""
+    if not a.is_squarefree:
+        raise ValueError("Stanley-Reisner complexes need a squarefree ideal")
     n = a.context.n
+    gen_masks = [sum(1 << j for j in g.support()) for g in a.generators]
     return SimplicialComplex(n, [
         frozenset(j for j in range(n) if sigma >> j & 1)
-        for sigma in homology._stanley_reisner_faces(a)
+        for sigma in range(1 << n)
+        if not any(gm & ~sigma == 0 for gm in gen_masks)
     ])
 
 
