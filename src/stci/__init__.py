@@ -19,10 +19,8 @@ from .core import (
     MonomialIdeal,
     ResourceLimitError,
     RingContext,
-    minimalize,
 )
 from .decomposition import (
-    IrreducibleComponent,
     dim_quotient,
     height,
     irreducible_decomposition,

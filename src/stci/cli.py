@@ -15,6 +15,7 @@ closed), 2 usage or parse error, 3 a resource bound was hit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -181,7 +182,7 @@ def _cmd_decompose(args) -> int:
     primes = minimal_primes(ideal)
     if args.json:
         payload = _header(ctx, ideal) | {
-            "components": [c.ideal().generator_strings() for c in components],
+            "components": [c.generator_strings() for c in components],
             "minimal_primes": [p.generator_strings() for p in primes],
         }
         print(json.dumps(payload, indent=2))
@@ -189,7 +190,7 @@ def _cmd_decompose(args) -> int:
     print(str(ctx))
     print(f"ideal {ideal}")
     for c in components:
-        print(f"component {c.ideal()}")
+        print(f"component {c}")
     for p in primes:
         print(f"minimal prime {p}")
     return EXIT_OK
@@ -242,7 +243,9 @@ def _cmd_fuzz(args) -> int:
     return _print_checks(args, payload, results)
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     top = argparse.ArgumentParser(
         prog="stci",
         description="Invariants of monomial ideals and checks of the "

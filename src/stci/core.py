@@ -484,19 +484,3 @@ class MonomialIdeal:
 def _radical(a: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal.from_generators(a.context, [g.radical() for g in a.generators])
 
-
-def minimalize(gens: Iterable[Monomial]) -> MonomialIdeal:
-    """Build the canonical ideal from an arbitrary generator collection.
-
-    All monomials must share one context; the context cannot be inferred
-    from an empty collection, so pass at least one monomial or use
-    ``RingContext.zero_ideal`` directly.
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("cannot infer the ring from an empty generator set; "
-                         "use RingContext.zero_ideal()")
-    ctx = gens[0].context
-    for g in gens[1:]:
-        _check_same_context(gens[0], g)
-    return MonomialIdeal.from_generators(ctx, gens)

@@ -5,14 +5,13 @@ Every proper nonzero monomial ideal is the irredundant intersection of a
 unique finite set of irreducible ones.  One incremental pass computes it:
 the generators are added one at a time, and each irreducible component not
 containing the new generator splits into one component per variable of
-its support.  Minimal primes are the components of the radical; height,
-dimension of the quotient and symbolic powers of squarefree ideals are
-derived from them.
+its support.  Minimal primes are the components of the radical.  One
+builder turns every component, and every prime generated by variables,
+into a ``MonomialIdeal``.  Height, dimension of the quotient and symbolic
+powers of squarefree ideals are derived from the minimal primes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import Monomial, MonomialIdeal, RingContext, memo
 
@@ -20,40 +19,6 @@ from .core import Monomial, MonomialIdeal, RingContext, memo
 def _require_proper_nonzero(a: MonomialIdeal) -> None:
     if a.is_zero or a.is_unit:
         raise ValueError("operation requires a proper, nonzero ideal")
-
-
-@dataclass(frozen=True)
-class IrreducibleComponent:
-    """An ideal (x_i^{e_i} : i in support), stored as the exponent map."""
-
-    context: RingContext
-    entries: tuple[tuple[int, int], ...]  # sorted (variable index, exponent > 0)
-
-    def ideal(self) -> MonomialIdeal:
-        rows = []
-        for i, e in self.entries:
-            row = [0] * self.context.n
-            row[i] = e
-            rows.append(row)
-        return MonomialIdeal.from_exponents(self.context, rows)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(i for i, _ in self.entries)
-
-    def radical_prime(self) -> MonomialIdeal:
-        """The prime generated by the support variables."""
-        return _variable_prime(self.context, self.support())
-
-    def __str__(self) -> str:
-        return str(self.ideal())
-
-
-def _variable_prime(ctx: RingContext, variables: frozenset[int]) -> MonomialIdeal:
-    # the variables in increasing index are already the canonical generators
-    n = ctx.n
-    return MonomialIdeal(ctx, tuple(
-        Monomial(ctx, tuple(int(j == i) for j in range(n))) for i in sorted(variables)
-    ))
 
 
 def _contains(q: tuple[int, ...], p: tuple[int, ...]) -> bool:
@@ -98,22 +63,41 @@ def _components(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     return comps
 
 
-def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
-    """Irredundant irreducible components whose intersection is ``a``.
+def _irreducible(ctx: RingContext, q: tuple[int, ...]) -> MonomialIdeal:
+    """The ideal of the pure powers x_i^{q_i}, q_i > 0.  In increasing
+    variable index they are already its minimal generators in canonical
+    order."""
+    n = ctx.n
+    return MonomialIdeal(ctx, tuple(
+        Monomial(ctx, tuple(e if j == i else 0 for j in range(n)))
+        for i, e in enumerate(q) if e
+    ))
 
-    Sorted by their (variable, -exponent) entries, the order of their
-    generator lists in the decreasing lexicographic term order.
-    """
+
+def _component_ideals(
+    ctx: RingContext, rows: list[tuple[int, ...]]
+) -> tuple[MonomialIdeal, ...]:
+    """The irredundant irreducible components of the ideal of ``rows``,
+    sorted by their (variable, -exponent) pairs: the order of their
+    generator lists in the decreasing lexicographic term order."""
+    comps = sorted(
+        _components(rows, ctx.n),
+        key=lambda q: [(i, -e) for i, e in enumerate(q) if e],
+    )
+    return tuple(_irreducible(ctx, q) for q in comps)
+
+
+def _variable_prime(ctx: RingContext, variables: frozenset[int]) -> MonomialIdeal:
+    """The prime generated by ``variables``: the irreducible ideal whose
+    exponents are all 1."""
+    return _irreducible(ctx, tuple(int(j in variables) for j in range(ctx.n)))
+
+
+def irreducible_decomposition(a: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
+    """Irredundant irreducible components whose intersection is ``a``,
+    sorted by their generator lists."""
     _require_proper_nonzero(a)
-    ctx = a.context
-    entries = (
-        tuple((i, e) for i, e in enumerate(q) if e)
-        for q in _components([g.exponents for g in a.generators], ctx.n)
-    )
-    return tuple(
-        IrreducibleComponent(ctx, c)
-        for c in sorted(entries, key=lambda c: [(i, -e) for i, e in c])
-    )
+    return _component_ideals(a.context, [g.exponents for g in a.generators])
 
 
 def minimal_primes(a: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
@@ -129,12 +113,8 @@ def minimal_primes(a: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
 
 @memo
 def _minimal_primes(a: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
-    ctx = a.context
     rows = sorted({tuple(min(e, 1) for e in g.exponents) for g in a.generators})
-    supports = sorted(
-        tuple(i for i, e in enumerate(q) if e) for q in _components(rows, ctx.n)
-    )
-    return tuple(_variable_prime(ctx, frozenset(t)) for t in supports)
+    return _component_ideals(a.context, rows)
 
 
 def height(a: MonomialIdeal) -> int:

@@ -118,11 +118,12 @@ def _product_split(a: MonomialIdeal) -> list[MonomialIdeal] | None:
 def proj_dim(a: MonomialIdeal) -> int:
     """Projective dimension of R/a.
 
-    Disjoint-variable summands add their projective dimensions, and k
-    factors of a product in disjoint variables add theirs less k - 1 (the
-    Mayer-Vietoris sequence of the intersection splits).  Other ideals go
-    to the Taylor complex when small, or to the lattice search.  The field
-    is that of the ideal's ring.
+    Ideals with at most ``TAYLOR_DISPATCH_BOUND`` generators take the top
+    degree of the Taylor complex.  Larger ones are split before the lattice
+    search: disjoint-variable summands add their projective dimensions, and
+    k factors of a product in disjoint variables add theirs less k - 1 (the
+    Mayer-Vietoris sequence of the intersection splits).  The field is
+    that of the ideal's ring.
     """
     _require_proper_nonzero(a)
     return _proj_dim(a)
@@ -130,21 +131,18 @@ def proj_dim(a: MonomialIdeal) -> int:
 
 @memo
 def _proj_dim(a: MonomialIdeal) -> int:
-    components = _support_components(a)
-    if len(components) > 1:
+    if a.mu <= TAYLOR_DISPATCH_BOUND:
+        pd = max(homology.taylor_homology(a))
+    elif len(components := _support_components(a)) > 1:
         pd = sum(
             _proj_dim(MonomialIdeal.from_generators(
                 a.context, [a.generators[k] for k in comp]))
             for comp in components
         )
+    elif (factors := _product_split(a)) is not None:
+        pd = sum(_proj_dim(f) for f in factors) - (len(factors) - 1)
     else:
-        factors = _product_split(a) if a.mu >= 4 else None
-        if factors is not None and len(factors) > 1:
-            pd = sum(_proj_dim(f) for f in factors) - (len(factors) - 1)
-        elif a.mu <= TAYLOR_DISPATCH_BOUND:
-            pd = max(homology.taylor_homology(a))
-        else:
-            pd = homology.koszul_proj_dim(a)
+        pd = homology.koszul_proj_dim(a)
     # Hilbert's syzygy theorem, and the length of the Taylor resolution
     _check(1 <= pd <= min(a.context.n, a.mu), "1 <= pd <= min(n, mu)")
     return pd

@@ -282,20 +282,32 @@ def parse(
     text: str, field: FieldSpec = FieldSpec.rationals()
 ) -> tuple[RingContext, IdealExpression]:
     """Parse a full program: a ring declaration followed by an expression."""
-    variables, node = _Parser(text).program()
+    parser = _Parser(text)
+    try:
+        variables, node = parser.program()
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError("brackets nested too deeply", tok.line, tok.column) from None
     return RingContext(variables, field), node
 
 
 def evaluate(ctx: RingContext, node: IdealExpression) -> MonomialIdeal:
     """Fold an expression tree into a monomial ideal."""
+    try:
+        return _evaluate(ctx, node)
+    except RecursionError:
+        raise EvaluationError("expression nested too deeply to evaluate") from None
+
+
+def _evaluate(ctx: RingContext, node: IdealExpression) -> MonomialIdeal:
     if isinstance(node, Literal):
         return MonomialIdeal.from_generators(
             ctx, [Monomial(ctx, row) for row in node.rows]
         )
     if isinstance(node, BinaryOp):
-        return _BINARY[node.op](evaluate(ctx, node.left), evaluate(ctx, node.right))
+        return _BINARY[node.op](_evaluate(ctx, node.left), _evaluate(ctx, node.right))
     if isinstance(node, PowerOp):
-        base = evaluate(ctx, node.base)
+        base = _evaluate(ctx, node.base)
         try:
             return _POWER[node.bracket](base, node.exponent)
         except ValueError as exc:
@@ -353,7 +365,10 @@ def _format(node: IdealExpression, variables: tuple[str, ...]) -> tuple[str, int
 
 def format_program(ctx: RingContext, node: IdealExpression) -> str:
     """Canonical text form; parsing and reprinting it is a fixed point."""
-    body, _ = _format(node, ctx.variables)
+    try:
+        body, _ = _format(node, ctx.variables)
+    except RecursionError:
+        raise EvaluationError("expression nested too deeply to print") from None
     return f"ring {', '.join(ctx.variables)}; {body}"
 
 

@@ -223,17 +223,14 @@ def check_disjoint_prime_intersection(
     for s in prime_sets:
         if not s:
             raise ValueError("primes must be nonempty")
+        if not set(s) <= set(range(ctx.n)):
+            raise ValueError(f"variable indices must lie in 0..{ctx.n - 1}")
+        if len(set(s)) != len(s):
+            raise ValueError("a prime's variable indices must be distinct")
         if seen & set(s):
             raise ValueError("variable sets must be pairwise disjoint")
         seen |= set(s)
-    primes = []
-    for s in prime_sets:
-        rows = []
-        for i in s:
-            row = [0] * ctx.n
-            row[i] = 1
-            rows.append(row)
-        primes.append(MonomialIdeal.from_exponents(ctx, rows))
+    primes = [_variable_prime(ctx, frozenset(s)) for s in prime_sets]
     ideal = primes[0]
     for p in primes[1:]:
         ideal = ideal & p

@@ -20,7 +20,6 @@ from stci.core import (
     ResourceLimitError,
     RingContext,
     _minimal_exponent_rows,
-    minimalize,
 )
 
 from oracles import (
@@ -50,7 +49,7 @@ def mono(ctx, row):
 
 
 def test_minimalize_drops_divisible_generators():
-    a = minimalize([
+    a = MonomialIdeal.from_generators(CTX3, [
         mono(CTX3, (2, 1, 0)),  # x^2 y
         mono(CTX3, (1, 1, 0)),  # x y
         mono(CTX3, (3, 0, 0)),  # x^3
@@ -61,12 +60,11 @@ def test_minimalize_drops_divisible_generators():
 def test_minimalize_empty_is_zero_ideal():
     z = CTX3.zero_ideal()
     assert z.is_zero and z.mu == 0
-    with pytest.raises(ValueError):
-        minimalize([])
+    assert MonomialIdeal.from_generators(CTX3, []) == z
 
 
 def test_minimalize_removes_duplicates():
-    a = minimalize([mono(CTX2, (1, 1)), mono(CTX2, (1, 1))])
+    a = MonomialIdeal.from_generators(CTX2, [mono(CTX2, (1, 1)), mono(CTX2, (1, 1))])
     assert a.mu == 1
 
 
@@ -92,7 +90,8 @@ def test_mixed_contexts_rejected():
     with pytest.raises(ContextMismatchError):
         ideal(CTX3, (1, 0, 0)) + MonomialIdeal.from_exponents(other, [(0, 1, 0)])
     with pytest.raises(ContextMismatchError):
-        minimalize([mono(CTX3, (1, 0, 0)), mono(other, (1, 0, 0))])
+        MonomialIdeal.from_generators(
+            CTX3, [mono(CTX3, (1, 0, 0)), mono(other, (1, 0, 0))])
 
 
 def test_unit_and_zero_flow_through_operations():

@@ -57,20 +57,19 @@ def intersect_all(ideals):
 def test_decomposition_splits_mixed_generator():
     ctx = RingContext(("x", "y"))
     comps = irreducible_decomposition(ideal(ctx, (2, 0), (1, 1)))
-    as_ideals = sorted(str(c.ideal()) for c in comps)
-    assert as_ideals == ["(x)", "(x^2, y)"]
-    assert intersect_all([c.ideal() for c in comps]) == ideal(ctx, (2, 0), (1, 1))
+    assert [str(c) for c in comps] == ["(x^2, y)", "(x)"]
+    assert intersect_all(comps) == ideal(ctx, (2, 0), (1, 1))
 
 
 def test_decomposition_of_triangle_is_three_primes():
     comps = irreducible_decomposition(triangle())
-    assert sorted(str(c.ideal()) for c in comps) == ["(x, y)", "(x, z)", "(y, z)"]
+    assert [str(c) for c in comps] == ["(x, y)", "(x, z)", "(y, z)"]
 
 
 def test_already_irreducible():
     ctx = RingContext(("x",))
     comps = irreducible_decomposition(ideal(ctx, (2,)))
-    assert len(comps) == 1 and str(comps[0].ideal()) == "(x^2)"
+    assert len(comps) == 1 and str(comps[0]) == "(x^2)"
 
 
 def test_decomposition_rejects_zero_and_unit():
@@ -83,8 +82,11 @@ def test_decomposition_rejects_zero_and_unit():
 def test_component_radical_is_its_support_prime():
     comps = irreducible_decomposition(ideal(CTX3, (2, 1, 0), (0, 0, 3)))
     for c in comps:
-        assert c.radical_prime() == c.ideal().radical()
-        assert c.support()
+        # pure powers of distinct variables, whose radical is their support
+        assert all(len(g.support()) == 1 for g in c.generators)
+        assert c.mu == len(c.support()) >= 1
+        assert c.radical() == MonomialIdeal.from_exponents(
+            CTX3, [[int(j == i) for j in range(3)] for i in c.support()])
 
 
 def rows_strategy(n, max_exp, max_gens):
@@ -97,11 +99,11 @@ def test_reintersection_recovers_the_ideal(rows):
     ctx = RingContext(("a", "b", "c", "d", "e"))
     a = MonomialIdeal.from_exponents(ctx, rows)
     comps = irreducible_decomposition(a)
-    assert intersect_all([c.ideal() for c in comps]) == a
+    assert intersect_all(comps) == a
     # irredundance: dropping any component changes the intersection
     if len(comps) > 1:
         for k in range(len(comps)):
-            rest = [c.ideal() for i, c in enumerate(comps) if i != k]
+            rest = [c for i, c in enumerate(comps) if i != k]
             assert intersect_all(rest) != a
 
 
@@ -135,14 +137,21 @@ def test_decomposition_matches_splitting_oracle_seeded():
     # variables on, so mixed-degree ideals stop at four generators
     rng = random.Random(11)
     for a in seeded_ideals(rng, 80, 6, 3, 4) + seeded_ideals(rng, 80, 6, 1, 7):
-        got = [c.ideal() for c in irreducible_decomposition(a)]
+        got = list(irreducible_decomposition(a))
         assert got == irreducible_decomposition_oracle(a), str(a)
 
 
 @given(st.one_of(ideals_strategy(6, 3, 4), ideals_strategy(6, 1, 7)))
 def test_decomposition_matches_splitting_oracle(a):
-    got = [c.ideal() for c in irreducible_decomposition(a)]
+    got = list(irreducible_decomposition(a))
     assert got == irreducible_decomposition_oracle(a)
+
+
+def test_squarefree_components_are_the_minimal_primes():
+    # a squarefree ideal is its own radical, so both routes give one tuple
+    rng = random.Random(13)
+    for a in seeded_ideals(rng, 80, 9, 1, 10):
+        assert irreducible_decomposition(a) == minimal_primes(a), str(a)
 
 
 def test_path_decomposition_within_budget():
@@ -187,7 +196,7 @@ def test_minimal_primes_agree_with_decomposition_route():
         a = MonomialIdeal.from_exponents(CTX4, rows)
         via_covers = set(minimal_primes(a))
         comps = irreducible_decomposition(a)
-        radicals = {c.radical_prime() for c in comps}
+        radicals = {c.radical() for c in comps}
         via_comps = {
             p for p in radicals
             if not any(q != p and p.contains_ideal(q) for q in radicals)

@@ -18,6 +18,7 @@ import stci.invariants as invariants
 from stci.core import MEMOS, FieldSpec, MonomialIdeal, ResourceLimitError, RingContext
 from stci.decomposition import dim_quotient
 from stci.homology import local_cohomology_nonvanishing
+from stci.parser import evaluate_program
 from stci.invariants import (
     analytic_spread,
     cohomological_dimension,
@@ -131,7 +132,8 @@ def test_sum_split_matches_taylor(rows_a, rows_b):
         return
     from stci.homology import taylor_homology
     assert dict(enumerate(betti_numbers_oracle(c))) == taylor_homology(c)
-    assert proj_dim(c) == max(taylor_homology(c))
+    # mu <= 6 goes to Taylor, so check the identity the sum split relies on
+    assert proj_dim(c) == max(taylor_homology(c)) == proj_dim(a) + proj_dim(b)
 
 
 @given(rows_strategy(2, 2, 3), rows_strategy(2, 2, 3))
@@ -143,7 +145,8 @@ def test_product_split_matches_taylor(rows_a, rows_b):
     assert c == (a & b)
     from stci.homology import taylor_homology
     assert dict(enumerate(betti_numbers_oracle(c))) == taylor_homology(c)
-    assert proj_dim(c) == max(taylor_homology(c))
+    # mu <= 8 goes to Taylor, so check the identity the product split relies on
+    assert proj_dim(c) == max(taylor_homology(c)) == proj_dim(a) + proj_dim(b) - 1
 
 
 @given(rows_strategy(3, 3, 4))
@@ -245,6 +248,17 @@ def test_proj_dim_matches_betti_oracle_past_64_variables():
         assert proj_dim(over_field(a, field)) == 6
 
 
+@pytest.mark.parametrize("expression, pd", [
+    # mu 1225: without the product split the lattice passes its bound
+    ("[(x1,x2,x3,x4)*(x5,x6,x7,x8)]^4", 7),
+    # mu 70: without the sum split the lattice passes its bound
+    ("[(x1,x2,x3,x4)^4]+[(x5,x6,x7,x8)^4]", 8),
+])
+def test_proj_dim_splits_large_ideals_before_the_lattice(expression, pd):
+    a = evaluate_program(f"ring x1,x2,x3,x4,x5,x6,x7,x8; {expression}")
+    assert proj_dim(a) == pd
+
+
 @settings(max_examples=20)
 @given(rows_strategy(4, 3, 12))
 def test_proj_dim_matches_betti_oracle_drawn(rows):
@@ -333,8 +347,9 @@ def test_memo_keys_carry_the_field():
 
 
 def test_each_invariant_of_one_ideal_is_computed_once():
-    # (x1,x3)(x2,x4) splits as a product, so proj_dim asks for the radical
-    # and the minimal primes again; horizon 1 keeps powers out
+    # (x1,x3)(x2,x4) has mu 4 and goes to the Taylor complex, so proj_dim
+    # asks for neither the radical nor the minimal primes; horizon 1 keeps
+    # powers out
     invariants.clear_caches()
     check_chain(two_planes())
     check_dg_dichotomy(two_planes(), 1)

@@ -260,14 +260,73 @@ def test_cli_report_horizon_flag(monkeypatch):
     assert horizon([]) == 3
 
 
+# (program, generators, components, minimal primes) of ``decompose``
+DECOMPOSE_CASES = [
+    ("ring x,y; (x^2, x*y)", ["x^2", "x*y"], [["x^2", "y"], ["x"]], [["x"]]),
+    ("ring x,y,z; (x^3*y, x*y^2*z, y^3, x^2*z^2)",
+     ["x^3*y", "x^2*z^2", "x*y^2*z", "y^3"],
+     [["x^3", "y^3", "z"], ["x^3", "y^2", "z^2"], ["x^2", "y^2"], ["x", "y^3"],
+      ["y", "z^2"]],
+     [["x", "y"], ["y", "z"]]),
+    (TWO_PLANES, ["x1*x3", "x1*x4", "x2*x3", "x2*x4"],
+     [["x1", "x2"], ["x3", "x4"]], [["x1", "x2"], ["x3", "x4"]]),
+]
+
+
 def test_cli_eval_and_decompose():
     code, out, _ = run_cli(["eval", "ring x,y,z; (x,y) & (y,z)"])
     assert code == EXIT_OK
     assert out.strip() == "ring x, y, z; (x*z, y)"
-    code, out, _ = run_cli(["decompose", "--json", "ring x,y; (x^2, x*y)"])
-    payload = json.loads(out)
-    assert payload["components"] == [["x^2", "y"], ["x"]]
-    assert payload["minimal_primes"] == [["x"]]
+    for program, gens, components, primes in DECOMPOSE_CASES:
+        variables = program[len("ring "):program.index(";")].split(",")
+        code, out, _ = run_cli(["decompose", program])
+        assert code == EXIT_OK
+        assert out == "".join(
+            [f"ring {', '.join(variables)} over rational\n",
+             f"ideal ({', '.join(gens)})\n"]
+            + [f"component ({', '.join(c)})\n" for c in components]
+            + [f"minimal prime ({', '.join(p)})\n" for p in primes]
+        )
+        code, out, _ = run_cli(["decompose", "--json", program])
+        assert code == EXIT_OK
+        assert out == json.dumps({
+            "ring": {"variables": variables, "field": "rational"},
+            "ideal": {"generators": gens},
+            "components": components,
+            "minimal_primes": primes,
+        }, indent=2) + "\n"
+
+
+def nested(depth):
+    return "ring x; " + "[" * depth + "(x)" + "]" * depth
+
+
+def long_sum(terms):
+    return "ring x; " + " + ".join(["(x)"] * terms)
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_cli_deep_or_long_expressions_exit_2(command):
+    # the parser recurses once per bracket and evaluation once per operator
+    for program in (nested(500), long_sum(1200)):
+        code, out, err = run_cli([command, program])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "nested too deeply" in err
+    for program in (nested(300), long_sum(500)):
+        code, out, _ = run_cli([command, program])
+        assert code == EXIT_OK
+        assert "(x)" in out
+
+
+def test_deep_expressions_raise_documented_errors():
+    with pytest.raises(ParseError, match="brackets nested too deeply"):
+        parse(nested(2000))
+    ctx, node = parse(long_sum(3000))
+    with pytest.raises(EvaluationError, match="too deeply to evaluate"):
+        evaluate(ctx, node)
+    with pytest.raises(EvaluationError, match="too deeply to print"):
+        format_program(ctx, node)
 
 
 def test_cli_parse_error_exit_code():

@@ -122,6 +122,13 @@ def test_disjoint_primes_examples():
         check_disjoint_prime_intersection(CTX4, [[0, 1], [1, 2]], 3)
     with pytest.raises(ValueError):
         check_disjoint_prime_intersection(CTX4, [], 3)
+    # an index outside the ring names no variable
+    for bad in ([[0, 4]], [[-1], [0]]):
+        with pytest.raises(ValueError, match="0..3"):
+            check_disjoint_prime_intersection(CTX4, bad, 3)
+    # a repeated index would count one variable twice in the expected cd
+    with pytest.raises(ValueError, match="distinct"):
+        check_disjoint_prime_intersection(CTX4, [[0, 0], [1]], 3)
 
 
 def test_frobenius_examples():
