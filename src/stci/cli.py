@@ -120,8 +120,11 @@ REPORT_SCHEMA = {
 
 def _read_program(arg: str) -> str:
     if os.path.isfile(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(arg, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {arg}: {exc.strerror}") from None
     return arg
 
 

@@ -8,14 +8,15 @@ returns fresh objects and never mutates its inputs.
 
 Conventions: the zero ideal is the empty generator set, the unit ideal is
 generated by the monomial 1.  Both flow through all operations without
-special-casing by callers.
+special-casing by callers; the invariants reject both in
+:func:`require_proper`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -35,14 +36,30 @@ PAIR_CELL_BOUND = 1 << 22
 MEMO_SIZE = 1 << 12
 # Every memo made by ``memo``; ``invariants.clear_caches`` empties them all.
 MEMOS: list = []
+# Prime-field moduli lie below this bound, where trial division settles
+# primality in a few milliseconds.
+MODULUS_BOUND = 2**31
 
 
 def memo(fn):
     """``fn`` with its results kept in a bounded LRU memo, keyed by its
-    (hashable, immutable) arguments and listed in ``MEMOS``."""
+    (hashable, immutable) arguments and listed in ``MEMOS``.  The result is
+    a plain function, so it binds as a method and tracers can wrap it."""
     cached = lru_cache(maxsize=MEMO_SIZE)(fn)
-    MEMOS.append(cached)
-    return cached
+
+    @wraps(fn)
+    def memoized(*args, **kwargs):
+        return cached(*args, **kwargs)
+
+    memoized.cache_info, memoized.cache_clear = cached.cache_info, cached.cache_clear
+    MEMOS.append(memoized)
+    return memoized
+
+
+def require_proper(a: MonomialIdeal) -> None:
+    """Raise ValueError unless ``a`` is a proper, nonzero ideal."""
+    if a.is_zero or a.is_unit:
+        raise ValueError(f"expected a proper, nonzero ideal, got {a}")
 
 
 class ContextMismatchError(ValueError):
@@ -73,8 +90,11 @@ class FieldSpec:
     modulus: int | None = None  # None means the rationals
 
     def __post_init__(self):
-        if self.modulus is not None and not _is_prime(self.modulus):
-            raise ValueError(f"field modulus must be prime, got {self.modulus}")
+        q = self.modulus
+        if q is not None and not (q < MODULUS_BOUND and _is_prime(q)):
+            raise ValueError(
+                f"field modulus must be a prime below {MODULUS_BOUND}, got {q}"
+            )
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
@@ -452,8 +472,11 @@ class MonomialIdeal:
                 return current
             current = nxt
 
+    @memo
     def radical(self) -> "MonomialIdeal":
-        return _radical(self)
+        return MonomialIdeal.from_generators(
+            self.context, [g.radical() for g in self.generators]
+        )
 
     def bracket_power(self, q: int) -> "MonomialIdeal":
         """The ideal of q-th powers of the minimal generators."""
@@ -478,9 +501,3 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return f"MonomialIdeal{self}"
-
-
-@memo
-def _radical(a: MonomialIdeal) -> MonomialIdeal:
-    return MonomialIdeal.from_generators(a.context, [g.radical() for g in a.generators])
-

@@ -13,12 +13,7 @@ powers of squarefree ideals are derived from the minimal primes.
 
 from __future__ import annotations
 
-from .core import Monomial, MonomialIdeal, RingContext, memo
-
-
-def _require_proper_nonzero(a: MonomialIdeal) -> None:
-    if a.is_zero or a.is_unit:
-        raise ValueError("operation requires a proper, nonzero ideal")
+from .core import Monomial, MonomialIdeal, RingContext, memo, require_proper
 
 
 def _contains(q: tuple[int, ...], p: tuple[int, ...]) -> bool:
@@ -96,10 +91,11 @@ def _variable_prime(ctx: RingContext, variables: frozenset[int]) -> MonomialIdea
 def irreducible_decomposition(a: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     """Irredundant irreducible components whose intersection is ``a``,
     sorted by their generator lists."""
-    _require_proper_nonzero(a)
+    require_proper(a)
     return _component_ideals(a.context, [g.exponents for g in a.generators])
 
 
+@memo
 def minimal_primes(a: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     """Inclusion-minimal primes over ``a``; each is generated by variables.
 
@@ -107,19 +103,13 @@ def minimal_primes(a: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     are the distinct supports of the generators of ``a``.  Sorted by their
     variable lists.
     """
-    _require_proper_nonzero(a)
-    return _minimal_primes(a)
-
-
-@memo
-def _minimal_primes(a: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
+    require_proper(a)
     rows = sorted({tuple(min(e, 1) for e in g.exponents) for g in a.generators})
     return _component_ideals(a.context, rows)
 
 
 def height(a: MonomialIdeal) -> int:
     """Minimum number of variables generating a minimal prime of ``a``."""
-    _require_proper_nonzero(a)
     return min(p.mu for p in minimal_primes(a))
 
 
@@ -134,7 +124,7 @@ def symbolic_power(a: MonomialIdeal, t: int) -> MonomialIdeal:
     For squarefree ideals this is the intersection of the t-th ordinary
     powers of the minimal primes.  General monomial ideals are rejected.
     """
-    _require_proper_nonzero(a)
+    require_proper(a)
     if t < 1:
         raise ValueError("symbolic power needs t >= 1")
     if a.radical() != a:

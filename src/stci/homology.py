@@ -30,6 +30,7 @@ from .core import (
     FieldSpec,
     MonomialIdeal,
     ResourceLimitError,
+    require_proper,
 )
 from .decomposition import minimal_primes
 
@@ -224,8 +225,7 @@ def taylor_homology(a: MonomialIdeal) -> dict[int, int]:
     :func:`koszul_proj_dim` gives the projective dimension of larger
     ideals, in particular powers.
     """
-    if a.is_unit or a.is_zero:
-        raise ValueError("betti numbers need a proper, nonzero ideal")
+    require_proper(a)
     field = a.context.field
     mu = a.mu
     if mu > TAYLOR_GENERATOR_BOUND:
@@ -384,8 +384,7 @@ def koszul_proj_dim(a: MonomialIdeal) -> int:
     from the top down, and the first nonzero homology ends the complex.
     Each distinct complex is ranked once.
     """
-    if a.is_unit or a.is_zero:
-        raise ValueError("projective dimension needs a proper, nonzero ideal")
+    require_proper(a)
     q = a.context.field.modulus
     n = a.context.n
     lattice = lcm_lattice(a)
@@ -442,8 +441,7 @@ def local_cohomology_nonvanishing(a: MonomialIdeal) -> frozenset[int]:
     containing sigma; when those share a vertex, the link is a cone with no
     reduced homology and is skipped.
     """
-    if a.is_unit or a.is_zero:
-        raise ValueError("local cohomology support needs a proper, nonzero ideal")
+    require_proper(a)
     if not a.is_squarefree:
         raise ValueError("this computation requires a squarefree ideal")
     n = a.context.n

@@ -6,11 +6,14 @@ cohomological dimension from the radical's projective dimension, formal
 grade from the dimension formula, analytic spread from the compact faces of
 the Newton polyhedron, and the arithmetic-rank upper bound from a
 Schmitt-Vogel partition search.  Invariants that depend on the coefficient
-field, from the projective dimension on, use the field of the ideal's ring,
-and every memo is keyed by the ideal alone.
+field, from the projective dimension on, use the field of the ideal's ring.
+Each memoized invariant is the public function itself, which rejects the
+zero and unit ideal first; entries that only call one of them leave the
+check to it.
 
 Depth of high powers carries an explicit horizon and is never presented as
-certified: no effective stabilization bound is assumed.
+certified: no effective stabilization bound is assumed.  dg, the formal
+grade minus that minimum, is computed in :func:`dg` alone.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-import numpy as np
-
 from . import homology
-from .core import MEMOS, Monomial, MonomialIdeal, ResourceLimitError, memo
+from .core import (MEMOS, Monomial, MonomialIdeal, ResourceLimitError, memo,
+                   require_proper)
 from .decomposition import dim_quotient, height, minimal_primes
 from .linfeas import _bits, newton_facets
 
@@ -36,14 +38,9 @@ NEWTON_FACET_BOUND = 1 << 12
 
 def clear_caches() -> None:
     """Empty every memo: projective dimension, minimal primes, radical,
-    analytic spread and the Schmitt-Vogel bound."""
+    analytic spread, the Schmitt-Vogel bound and depth of powers."""
     for cached in MEMOS:
         cached.cache_clear()
-
-
-def _require_proper_nonzero(a: MonomialIdeal) -> None:
-    if a.is_zero or a.is_unit:
-        raise ValueError("invariants require a proper, nonzero ideal")
 
 
 def _check(ok: bool, relation: str) -> None:
@@ -115,6 +112,7 @@ def _product_split(a: MonomialIdeal) -> list[MonomialIdeal] | None:
     return factors
 
 
+@memo
 def proj_dim(a: MonomialIdeal) -> int:
     """Projective dimension of R/a.
 
@@ -125,22 +123,17 @@ def proj_dim(a: MonomialIdeal) -> int:
     Mayer-Vietoris sequence of the intersection splits).  The field is
     that of the ideal's ring.
     """
-    _require_proper_nonzero(a)
-    return _proj_dim(a)
-
-
-@memo
-def _proj_dim(a: MonomialIdeal) -> int:
+    require_proper(a)
     if a.mu <= TAYLOR_DISPATCH_BOUND:
         pd = max(homology.taylor_homology(a))
     elif len(components := _support_components(a)) > 1:
         pd = sum(
-            _proj_dim(MonomialIdeal.from_generators(
+            proj_dim(MonomialIdeal.from_generators(
                 a.context, [a.generators[k] for k in comp]))
             for comp in components
         )
     elif (factors := _product_split(a)) is not None:
-        pd = sum(_proj_dim(f) for f in factors) - (len(factors) - 1)
+        pd = sum(proj_dim(f) for f in factors) - (len(factors) - 1)
     else:
         pd = homology.koszul_proj_dim(a)
     # Hilbert's syzygy theorem, and the length of the Taylor resolution
@@ -160,13 +153,11 @@ def cohomological_dimension(a: MonomialIdeal) -> int:
     for squarefree ideals cd equals the projective dimension of the
     quotient, so we compute pd(R / rad a).
     """
-    _require_proper_nonzero(a)
     return proj_dim(a.radical())
 
 
 def formal_grade(a: MonomialIdeal) -> int:
     """Least nonvanishing index of formal local cohomology, as n - cd."""
-    _require_proper_nonzero(a)
     fg = a.context.n - cohomological_dimension(a)
     if a.is_squarefree:
         _check(fg == depth(a), "squarefree formal grade equals depth")
@@ -248,6 +239,7 @@ def _compact_faces(points) -> dict[int, tuple[int, ...]]:
     return found
 
 
+@memo
 def analytic_spread(a: MonomialIdeal) -> int:
     """l(a): one plus the top dimension of a compact face of the Newton
     polyhedron; for ideals generated in one degree, the rank of the
@@ -256,16 +248,11 @@ def analytic_spread(a: MonomialIdeal) -> int:
     Variables in no generator only add a free orthant factor, so they are
     dropped.
     """
-    _require_proper_nonzero(a)
-    return _analytic_spread(a)
-
-
-@memo
-def _analytic_spread(a: MonomialIdeal) -> int:
+    require_proper(a)
     points = [g.exponents for g in a.generators]
     degrees = {sum(p) for p in points}
     if len(degrees) == 1:
-        return homology.rank(np.array(points, dtype=np.int64))
+        return homology.rank(points)
     used = [j for j in range(a.context.n) if any(p[j] for p in points)]
     points = [tuple(p[j] for j in used) for p in points]
     return 1 + max(
@@ -427,6 +414,7 @@ def _sv_greedy(gens: list[Monomial], pair_div: dict[tuple[int, int], int]) -> li
     return best
 
 
+@memo
 def schmitt_vogel_upper(a: MonomialIdeal) -> AraBounds:
     """Upper bound on the arithmetic rank from a Schmitt-Vogel partition.
 
@@ -436,12 +424,7 @@ def schmitt_vogel_upper(a: MonomialIdeal) -> AraBounds:
     to radical.  Exhaustive for mu <= ``SV_EXACT_BOUND``, greedy beyond; the
     singleton partition is always valid, so upper <= mu.
     """
-    _require_proper_nonzero(a)
-    return _schmitt_vogel_upper(a)
-
-
-@memo
-def _schmitt_vogel_upper(a: MonomialIdeal) -> AraBounds:
+    require_proper(a)
     gens = list(a.generators)
     mu = len(gens)
     pair_div = _pair_divisors([g.exponents for g in gens])
@@ -477,14 +460,15 @@ class DgResult(NamedTuple):
     horizon: int
 
 
+@memo
 def min_depth_powers(a: MonomialIdeal, horizon: int) -> MinDepthResult:
     """min over 1 <= t <= horizon of depth R/a^t; explicitly uncertified.
 
     Stabilization of depth of powers holds eventually, but no effective
     bound for the onset is used here; the horizon is reported alongside.
-    Short-circuits once depth zero is reached.
+    Short-circuits once depth zero is reached; memoized on ``(a, horizon)``.
     """
-    _require_proper_nonzero(a)
+    require_proper(a)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     power = a
@@ -565,7 +549,6 @@ class InvariantReport:
 
 def report(a: MonomialIdeal, horizon: int = 3) -> InvariantReport:
     """Assemble the full invariant report; internal inequalities checked."""
-    _require_proper_nonzero(a)
     n = a.context.n
     ht = height(a)
     dim_q = dim_quotient(a)
@@ -576,7 +559,7 @@ def report(a: MonomialIdeal, horizon: int = 3) -> InvariantReport:
     spread = analytic_spread(a)
     ara = schmitt_vogel_upper(a)
     md = min_depth_powers(a, horizon)
-    dg_res = DgResult(fg - md.value, horizon)
+    dg_res = dg(a, horizon)
     squarefree = a.is_squarefree
     rep = InvariantReport(
         mu=a.mu,

@@ -99,7 +99,7 @@ def check_dg_dichotomy(
     spread = invariants.analytic_spread(a)
     md = invariants.min_depth_powers(a, horizon)
     fg = invariants.formal_grade(a)
-    dg_value = fg - md.value
+    dg_value = invariants.dg(a, horizon).value
     witness = _ideal_witness(a) | {
         "checker": "dg-dichotomy",
         "horizon": horizon,

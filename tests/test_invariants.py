@@ -298,11 +298,12 @@ def test_proj_dim_check_survives_python_optimize():
 
 
 MEMOIZED = {
-    "stci.core._radical",
-    "stci.decomposition._minimal_primes",
-    "stci.invariants._proj_dim",
-    "stci.invariants._analytic_spread",
-    "stci.invariants._schmitt_vogel_upper",
+    "stci.core.MonomialIdeal.radical",
+    "stci.decomposition.minimal_primes",
+    "stci.invariants.proj_dim",
+    "stci.invariants.analytic_spread",
+    "stci.invariants.schmitt_vogel_upper",
+    "stci.invariants.min_depth_powers",
 }
 
 
@@ -343,20 +344,58 @@ def test_memo_keys_carry_the_field():
     invariants.clear_caches()
     assert proj_dim(a) == 3
     assert proj_dim(over_field(a, FieldSpec.prime(2))) == 4
-    assert invariants._proj_dim.cache_info().misses == 2
+    assert proj_dim.cache_info().misses == 2
 
 
 def test_each_invariant_of_one_ideal_is_computed_once():
     # (x1,x3)(x2,x4) has mu 4 and goes to the Taylor complex, so proj_dim
     # asks for neither the radical nor the minimal primes; horizon 1 keeps
-    # powers out
+    # powers out.  check_dg_dichotomy asks for min_depth_powers itself and
+    # again through dg
     invariants.clear_caches()
     check_chain(two_planes())
     check_dg_dichotomy(two_planes(), 1)
     memos = memos_by_name()
-    for name in MEMOIZED - {"stci.invariants._proj_dim"}:
+    for name in MEMOIZED - {"stci.invariants.proj_dim"}:
         info = memos[name].cache_info()
         assert info.misses == 1 and info.hits >= 1, (name, info)
+
+
+# every public entry that takes an ideal, with its other arguments fixed
+GUARDED = {
+    "proj_dim": proj_dim,
+    "depth": depth,
+    "cohomological_dimension": cohomological_dimension,
+    "formal_grade": formal_grade,
+    "analytic_spread": analytic_spread,
+    "schmitt_vogel_upper": schmitt_vogel_upper,
+    "min_depth_powers": lambda a: min_depth_powers(a, 2),
+    "dg": lambda a: dg(a, 2),
+    "report": lambda a: report(a, 2),
+    "minimal_primes": decomposition.minimal_primes,
+    "height": decomposition.height,
+    "irreducible_decomposition": decomposition.irreducible_decomposition,
+    "symbolic_power": lambda a: decomposition.symbolic_power(a, 2),
+    "taylor_homology": homology.taylor_homology,
+    "koszul_proj_dim": homology.koszul_proj_dim,
+    "local_cohomology_nonvanishing": local_cohomology_nonvanishing,
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_every_entry_rejects_zero_and_unit_ideals(name, warm):
+    # a memo keeps no exception, so a rejected ideal is rejected on every
+    # call, whatever the memos already hold for other ideals of its ring
+    entry = GUARDED[name]
+    invariants.clear_caches()
+    if warm:
+        report(two_planes(), 2)
+        entry(two_planes())
+    for a in (CTX4.zero_ideal(), CTX4.unit_ideal()):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="expected a proper, nonzero ideal"):
+                entry(a)
 
 
 @pytest.mark.parametrize("squarefree", [False, True])
@@ -367,15 +406,17 @@ def test_memoized_results_equal_direct_computation(squarefree):
     for _ in range(12):
         a = random_ideal(spec, rng)
         for _ in range(2):  # the second round reads the memos
-            assert a.radical() == direct["stci.core._radical"](a)
+            assert a.radical() == direct["stci.core.MonomialIdeal.radical"](a)
             assert decomposition.minimal_primes(a) == direct[
-                "stci.decomposition._minimal_primes"](a)
-            assert analytic_spread(a) == direct["stci.invariants._analytic_spread"](a)
+                "stci.decomposition.minimal_primes"](a)
+            assert analytic_spread(a) == direct["stci.invariants.analytic_spread"](a)
+            assert min_depth_powers(a, 2) == direct[
+                "stci.invariants.min_depth_powers"](a, 2)
             for field in (FieldSpec.rationals(), FieldSpec.prime(7)):
                 b = over_field(a, field)
-                assert proj_dim(b) == direct["stci.invariants._proj_dim"](b)
+                assert proj_dim(b) == direct["stci.invariants.proj_dim"](b)
                 assert schmitt_vogel_upper(b) == direct[
-                    "stci.invariants._schmitt_vogel_upper"](b)
+                    "stci.invariants.schmitt_vogel_upper"](b)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +749,7 @@ def test_sv_greedy_fallback_still_valid(monkeypatch):
     assert a.mu > 4
     monkeypatch.setattr(invariants, "SV_EXACT_BOUND", 4)
     # past the memo, which is keyed by the ideal alone
-    sv = invariants._schmitt_vogel_upper.__wrapped__(a)
+    sv = schmitt_vogel_upper.__wrapped__(a)
     assert sv.upper <= a.mu
     assert is_valid_sv_partition(a, sv.witness)
 

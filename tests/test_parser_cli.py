@@ -21,7 +21,7 @@ from stci.cli import (
     REPORT_SCHEMA,
     main,
 )
-from stci.core import MAX_EXPONENT, RingContext
+from stci.core import MAX_EXPONENT, MODULUS_BOUND, RingContext
 from stci.parser import (
     BinaryOp,
     EvaluationError,
@@ -425,7 +425,8 @@ def test_tracer_still_wraps_the_memoized_public_functions():
     import stci.cli, stci.decomposition, stci.invariants  # noqa: F401, E401
 
     traced = ["decomposition.minimal_primes", "invariants.analytic_spread",
-              "invariants.schmitt_vogel_upper"]
+              "invariants.schmitt_vogel_upper", "invariants.proj_dim",
+              "invariants.min_depth_powers", "core.MonomialIdeal.radical"]
     tracer = bench_spans().Tracer()
     tracer.install()
     try:
@@ -471,6 +472,35 @@ def test_cli_report_from_file(tmp_path):
     code, out, _ = run_cli(["report", "--json", str(path)])
     assert code == EXIT_OK
     assert json.loads(out)["invariants"]["cd"] == 3
+
+
+def test_cli_field_modulus_bound():
+    # 2^31 - 1 is the largest prime below the bound; the prime 2^61 - 1 took
+    # trial division past 30 s before the bound was checked first
+    code, out, _ = run_cli(["report", "--json", "--field", "fp:2147483647", TWO_PLANES])
+    assert code == EXIT_OK
+    assert json.loads(out)["ring"]["field"] == "fp:2147483647"
+    src = str(Path(stci.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "stci.cli", "report", "--field",
+         "fp:2305843009213693951", "ring x; (x)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=10,
+    )
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr == (
+        f"error: field modulus must be a prime below {MODULUS_BOUND}, "
+        "got 2305843009213693951\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/mem"),
+                    reason="needs a file whose read fails")
+def test_cli_unreadable_program_file_exits_2():
+    # reading /proc/self/mem from offset 0 fails with EIO
+    code, out, err = run_cli(["eval", "/proc/self/mem"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: cannot read /proc/self/mem: Input/output error\n"
 
 
 def test_cli_verify_paper():
