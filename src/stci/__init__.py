@@ -37,7 +37,6 @@ from .homology import (
 )
 from .invariants import (
     AraBounds,
-    InvariantReport,
     analytic_spread,
     cohomological_dimension,
     depth,

@@ -31,91 +31,37 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["ring", "ideal", "invariants", "flags"],
-    "additionalProperties": False,
-    "properties": {
-        "ring": {
-            "type": "object",
-            "required": ["variables", "field"],
-            "additionalProperties": False,
-            "properties": {
-                "variables": {"type": "array", "items": {"type": "string"}},
-                "field": {"type": "string"},
-            },
+
+def _object(**properties) -> dict:
+    """The JSON schema of an object with exactly these ``properties``; a
+    property given as a type name has just that type."""
+    return {
+        "type": "object",
+        "required": list(properties),
+        "additionalProperties": False,
+        "properties": {
+            key: {"type": value} if isinstance(value, str) else value
+            for key, value in properties.items()
         },
-        "ideal": {
-            "type": "object",
-            "required": ["generators"],
-            "additionalProperties": False,
-            "properties": {
-                "generators": {"type": "array", "items": {"type": "string"}},
-            },
-        },
-        "invariants": {
-            "type": "object",
-            "required": [
-                "mu", "height", "dim_quotient", "depth", "proj_dim", "cd",
-                "fgrade", "analytic_spread", "ara", "dg", "min_depth_powers",
-            ],
-            "additionalProperties": False,
-            "properties": {
-                "mu": {"type": "integer"},
-                "height": {"type": "integer"},
-                "dim_quotient": {"type": "integer"},
-                "depth": {"type": "integer"},
-                "proj_dim": {"type": "integer"},
-                "cd": {"type": "integer"},
-                "fgrade": {"type": "integer"},
-                "analytic_spread": {"type": "integer"},
-                "ara": {
-                    "type": "object",
-                    "required": ["lower", "upper", "certified"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "lower": {"type": "integer"},
-                        "upper": {"type": "integer"},
-                        "certified": {"type": "boolean"},
-                    },
-                },
-                "dg": {
-                    "type": "object",
-                    "required": ["value", "horizon", "certified"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "value": {"type": "integer"},
-                        "horizon": {"type": "integer"},
-                        "certified": {"type": "boolean", "const": False},
-                    },
-                },
-                "min_depth_powers": {
-                    "type": "object",
-                    "required": ["value", "horizon"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "value": {"type": "integer"},
-                        "horizon": {"type": "integer"},
-                    },
-                },
-            },
-        },
-        "flags": {
-            "type": "object",
-            "required": [
-                "squarefree", "cohen_macaulay", "cohomologically_ci",
-                "stci_certified",
-            ],
-            "additionalProperties": False,
-            "properties": {
-                "squarefree": {"type": "boolean"},
-                "cohen_macaulay": {"type": "boolean"},
-                "cohomologically_ci": {"type": "boolean"},
-                "stci_certified": {"type": "boolean"},
-            },
-        },
-    },
-}
+    }
+
+
+REPORT_SCHEMA = _object(
+    ring=_object(variables={"type": "array", "items": {"type": "string"}},
+                 field="string"),
+    ideal=_object(generators={"type": "array", "items": {"type": "string"}}),
+    invariants=_object(
+        mu="integer", height="integer", dim_quotient="integer", depth="integer",
+        proj_dim="integer", cd="integer", fgrade="integer",
+        analytic_spread="integer",
+        ara=_object(lower="integer", upper="integer", certified="boolean"),
+        dg=_object(value="integer", horizon="integer",
+                   certified={"type": "boolean", "const": False}),
+        min_depth_powers=_object(value="integer", horizon="integer"),
+    ),
+    flags=_object(squarefree="boolean", cohen_macaulay="boolean",
+                  cohomologically_ci="boolean", stci_certified="boolean"),
+)
 
 
 def _read_program(arg: str) -> str:
@@ -143,28 +89,28 @@ def _header(ctx, ideal: MonomialIdeal) -> dict:
     }
 
 
+def _text(value) -> str:
+    """One invariant of the ``report`` payload as its text line shows it."""
+    if isinstance(value, int):
+        return str(value)
+    if "lower" in value:
+        kind = "certified" if value["certified"] else "interval"
+        return f"[{value['lower']}, {value['upper']}] {kind}"
+    kind = "certified" if value.get("certified") else "uncertified"
+    return f"{value['value']} (horizon {value['horizon']}, {kind})"
+
+
 def _cmd_report(args) -> int:
     ctx, _, ideal = _parse_ideal(args)
     rep = invariants.report(ideal, horizon=args.horizon)
-    payload = _header(ctx, ideal) | rep.invariants_dict()
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_header(ctx, ideal) | rep, indent=2))
         return EXIT_OK
     print(str(ctx))
     print(f"ideal {ideal}")
-    inv = payload["invariants"]
-    for key in ("mu", "height", "dim_quotient", "depth", "proj_dim", "cd",
-                "fgrade", "analytic_spread"):
-        print(f"{key:<18} {inv[key]}")
-    ara = inv["ara"]
-    certified = "certified" if ara["certified"] else "interval"
-    print(f"{'ara':<18} [{ara['lower']}, {ara['upper']}] {certified}")
-    print(f"{'dg':<18} {inv['dg']['value']} (horizon {inv['dg']['horizon']}, "
-          "uncertified)")
-    print(f"{'min_depth_powers':<18} {inv['min_depth_powers']['value']} "
-          f"(horizon {inv['min_depth_powers']['horizon']}, uncertified)")
-    flags = payload["flags"]
-    flag_text = " ".join(f"{k}={str(v).lower()}" for k, v in flags.items())
+    for key, value in rep["invariants"].items():
+        print(f"{key:<18} {_text(value)}")
+    flag_text = " ".join(f"{k}={str(v).lower()}" for k, v in rep["flags"].items())
     print(f"{'flags':<18} {flag_text}")
     return EXIT_OK
 
@@ -206,7 +152,7 @@ def _print_checks(args, payload: dict, results) -> int:
     failed = [r for r in results if r.failed]
     if args.json:
         payload |= {
-            "checks": [r.to_json_dict() for r in results],
+            "checks": [vars(r) for r in results],
             "all_pass": not failed,
         }
         print(json.dumps(payload, indent=2))
@@ -233,13 +179,7 @@ def _cmd_fuzz(args) -> int:
     )
     results = fuzz(spec, args.count, horizon=args.horizon)
     payload = {
-        "spec": {
-            "n": spec.n,
-            "squarefree": spec.squarefree,
-            "max_exponent": spec.max_exponent,
-            "max_generators": spec.max_generators,
-            "seed": spec.seed,
-        },
+        "spec": vars(spec),
         "count": args.count,
         "horizon": args.horizon,
     }

@@ -12,15 +12,17 @@ zero and unit ideal first; entries that only call one of them leave the
 check to it.
 
 Depth of high powers carries an explicit horizon and is never presented as
-certified: no effective stabilization bound is assumed.  dg, the formal
-grade minus that minimum, is computed in :func:`dg` alone.
+certified: no effective stabilization bound is assumed.
+:func:`min_depth_powers` returns the minimum over the horizon as an int, and
+dg, the formal grade minus that minimum, is computed in :func:`dg` alone.
+:func:`report` builds the ``invariants`` and ``flags`` of the ``report``
+payload as one dict; the horizon and certification of dg appear only there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
 from . import homology
 from .core import (MEMOS, Monomial, MonomialIdeal, ResourceLimitError, memo,
@@ -449,23 +451,13 @@ def schmitt_vogel_upper(a: MonomialIdeal) -> AraBounds:
 # depth of powers, dg, and the assembled report
 
 
-class MinDepthResult(NamedTuple):
-    value: int
-    horizon: int
-    certified: bool
-
-
-class DgResult(NamedTuple):
-    value: int
-    horizon: int
-
-
 @memo
-def min_depth_powers(a: MonomialIdeal, horizon: int) -> MinDepthResult:
+def min_depth_powers(a: MonomialIdeal, horizon: int) -> int:
     """min over 1 <= t <= horizon of depth R/a^t; explicitly uncertified.
 
     Stabilization of depth of powers holds eventually, but no effective
-    bound for the onset is used here; the horizon is reported alongside.
+    bound for the onset is used here; :func:`report` shows the horizon
+    alongside.
     Short-circuits once depth zero is reached; memoized on ``(a, horizon)``.
     """
     require_proper(a)
@@ -479,77 +471,21 @@ def min_depth_powers(a: MonomialIdeal, horizon: int) -> MinDepthResult:
         power = power * a
         best = min(best, depth(power))
     _check(0 <= best <= a.context.n, "0 <= depth <= n")
-    return MinDepthResult(best, horizon, False)
+    return best
 
 
-def dg(a: MonomialIdeal, horizon: int) -> DgResult:
+def dg(a: MonomialIdeal, horizon: int) -> int:
     """formal grade minus the observed minimum depth of powers."""
-    value = formal_grade(a) - min_depth_powers(a, horizon).value
+    value = formal_grade(a) - min_depth_powers(a, horizon)
     _check(value >= 0, "dg >= 0")
-    return DgResult(value, horizon)
+    return value
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    """Every computed invariant of one ideal, with certification flags."""
-
-    mu: int
-    height: int
-    dim_quotient: int
-    depth: int
-    proj_dim: int
-    cd: int
-    fgrade: int
-    analytic_spread: int
-    ara: AraBounds
-    dg_value: int
-    dg_horizon: int
-    min_depth_value: int
-    min_depth_horizon: int
-    squarefree: bool
-    cohen_macaulay: bool
-    cohomologically_ci: bool
-    stci_certified: bool
-
-    def invariants_dict(self) -> dict:
-        """The invariants/flags payload, in the published key order."""
-        return {
-            "invariants": {
-                "mu": self.mu,
-                "height": self.height,
-                "dim_quotient": self.dim_quotient,
-                "depth": self.depth,
-                "proj_dim": self.proj_dim,
-                "cd": self.cd,
-                "fgrade": self.fgrade,
-                "analytic_spread": self.analytic_spread,
-                "ara": {
-                    "lower": self.ara.lower,
-                    "upper": self.ara.upper,
-                    "certified": self.ara.certified,
-                },
-                "dg": {
-                    "value": self.dg_value,
-                    "horizon": self.dg_horizon,
-                    "certified": False,
-                },
-                "min_depth_powers": {
-                    "value": self.min_depth_value,
-                    "horizon": self.min_depth_horizon,
-                },
-            },
-            "flags": {
-                "squarefree": self.squarefree,
-                "cohen_macaulay": self.cohen_macaulay,
-                "cohomologically_ci": self.cohomologically_ci,
-                "stci_certified": self.stci_certified,
-            },
-        }
-
-
-def report(a: MonomialIdeal, horizon: int = 3) -> InvariantReport:
-    """Assemble the full invariant report; internal inequalities checked."""
+def report(a: MonomialIdeal, horizon: int = 3) -> dict:
+    """The ``invariants`` and ``flags`` of the ``report`` payload, in the
+    published key order; the chain's internal relations are checked."""
     n = a.context.n
+    mu = a.mu
     ht = height(a)
     dim_q = dim_quotient(a)
     pd = proj_dim(a)
@@ -559,32 +495,32 @@ def report(a: MonomialIdeal, horizon: int = 3) -> InvariantReport:
     spread = analytic_spread(a)
     ara = schmitt_vogel_upper(a)
     md = min_depth_powers(a, horizon)
-    dg_res = dg(a, horizon)
-    squarefree = a.is_squarefree
-    rep = InvariantReport(
-        mu=a.mu,
-        height=ht,
-        dim_quotient=dim_q,
-        depth=dep,
-        proj_dim=pd,
-        cd=cd,
-        fgrade=fg,
-        analytic_spread=spread,
-        ara=ara,
-        dg_value=dg_res.value,
-        dg_horizon=horizon,
-        min_depth_value=md.value,
-        min_depth_horizon=horizon,
-        squarefree=squarefree,
-        cohen_macaulay=dep == dim_q,
-        cohomologically_ci=ht == cd,
-        stci_certified=ara.certified and ara.upper == ht,
-    )
-    _check(rep.height <= rep.cd, "height <= cd")
-    _check(rep.ara.lower == rep.cd <= rep.ara.upper <= rep.mu,
-           "ara lower = cd <= ara upper <= mu")
-    _check(rep.cd <= rep.analytic_spread <= rep.mu, "cd <= analytic spread <= mu")
-    _check(rep.depth + rep.proj_dim == n, "depth + proj_dim = n")
-    _check(rep.fgrade == n - rep.cd, "fgrade = n - cd")
-    _check(rep.dg_value >= 0, "dg >= 0")
-    return rep
+    dg_value = dg(a, horizon)
+    _check(ht <= cd, "height <= cd")
+    _check(ara.lower == cd <= ara.upper <= mu, "ara lower = cd <= ara upper <= mu")
+    _check(cd <= spread <= mu, "cd <= analytic spread <= mu")
+    _check(dep + pd == n, "depth + proj_dim = n")
+    _check(fg == n - cd, "fgrade = n - cd")
+    _check(dg_value >= 0, "dg >= 0")
+    return {
+        "invariants": {
+            "mu": mu,
+            "height": ht,
+            "dim_quotient": dim_q,
+            "depth": dep,
+            "proj_dim": pd,
+            "cd": cd,
+            "fgrade": fg,
+            "analytic_spread": spread,
+            "ara": {"lower": ara.lower, "upper": ara.upper,
+                    "certified": ara.certified},
+            "dg": {"value": dg_value, "horizon": horizon, "certified": False},
+            "min_depth_powers": {"value": md, "horizon": horizon},
+        },
+        "flags": {
+            "squarefree": a.is_squarefree,
+            "cohen_macaulay": dep == dim_q,
+            "cohomologically_ci": ht == cd,
+            "stci_certified": ara.certified and ara.upper == ht,
+        },
+    }

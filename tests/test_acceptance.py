@@ -45,7 +45,7 @@ def test_criterion_1_triangle_fixture():
     square = a ** 2
     ok = ok and depth(square) == 0
     ok = ok and formal_grade(a) == 1
-    ok = ok and dg(a, 3).value == 1
+    ok = ok and dg(a, 3) == 1
     formula = (
         evaluate_program("ring x,y,z; (x,y)^2 & (y,z)^2 & (x,z)^2")
         & MonomialIdeal.from_exponents(ctx, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
@@ -61,18 +61,18 @@ def test_criterion_1_triangle_fixture():
 def test_criterion_2_two_planes_fixture():
     start = time.monotonic()
     a = evaluate_program("ring x1,x2,x3,x4; (x1,x2) & (x3,x4)")
-    rep = report(a, horizon=3)
+    inv = report(a, horizon=3)["invariants"]
     ok = (
-        rep.mu == 4
-        and rep.height == 2
-        and rep.dim_quotient == 2
-        and rep.cd == 3
-        and rep.fgrade == 1
-        and rep.min_depth_value == 1
-        and rep.dg_value == 0
-        and rep.analytic_spread == 3
-        and rep.ara.upper == 3
-        and rep.ara.certified
+        inv["mu"] == 4
+        and inv["height"] == 2
+        and inv["dim_quotient"] == 2
+        and inv["cd"] == 3
+        and inv["fgrade"] == 1
+        and inv["min_depth_powers"]["value"] == 1
+        and inv["dg"]["value"] == 0
+        and inv["analytic_spread"] == 3
+        and inv["ara"]["upper"] == 3
+        and inv["ara"]["certified"]
     )
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 5.0
@@ -170,12 +170,13 @@ def test_criterion_6_chain_burch_min_depth_properties():
         spec = RandomIdealSpec(n=n, squarefree=squarefree, max_exponent=3,
                                max_generators=5, seed=0)
         a = random_ideal(spec, rng)
-        rep = report(a, horizon=3)
+        inv = report(a, horizon=3)["invariants"]
+        md = inv["min_depth_powers"]["value"]
         checks = (
-            rep.height <= rep.cd <= rep.ara.upper <= rep.mu
-            and rep.cd <= rep.analytic_spread <= rep.mu
-            and rep.min_depth_value <= rep.fgrade
-            and rep.analytic_spread <= n - rep.min_depth_value
+            inv["height"] <= inv["cd"] <= inv["ara"]["upper"] <= inv["mu"]
+            and inv["cd"] <= inv["analytic_spread"] <= inv["mu"]
+            and md <= inv["fgrade"]
+            and inv["analytic_spread"] <= n - md
         )
         if not checks:
             violations.append((case, a.generator_strings()))

@@ -871,17 +871,16 @@ def test_sv_partition_check_survives_python_optimize():
 
 
 def test_min_depth_examples():
-    assert min_depth_powers(triangle(), 3).value == 0
-    assert min_depth_powers(two_planes(), 3).value == 1
-    res = min_depth_powers(ideal(CTX3, (1, 0, 0)), 4)
-    assert res.value == 2  # powers of a principal prime stay principal
-    assert not res.certified
+    assert min_depth_powers(triangle(), 3) == 0
+    assert min_depth_powers(two_planes(), 3) == 1
+    # powers of a principal prime stay principal
+    assert min_depth_powers(ideal(CTX3, (1, 0, 0)), 4) == 2
 
 
 def test_dg_examples():
-    assert dg(two_planes(), 3).value == 0
-    assert dg(triangle(), 3).value == 1
-    assert dg(ideal(CTX3, (1, 0, 0), (0, 1, 0)), 3).value == 0
+    assert dg(two_planes(), 3) == 0
+    assert dg(triangle(), 3) == 1
+    assert dg(ideal(CTX3, (1, 0, 0), (0, 1, 0)), 3) == 0
 
 
 def test_min_depth_requires_positive_horizon():
@@ -894,32 +893,46 @@ def test_min_depth_requires_positive_horizon():
 
 
 def test_report_two_planes():
-    rep = report(two_planes(), horizon=3)
-    assert (rep.mu, rep.height, rep.dim_quotient, rep.depth, rep.proj_dim) == (
-        4, 2, 2, 1, 3
-    )
-    assert (rep.cd, rep.fgrade, rep.analytic_spread) == (3, 1, 3)
-    assert (rep.ara.lower, rep.ara.upper, rep.ara.certified) == (3, 3, True)
-    assert rep.dg_value == 0
-    assert not rep.cohen_macaulay
-    assert not rep.cohomologically_ci
-    assert not rep.stci_certified
+    assert report(two_planes(), horizon=3) == {
+        "invariants": {
+            "mu": 4, "height": 2, "dim_quotient": 2, "depth": 1, "proj_dim": 3,
+            "cd": 3, "fgrade": 1, "analytic_spread": 3,
+            "ara": {"lower": 3, "upper": 3, "certified": True},
+            "dg": {"value": 0, "horizon": 3, "certified": False},
+            "min_depth_powers": {"value": 1, "horizon": 3},
+        },
+        "flags": {"squarefree": True, "cohen_macaulay": False,
+                  "cohomologically_ci": False, "stci_certified": False},
+    }
 
 
 def test_report_maximal_ideal():
-    rep = report(ideal(CTX3, (1, 0, 0), (0, 1, 0), (0, 0, 1)), horizon=2)
-    assert rep.height == rep.cd == rep.analytic_spread == rep.mu == rep.proj_dim == 3
-    assert rep.depth == 0 and rep.fgrade == 0 and rep.dg_value == 0
-    assert rep.cohen_macaulay and rep.cohomologically_ci and rep.stci_certified
+    assert report(ideal(CTX3, (1, 0, 0), (0, 1, 0), (0, 0, 1)), horizon=2) == {
+        "invariants": {
+            "mu": 3, "height": 3, "dim_quotient": 0, "depth": 0, "proj_dim": 3,
+            "cd": 3, "fgrade": 0, "analytic_spread": 3,
+            "ara": {"lower": 3, "upper": 3, "certified": True},
+            "dg": {"value": 0, "horizon": 2, "certified": False},
+            "min_depth_powers": {"value": 0, "horizon": 2},
+        },
+        "flags": {"squarefree": True, "cohen_macaulay": True,
+                  "cohomologically_ci": True, "stci_certified": True},
+    }
 
 
 def test_report_triangle():
-    rep = report(triangle(), horizon=3)
-    assert (rep.mu, rep.height, rep.cd, rep.fgrade) == (3, 2, 2, 1)
-    assert rep.analytic_spread == 3
-    assert rep.dg_value == 1
-    assert rep.cohen_macaulay  # depth 1 equals dim 1
-    assert rep.squarefree
+    # Cohen-Macaulay: depth 1 equals dim 1; the square has depth 0
+    assert report(triangle(), horizon=3) == {
+        "invariants": {
+            "mu": 3, "height": 2, "dim_quotient": 1, "depth": 1, "proj_dim": 2,
+            "cd": 2, "fgrade": 1, "analytic_spread": 3,
+            "ara": {"lower": 2, "upper": 2, "certified": True},
+            "dg": {"value": 1, "horizon": 3, "certified": False},
+            "min_depth_powers": {"value": 0, "horizon": 3},
+        },
+        "flags": {"squarefree": True, "cohen_macaulay": True,
+                  "cohomologically_ci": True, "stci_certified": True},
+    }
 
 
 def test_report_checks_survive_python_optimize():
@@ -961,12 +974,13 @@ def test_report_rejects_zero_and_unit():
 @given(rows_strategy(4, 3, 4))
 def test_chain_and_burch_properties(rows):
     a = MonomialIdeal.from_exponents(CTX4, rows)
-    rep = report(a, horizon=3)
-    assert rep.height <= rep.cd <= rep.ara.upper <= rep.mu
-    assert rep.cd <= rep.analytic_spread <= rep.mu
-    assert rep.min_depth_value <= rep.fgrade  # min depth of powers bound
-    assert rep.analytic_spread <= 4 - rep.min_depth_value  # Burch
-    assert rep.depth <= rep.fgrade <= rep.dim_quotient
+    inv = report(a, horizon=3)["invariants"]
+    md = inv["min_depth_powers"]["value"]
+    assert inv["height"] <= inv["cd"] <= inv["ara"]["upper"] <= inv["mu"]
+    assert inv["cd"] <= inv["analytic_spread"] <= inv["mu"]
+    assert md <= inv["fgrade"]  # min depth of powers bound
+    assert inv["analytic_spread"] <= 4 - md  # Burch
+    assert inv["depth"] <= inv["fgrade"] <= inv["dim_quotient"]
 
 
 @settings(max_examples=15)
@@ -981,5 +995,5 @@ def test_bracket_power_depth_invariance(rows, q):
 def test_prime_field_reports_same_chain(rows):
     ctx = RingContext(("x", "y", "z"), FieldSpec.prime(2))
     a = MonomialIdeal.from_exponents(ctx, rows)
-    rep = report(a, horizon=2)
-    assert rep.height <= rep.cd <= rep.ara.upper <= rep.mu
+    inv = report(a, horizon=2)["invariants"]
+    assert inv["height"] <= inv["cd"] <= inv["ara"]["upper"] <= inv["mu"]

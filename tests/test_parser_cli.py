@@ -1,6 +1,7 @@
 """The expression DSL, canonical printing, and the command-line interface."""
 
 import contextlib
+import copy
 import importlib.util
 import io
 import json
@@ -241,10 +242,96 @@ def test_cli_report_principal():
     assert inv["height"] == inv["cd"] == inv["analytic_spread"] == inv["mu"] == 1
 
 
+REPORT_TEXT = {
+    (TWO_PLANES,): """\
+ring x1, x2, x3, x4 over rational
+ideal (x1*x3, x1*x4, x2*x3, x2*x4)
+mu                 4
+height             2
+dim_quotient       2
+depth              1
+proj_dim           3
+cd                 3
+fgrade             1
+analytic_spread    3
+ara                [3, 3] certified
+dg                 0 (horizon 3, uncertified)
+min_depth_powers   1 (horizon 3, uncertified)
+flags              squarefree=true cohen_macaulay=false cohomologically_ci=false \
+stci_certified=false
+""",
+    ("--field", "fp:3", "--horizon", "2", "ring x,y,z; (x,y) & (y,z) & (x,z)"): """\
+ring x, y, z over fp:3
+ideal (x*y, x*z, y*z)
+mu                 3
+height             2
+dim_quotient       1
+depth              1
+proj_dim           2
+cd                 2
+fgrade             1
+analytic_spread    3
+ara                [2, 2] certified
+dg                 1 (horizon 2, uncertified)
+min_depth_powers   0 (horizon 2, uncertified)
+flags              squarefree=true cohen_macaulay=true cohomologically_ci=true \
+stci_certified=true
+""",
+    # the radical is (y), but no Schmitt-Vogel partition has a single level
+    ("ring x,y; (x^3*y, y^3)",): """\
+ring x, y over rational
+ideal (x^3*y, y^3)
+mu                 2
+height             1
+dim_quotient       1
+depth              0
+proj_dim           2
+cd                 1
+fgrade             1
+analytic_spread    2
+ara                [1, 2] interval
+dg                 1 (horizon 3, uncertified)
+min_depth_powers   0 (horizon 3, uncertified)
+flags              squarefree=false cohen_macaulay=false cohomologically_ci=true \
+stci_certified=false
+""",
+}
+
+
 def test_cli_report_text_output():
-    code, out, _ = run_cli(["report", TWO_PLANES])
-    assert code == EXIT_OK
-    assert "cd" in out and "ara" in out and "flags" in out
+    for argv, text in REPORT_TEXT.items():
+        assert run_cli(["report", *argv]) == (EXIT_OK, text, "")
+
+
+def test_report_schema_rejects_a_missing_or_unknown_key():
+    code, out, _ = run_cli(["report", "--json", TWO_PLANES])
+    payload = json.loads(out)
+    jsonschema.validate(payload, REPORT_SCHEMA)
+
+    def objects(value, path=()):
+        """The path of every object in ``value``, the root first."""
+        if isinstance(value, dict):
+            yield path
+            for key, item in value.items():
+                yield from objects(item, path + (key,))
+
+    def invalid(edit):
+        broken = copy.deepcopy(payload)
+        edit(broken)
+        return not jsonschema.Draft202012Validator(REPORT_SCHEMA).is_valid(broken)
+
+    def at(tree, path):
+        for key in path:
+            tree = tree[key]
+        return tree
+
+    paths = list(objects(payload))
+    assert len(paths) == 8
+    for path in paths:
+        for key in at(payload, path):
+            assert invalid(lambda p: at(p, path).pop(key)), (path, key)
+        assert invalid(lambda p: at(p, path).update(unknown=0)), path
+    assert invalid(lambda p: p["invariants"]["dg"].update(certified=True))
 
 
 def test_cli_report_horizon_flag(monkeypatch):
@@ -510,6 +597,16 @@ def test_cli_verify_paper():
     code, out, _ = run_cli(["verify-paper", "--json"])
     payload = json.loads(out)
     assert payload["all_pass"] is True
+
+
+def test_cli_verify_paper_at_horizon_1_has_no_horizon_failure():
+    # the triangle's depth reaches 0 only at its square, beyond horizon 1
+    code, out, _ = run_cli(["verify-paper", "--json", "--horizon", "1"])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["all_pass"] is True
+    verdicts = {c["name"]: c["verdict"] for c in payload["checks"]}
+    assert verdicts["triangle-dg"] == "not-applicable"
 
 
 def test_cli_fuzz_deterministic_and_seeded():

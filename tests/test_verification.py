@@ -239,3 +239,9 @@ def test_replay_of_reference_fixture():
     first = run_reference_suite()
     target = next(r for r in first if r.name == "two-planes-invariants")
     assert replay(target).verdict == target.verdict
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4])
+def test_replay_reruns_the_reference_suite_at_the_recorded_horizon(horizon):
+    for r in run_reference_suite(horizon):
+        assert replay(r) == r, r.name
