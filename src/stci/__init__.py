@@ -36,7 +36,6 @@ from .homology import (
     taylor_homology,
 )
 from .invariants import (
-    AraBounds,
     analytic_spread,
     cohomological_dimension,
     depth,

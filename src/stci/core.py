@@ -153,11 +153,6 @@ class RingContext:
         exps[i] = 1
         return Monomial(self, tuple(exps))
 
-    def maximal_ideal(self) -> "MonomialIdeal":
-        """The ideal generated by every variable."""
-        gens = [self.variable(v) for v in self.variables]
-        return MonomialIdeal.from_generators(self, gens)
-
     def zero_ideal(self) -> "MonomialIdeal":
         return MonomialIdeal.from_generators(self, [])
 

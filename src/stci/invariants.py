@@ -4,12 +4,12 @@ Everything here reduces to the decomposition and homology engines: depth
 and projective dimension come from the Taylor complex or the lcm lattice,
 cohomological dimension from the radical's projective dimension, formal
 grade from the dimension formula, analytic spread from the compact faces of
-the Newton polyhedron, and the arithmetic-rank upper bound from a
-Schmitt-Vogel partition search.  Invariants that depend on the coefficient
-field, from the projective dimension on, use the field of the ideal's ring.
-Each memoized invariant is the public function itself, which rejects the
-zero and unit ideal first; entries that only call one of them leave the
-check to it.
+the Newton polyhedron, and the arithmetic-rank upper bound as the length of
+the Schmitt-Vogel partition that :func:`schmitt_vogel_upper` returns.
+Invariants that depend on the coefficient field, from the projective
+dimension on, use the field of the ideal's ring.  Each memoized invariant
+is the public function itself, which rejects the zero and unit ideal first;
+entries that only call one of them leave the check to it.
 
 Depth of high powers carries an explicit horizon and is never presented as
 certified: no effective stabilization bound is assumed.
@@ -17,11 +17,12 @@ certified: no effective stabilization bound is assumed.
 dg, the formal grade minus that minimum, is computed in :func:`dg` alone.
 :func:`report` builds the ``invariants`` and ``flags`` of the ``report``
 payload as one dict; the horizon and certification of dg appear only there.
+It checks ``height <= cd <= ara upper``, ``cd <= analytic spread <= mu`` and
+``depth <= fgrade``, relations between numbers computed apart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import homology
@@ -40,7 +41,7 @@ NEWTON_FACET_BOUND = 1 << 12
 
 def clear_caches() -> None:
     """Empty every memo: projective dimension, minimal primes, radical,
-    analytic spread, the Schmitt-Vogel bound and depth of powers."""
+    analytic spread, the Schmitt-Vogel partition and depth of powers."""
     for cached in MEMOS:
         cached.cache_clear()
 
@@ -160,10 +161,7 @@ def cohomological_dimension(a: MonomialIdeal) -> int:
 
 def formal_grade(a: MonomialIdeal) -> int:
     """Least nonvanishing index of formal local cohomology, as n - cd."""
-    fg = a.context.n - cohomological_dimension(a)
-    if a.is_squarefree:
-        _check(fg == depth(a), "squarefree formal grade equals depth")
-    return fg
+    return a.context.n - cohomological_dimension(a)
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +265,6 @@ def analytic_spread(a: MonomialIdeal) -> int:
 # arithmetic rank upper bound (Schmitt-Vogel partitions)
 
 
-@dataclass(frozen=True)
-class AraBounds:
-    """Bracketing of the arithmetic rank: cd(a) <= ara(a) <= upper."""
-
-    lower: int
-    upper: int
-    certified: bool
-    witness: tuple[tuple[Monomial, ...], ...]
-
-
 def is_valid_sv_partition(
     a: MonomialIdeal, partition: tuple[tuple[Monomial, ...], ...]
 ) -> bool:
@@ -286,8 +274,8 @@ def is_valid_sv_partition(
     monomial, and the product of any two distinct monomials in one level
     is divisible by a monomial of an earlier level.
     """
-    flat = [m for level in partition for m in level]
-    if sorted(str(m) for m in flat) != sorted(str(g) for g in a.generators):
+    flat = [m.exponents for level in partition for m in level]
+    if sorted(flat) != sorted(g.exponents for g in a.generators):
         return False
     if not partition or len(partition[0]) != 1:
         return False
@@ -347,7 +335,7 @@ def _maximal_cliques(adj: list[int], vertices: int) -> list[int]:
     return cliques
 
 
-def _sv_exact(gens: list[Monomial], pair_div: dict[tuple[int, int], int]) -> list[int]:
+def _sv_exact(mu: int, pair_div: dict[tuple[int, int], int]) -> list[int]:
     """Breadth-first search over placed-generator masks; returns level masks.
 
     Only maximal levels are added.  A level stays valid when more is placed
@@ -358,7 +346,6 @@ def _sv_exact(gens: list[Monomial], pair_div: dict[tuple[int, int], int]) -> lis
     maximal cliques of the graph on the unplaced generators that joins
     ``x`` and ``y`` when an earlier generator divides their product.
     """
-    mu = len(gens)
     full = (1 << mu) - 1
     parent: dict[int, tuple[int, int]] = {}
     frontier = []
@@ -392,9 +379,8 @@ def _sv_exact(gens: list[Monomial], pair_div: dict[tuple[int, int], int]) -> lis
     raise AssertionError("singleton levels always reach the full mask")
 
 
-def _sv_greedy(gens: list[Monomial], pair_div: dict[tuple[int, int], int]) -> list[int]:
+def _sv_greedy(mu: int, pair_div: dict[tuple[int, int], int]) -> list[int]:
     """Largest-compatible-level-first heuristic, best over all first picks."""
-    mu = len(gens)
     best: list[int] | None = None
     for start in range(mu):
         placed = 1 << start
@@ -417,34 +403,27 @@ def _sv_greedy(gens: list[Monomial], pair_div: dict[tuple[int, int], int]) -> li
 
 
 @memo
-def schmitt_vogel_upper(a: MonomialIdeal) -> AraBounds:
-    """Upper bound on the arithmetic rank from a Schmitt-Vogel partition.
+def schmitt_vogel_upper(a: MonomialIdeal) -> tuple[tuple[Monomial, ...], ...]:
+    """A Schmitt-Vogel partition of the generators, as a tuple of levels.
 
     Searches partitions P_0, ..., P_r of the generators with |P_0| = 1 where
     every product of two distinct members of a level is divisible by an
     earlier member; then r + 1 elements (the level sums) generate ``a`` up
-    to radical.  Exhaustive for mu <= ``SV_EXACT_BOUND``, greedy beyond; the
-    singleton partition is always valid, so upper <= mu.
+    to radical, so cd(a) <= ara(a) <= the number of levels.  Exhaustive for
+    mu <= ``SV_EXACT_BOUND``, greedy beyond; the singleton partition is
+    always valid, so there are at most mu levels.
     """
     require_proper(a)
-    gens = list(a.generators)
+    gens = a.generators
     mu = len(gens)
     pair_div = _pair_divisors([g.exponents for g in gens])
-    if mu <= 1:
-        level_masks = [1] if mu else []
-    elif mu <= SV_EXACT_BOUND:
-        level_masks = _sv_exact(gens, pair_div)
-    else:
-        level_masks = _sv_greedy(gens, pair_div)
-    witness = tuple(
+    search = _sv_exact if mu <= SV_EXACT_BOUND else _sv_greedy
+    partition = tuple(
         tuple(gens[i] for i in range(mu) if block >> i & 1)
-        for block in level_masks
+        for block in search(mu, pair_div)
     )
-    lower = cohomological_dimension(a)
-    upper = len(level_masks)
-    bounds = AraBounds(lower, upper, lower == upper, witness)
-    _check(is_valid_sv_partition(a, witness), "valid Schmitt-Vogel partition")
-    return bounds
+    _check(is_valid_sv_partition(a, partition), "valid Schmitt-Vogel partition")
+    return partition
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +449,6 @@ def min_depth_powers(a: MonomialIdeal, horizon: int) -> int:
             break
         power = power * a
         best = min(best, depth(power))
-    _check(0 <= best <= a.context.n, "0 <= depth <= n")
     return best
 
 
@@ -483,25 +461,22 @@ def dg(a: MonomialIdeal, horizon: int) -> int:
 
 def report(a: MonomialIdeal, horizon: int = 3) -> dict:
     """The ``invariants`` and ``flags`` of the ``report`` payload, in the
-    published key order; the chain's internal relations are checked."""
-    n = a.context.n
+    published key order.  ``depth <= fgrade`` is pd(R/rad a) <= pd(R/a)
+    (Herzog, Takayama and Terai 2005)."""
     mu = a.mu
     ht = height(a)
     dim_q = dim_quotient(a)
     pd = proj_dim(a)
-    dep = n - pd
+    dep = depth(a)
     cd = cohomological_dimension(a)
-    fg = n - cd
+    fg = formal_grade(a)
     spread = analytic_spread(a)
-    ara = schmitt_vogel_upper(a)
+    upper = len(schmitt_vogel_upper(a))
+    _check(ht <= cd <= upper, "height <= cd <= ara upper")
+    _check(cd <= spread <= mu, "cd <= analytic spread <= mu")
+    _check(dep <= fg, "depth <= fgrade")
     md = min_depth_powers(a, horizon)
     dg_value = dg(a, horizon)
-    _check(ht <= cd, "height <= cd")
-    _check(ara.lower == cd <= ara.upper <= mu, "ara lower = cd <= ara upper <= mu")
-    _check(cd <= spread <= mu, "cd <= analytic spread <= mu")
-    _check(dep + pd == n, "depth + proj_dim = n")
-    _check(fg == n - cd, "fgrade = n - cd")
-    _check(dg_value >= 0, "dg >= 0")
     return {
         "invariants": {
             "mu": mu,
@@ -512,8 +487,7 @@ def report(a: MonomialIdeal, horizon: int = 3) -> dict:
             "cd": cd,
             "fgrade": fg,
             "analytic_spread": spread,
-            "ara": {"lower": ara.lower, "upper": ara.upper,
-                    "certified": ara.certified},
+            "ara": {"lower": cd, "upper": upper, "certified": cd == upper},
             "dg": {"value": dg_value, "horizon": horizon, "certified": False},
             "min_depth_powers": {"value": md, "horizon": horizon},
         },
@@ -521,6 +495,6 @@ def report(a: MonomialIdeal, horizon: int = 3) -> dict:
             "squarefree": a.is_squarefree,
             "cohen_macaulay": dep == dim_q,
             "cohomologically_ci": ht == cd,
-            "stci_certified": ara.certified and ara.upper == ht,
+            "stci_certified": cd == upper == ht,
         },
     }

@@ -42,6 +42,10 @@ class EvaluationError(ValueError):
     """A well-formed expression whose evaluation violates a contract."""
 
 
+# The most brackets open at once.  Each level takes two parser frames, so an
+# expression at the bound parses with 600 of Python's default 1000 frames
+# and leaves room for a caller several hundred frames deep.
+BRACKET_DEPTH_BOUND = 300
 # Binding strength of the binary operators, all left-associative; a power
 # suffix binds tighter than any of them.
 _PRECEDENCE = {"&": 1, "+": 2, "*": 2}
@@ -151,6 +155,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.var_index = {v: i for i, v in enumerate(variables)}
+        self.brackets = 0  # brackets open at the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -196,23 +201,33 @@ class _Parser:
         return tuple(self.var_index), node
 
     # expr := term { "&" term };  term := atom { ("+"|"*") atom }
-    def expr(self, level: int = 1) -> IdealExpression:
-        """An expression whose operators have precedence ``level`` or more.
+    def expr(self) -> IdealExpression:
+        """Atoms joined by left-associative operators, tighter ones first.
 
-        Precedence climbing: the right operand of an operator takes only
-        operators that bind tighter, so each level is left-associative.
+        Operators wait on a stack until one that binds no tighter, or the
+        end of the expression, folds them, so only brackets recurse.
         """
-        node = self.atom()
-        while _PRECEDENCE.get(self.peek().kind, 0) >= level:
-            op = self.advance().kind
-            node = BinaryOp(op, node, self.expr(_PRECEDENCE[op] + 1))
-        return node
+        operands, waiting = [self.atom()], []
+        while True:
+            op = self.peek().kind
+            while waiting and _PRECEDENCE.get(op, 0) <= _PRECEDENCE[waiting[-1]]:
+                right = operands.pop()
+                operands.append(BinaryOp(waiting.pop(), operands.pop(), right))
+            if op not in _PRECEDENCE:
+                return operands[0]
+            waiting.append(self.advance().kind)
+            operands.append(self.atom())
 
     def atom(self) -> IdealExpression:
         if self.peek().kind == "[":
-            self.advance()
+            tok = self.advance()
+            if self.brackets == BRACKET_DEPTH_BOUND:
+                raise ParseError(f"brackets nested too deeply (more than "
+                                 f"{BRACKET_DEPTH_BOUND})", tok.line, tok.column)
+            self.brackets += 1
             node = self.expr()
             self.expect("]")
+            self.brackets -= 1
         else:
             node = self.literal()
         return self.power_suffix(node)

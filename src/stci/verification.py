@@ -59,19 +59,19 @@ def check_chain(a: MonomialIdeal, name: str = "chain") -> CheckResult:
     """The inequality chain ht <= cd <= ara-upper <= mu and cd <= l <= mu."""
     ht = height(a)
     cd = invariants.cohomological_dimension(a)
-    sv = invariants.schmitt_vogel_upper(a)
+    upper = len(invariants.schmitt_vogel_upper(a))
     spread = invariants.analytic_spread(a)
     mu = a.mu
     witness = _ideal_witness(a) | {
         "checker": "chain",
         "height": ht,
         "cd": cd,
-        "ara_lower": sv.lower,
-        "ara_upper": sv.upper,
+        "ara_lower": cd,
+        "ara_upper": upper,
         "analytic_spread": spread,
         "mu": mu,
     }
-    ok = ht <= cd <= sv.upper <= mu and cd <= spread <= mu
+    ok = ht <= cd <= upper <= mu and cd <= spread <= mu
     return CheckResult(name, PASS if ok else FAIL, witness)
 
 
@@ -92,7 +92,7 @@ def check_dg_dichotomy(
     n = a.context.n
     ht = height(a)
     cd = invariants.cohomological_dimension(a)
-    sv = invariants.schmitt_vogel_upper(a)
+    upper = len(invariants.schmitt_vogel_upper(a))
     spread = invariants.analytic_spread(a)
     md = invariants.min_depth_powers(a, horizon)
     fg = invariants.formal_grade(a)
@@ -103,7 +103,7 @@ def check_dg_dichotomy(
         "dg": dg_value,
         "height": ht,
         "cd": cd,
-        "ara_upper": sv.upper,
+        "ara_upper": upper,
         "analytic_spread": spread,
         "min_depth": md,
     }
@@ -114,7 +114,7 @@ def check_dg_dichotomy(
             # not cohomologically CI, and ara >= cd > ht rules out STCI:
             # both sides of the equivalence are false
             return CheckResult(name, PASS, witness)
-        if sv.certified and sv.upper == ht:
+        if cd == upper == ht:
             return CheckResult(name, PASS, witness)
         # ht = cd requires STCI, but the partition bound cannot exhibit it
         return CheckResult(name, UNCERTIFIED, witness)
@@ -158,10 +158,11 @@ def check_one_dimensional_prime(
             return CheckResult(name, FAIL, witness)
     spread = invariants.analytic_spread(p)
     cd = invariants.cohomological_dimension(p)
-    sv = invariants.schmitt_vogel_upper(p)
-    witness |= {"analytic_spread": spread, "cd": cd, "ara_upper": sv.upper,
-                "height": height(p)}
-    ok = spread == cd == n - 1 and sv.certified and sv.upper == height(p)
+    upper = len(invariants.schmitt_vogel_upper(p))
+    ht = height(p)
+    witness |= {"analytic_spread": spread, "cd": cd, "ara_upper": upper,
+                "height": ht}
+    ok = spread == cd == n - 1 and cd == upper == ht
     return CheckResult(name, PASS if ok else FAIL, witness)
 
 

@@ -7,7 +7,8 @@ strands on the quotient's monomial basis, heights from exhaustive
 transversal search, and matrix ranks from dense Gaussian elimination over
 ``Fraction``.  Code that only the tests use lives here too: ``over_field``,
 which moves an ideal to another coefficient field, since the library takes
-the field from the ring; the full Taylor complex, a boundary-squared check
+the field from the ring; ``maximal_ideal``, the ideal of every variable, which
+no library code needs; the full Taylor complex, a boundary-squared check
 for chain complexes with the product of sparse rows behind it; simplicial complexes
 as face sets with their reduced homology, upper-Koszul and Stanley-Reisner
 complexes, the Stanley-Reisner faces from a scan of all vertex subsets and
@@ -63,6 +64,12 @@ def over_field(a: MonomialIdeal, field: FieldSpec) -> MonomialIdeal:
     over ``field``."""
     ctx = RingContext(a.context.variables, field)
     return MonomialIdeal.from_exponents(ctx, [g.exponents for g in a.generators])
+
+
+def maximal_ideal(ctx: RingContext) -> MonomialIdeal:
+    """The ideal generated by every variable of ``ctx``."""
+    gens = [ctx.variable(v) for v in ctx.variables]
+    return MonomialIdeal.from_generators(ctx, gens)
 
 
 def monomials_up_to_degree(n: int, bound: int):

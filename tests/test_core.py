@@ -29,6 +29,7 @@ from oracles import (
     exponent_rows,
     from_rows,
     in_ideal,
+    maximal_ideal,
 )
 
 
@@ -75,7 +76,7 @@ def test_equal_ideals_built_separately_hash_equal():
     h = hash(a)
     b = ideal(RingContext(("x", "y", "z")),
               (0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 2, 0), (1, 1, 0), (2, 0, 0))
-    c = CTX3.maximal_ideal() ** 2
+    c = maximal_ideal(CTX3) ** 2
     assert a == b == c and a is not b
     assert hash(a) == h == hash(b) == hash(c)
     assert {a: 1}[b] == 1 and c in {b}
@@ -256,7 +257,7 @@ def test_product_of_one_degree_ideals_skips_dominance_pass():
 
 def test_pair_cell_bound_on_products_and_intersections(monkeypatch):
     monkeypatch.setattr(core, "PAIR_CELL_BOUND", 18)
-    m = CTX3.maximal_ideal()
+    m = maximal_ideal(CTX3)
     pair = ideal(CTX3, (1, 0, 0), (0, 1, 0))
     assert pair * m == ideal(
         CTX3, (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1)

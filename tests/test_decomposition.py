@@ -24,6 +24,7 @@ from stci.invariants import depth
 from oracles import (
     brute_height,
     irreducible_decomposition_oracle,
+    maximal_ideal,
     minimal_primes_oracle,
 )
 
@@ -308,7 +309,7 @@ def test_symbolic_equals_ordinary_for_variable_primes(variables, t):
 def saturation_moves(a: MonomialIdeal) -> bool:
     """Depth zero, seen as the maximal ideal being associated: saturating
     by it changes ``a``."""
-    return a.saturate(a.context.maximal_ideal()) != a
+    return a.saturate(maximal_ideal(a.context)) != a
 
 
 def test_depth_zero_examples():

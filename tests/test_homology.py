@@ -33,6 +33,7 @@ from oracles import (
     lattice_betti_oracle,
     lcm_lattice_oracle,
     local_cohomology_oracle,
+    maximal_ideal,
     over_field,
     reduced_homology_ranks,
     sparse_matmul,
@@ -499,7 +500,7 @@ def test_pd_walk_stops_in_the_middle_of_a_group(monkeypatch, field):
     # last of its size; the points of size n are full simplices
     for n, t in ((2, 3), (3, 2), (3, 3), (4, 2)):
         ctx = RingContext(tuple(f"x{i}" for i in range(n)), field)
-        a = ctx.maximal_ideal() ** t
+        a = maximal_ideal(ctx) ** t
         sizes = largest_carriers(a)
         assert sizes.max() == n
         calls = count_facet_calls(monkeypatch)

@@ -719,23 +719,23 @@ def test_analytic_spread_matches_growth_oracle(rows):
 
 def test_sv_two_planes():
     sv = schmitt_vogel_upper(two_planes())
-    assert (sv.lower, sv.upper, sv.certified) == (3, 3, True)
-    assert is_valid_sv_partition(two_planes(), sv.witness)
-    assert len(sv.witness[0]) == 1
+    assert (cohomological_dimension(two_planes()), len(sv)) == (3, 3)
+    assert is_valid_sv_partition(two_planes(), sv)
+    assert len(sv[0]) == 1
 
 
 def test_sv_regular_sequence():
     sv = schmitt_vogel_upper(ideal(CTX2, (1, 0), (0, 1)))
-    assert (sv.lower, sv.upper, sv.certified) == (2, 2, True)
+    assert (cohomological_dimension(ideal(CTX2, (1, 0), (0, 1))), len(sv)) == (2, 2)
 
 
 def test_sv_triangle():
     sv = schmitt_vogel_upper(triangle())
-    assert sv.lower == 2
-    assert sv.upper <= 3
-    assert is_valid_sv_partition(triangle(), sv.witness)
+    assert cohomological_dimension(triangle()) == 2
+    assert len(sv) <= 3
+    assert is_valid_sv_partition(triangle(), sv)
     # exhaustive search finds the classical two-level witness
-    assert sv.upper == 2 and sv.certified
+    assert len(sv) == 2
 
 
 def test_sv_greedy_fallback_still_valid(monkeypatch):
@@ -750,8 +750,16 @@ def test_sv_greedy_fallback_still_valid(monkeypatch):
     monkeypatch.setattr(invariants, "SV_EXACT_BOUND", 4)
     # past the memo, which is keyed by the ideal alone
     sv = schmitt_vogel_upper.__wrapped__(a)
-    assert sv.upper <= a.mu
-    assert is_valid_sv_partition(a, sv.witness)
+    assert len(sv) <= a.mu
+    assert is_valid_sv_partition(a, sv)
+
+
+def test_sv_search_computes_no_projective_dimension():
+    # the partition is the whole result; cd, the lower end of the bracket,
+    # is the caller's to compute
+    invariants.clear_caches()
+    schmitt_vogel_upper(triangle())
+    assert proj_dim.cache_info().misses == 0
 
 
 def seeded_squarefree_ideals(count: int, seed: int, max_gens: int = 9):
@@ -780,7 +788,7 @@ def assert_sv_matches_oracle(a):
     oracle, with a valid witness."""
     gens = list(a.generators)
     levels = invariants._sv_exact(
-        gens, invariants._pair_divisors([g.exponents for g in gens])
+        a.mu, invariants._pair_divisors([g.exponents for g in gens])
     )
     assert len(levels) == len(sv_levels_oracle(a)), a
     witness = tuple(
@@ -798,7 +806,7 @@ def test_sv_exact_matches_submask_oracle_seeded():
     for a in ideals[::6]:
         sv = schmitt_vogel_upper(a)
         count = len(sv_levels_oracle(a))
-        assert (sv.upper, sv.certified) == (count, sv.lower == count), a
+        assert len(sv) == count, a
 
 
 @settings(max_examples=80, deadline=None)
@@ -851,7 +859,7 @@ def test_sv_partition_check_survives_python_optimize():
         if __debug__:
             sys.exit("not running under -O")
         exact = inv._sv_exact
-        inv._sv_exact = lambda gens, pair_div: exact(gens, pair_div)[:-1]
+        inv._sv_exact = lambda mu, pair_div: exact(mu, pair_div)[:-1]
         a = evaluate_program("ring x,y,z; (x*y, x*z, y*z)")
         try:
             inv.schmitt_vogel_upper(a)
@@ -957,6 +965,25 @@ def test_report_checks_survive_python_optimize():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.strip() == "invariant violated: cd <= analytic spread <= mu"
+
+
+def test_report_depth_check_survives_python_optimize():
+    # depth patched to n lies above fgrade = n - cd, which breaks
+    # pd(R/rad a) <= pd(R/a); the check must raise under -O as well
+    out = run_python("""
+        import sys
+        import stci.invariants as inv
+        from stci.parser import evaluate_program
+        if __debug__:
+            sys.exit("not running under -O")
+        inv.depth = lambda a: a.context.n
+        a = evaluate_program("ring x,y,z; (x^2*y, x*z, y*z)")
+        try:
+            inv.report(a, horizon=1)
+        except AssertionError as exc:
+            print(exc)
+    """, "-O")
+    assert out == "invariant violated: depth <= fgrade"
 
 
 def test_report_rejects_zero_and_unit():

@@ -24,6 +24,7 @@ from stci.cli import (
 )
 from stci.core import MAX_EXPONENT, MODULUS_BOUND, RingContext
 from stci.parser import (
+    BRACKET_DEPTH_BOUND,
     BinaryOp,
     EvaluationError,
     Literal,
@@ -404,6 +405,29 @@ def test_cli_deep_or_long_expressions_exit_2(command):
         code, out, _ = run_cli([command, program])
         assert code == EXIT_OK
         assert "(x)" in out
+
+
+def below(frames, call):
+    """``call()`` run ``frames`` Python frames below the caller."""
+    return call() if frames == 0 else below(frames - 1, call)
+
+
+@pytest.mark.parametrize("frames", [0, 200])
+@pytest.mark.parametrize("opening", ["[", "[(x) & ", "[(x) * (x) + "])
+def test_bracket_bound_does_not_depend_on_the_callers_stack(opening, frames):
+    # operators between the brackets must cost the parser no frames of their
+    # own, or how deep a parse may go depends on the caller's stack
+    def program(depth):
+        return "ring x; " + opening * depth + "(x)" + "]" * depth
+
+    code, out, _ = below(
+        frames, lambda: run_cli(["report", program(BRACKET_DEPTH_BOUND)]))
+    assert code == EXIT_OK and out.startswith("ring x over rational\n")
+    code, out, err = below(
+        frames, lambda: run_cli(["report", program(BRACKET_DEPTH_BOUND + 1)]))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"brackets nested too deeply (more than {BRACKET_DEPTH_BOUND})" in err
 
 
 def test_deep_expressions_raise_documented_errors():
