@@ -49,7 +49,6 @@ from .invariants import (
 )
 from .parser import (
     EvaluationError,
-    IdealExpression,
     ParseError,
     evaluate,
     evaluate_program,

@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
+from operator import index
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -170,6 +171,18 @@ def _check_same_context(a, b) -> None:
         )
 
 
+def _exponent_text(variables: tuple[str, ...], exponents: Iterable[int]) -> str:
+    """``x^2*y`` for the exponents (2, 1) on x, y; the empty string for the
+    unit, which each caller spells its own way."""
+    parts = []
+    for name, e in zip(variables, exponents):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts)
+
+
 @dataclass(frozen=True, order=False)
 class Monomial:
     """A monomial x^a, stored as the exponent tuple a."""
@@ -178,7 +191,8 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
+        # an integer of any kind passes; a float raises TypeError, not truncated
+        object.__setattr__(self, "exponents", tuple(map(index, self.exponents)))
         if len(self.exponents) != self.context.n:
             raise ValueError(
                 f"expected {self.context.n} exponents, got {len(self.exponents)}"
@@ -243,15 +257,7 @@ class Monomial:
         return Monomial(self.context, tuple(min(e, 1) for e in self.exponents))
 
     def __str__(self) -> str:
-        if self.is_unit:
-            return "1"
-        parts = []
-        for name, e in zip(self.context.variables, self.exponents):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+        return _exponent_text(self.context.variables, self.exponents) or "1"
 
     def __repr__(self) -> str:
         return f"Monomial({self})"

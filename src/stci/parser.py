@@ -17,9 +17,13 @@ brackets group ideal expressions; round brackets only delimit generator
 lists.  ``^[n]`` is the bracket (generator-wise) power and ``^(n)`` the
 symbolic power, which requires a squarefree base.
 
-The syntax tree has three node kinds: :class:`Literal` (a generator list),
-:class:`BinaryOp` (``&``, ``+`` or ``*`` on two expressions) and
-:class:`PowerOp` (an ordinary, bracket or symbolic power).
+:func:`parse` returns the expression as a postfix program: a tuple of steps,
+each a literal's generator rows (a tuple of exponent tuples), a binary
+operator (``"&"``, ``"+"`` or ``"*"``), or a power ``(bracket, exponent)``
+with bracket ``""``, ``"["`` or ``"("``.  :func:`evaluate` and
+:func:`format_program` run it in one loop over a value stack, so an operator
+chain of any length costs no Python frames; only brackets nest, at most
+:data:`BRACKET_DEPTH_BOUND` deep.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, and_, mul
 
-from .core import FieldSpec, Monomial, MonomialIdeal, RingContext
+from .core import FieldSpec, Monomial, MonomialIdeal, RingContext, _exponent_text
 from .decomposition import symbolic_power
 
 
@@ -46,10 +50,11 @@ class EvaluationError(ValueError):
 # expression at the bound parses with 600 of Python's default 1000 frames
 # and leaves room for a caller several hundred frames deep.
 BRACKET_DEPTH_BOUND = 300
-# Binding strength of the binary operators, all left-associative; a power
-# suffix binds tighter than any of them.
+# Binding strength of the binary operators, all left-associative.  A power
+# suffix binds tighter than any of them, and a generator list tighter still:
+# it is the one operand a power suffix takes without brackets.
 _PRECEDENCE = {"&": 1, "+": 2, "*": 2}
-_ATOM = 3
+_POWERED, _LITERAL = 3, 4
 # The bracket that opens a power's exponent ("" for an ordinary power) and
 # the one that closes it.
 _CLOSE = {"": "", "[": "]", "(": ")"}
@@ -98,9 +103,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("nat", text[i:j], line, col))
             col += j - i
@@ -120,30 +125,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# syntax tree
-
-
-class IdealExpression:
-    """Base class for expression nodes."""
-
-
-@dataclass(frozen=True)
-class Literal(IdealExpression):
-    rows: tuple[tuple[int, ...], ...]  # generator exponent tuples
-
-
-@dataclass(frozen=True)
-class BinaryOp(IdealExpression):
-    op: str  # "&", "+" or "*"
-    left: IdealExpression
-    right: IdealExpression
-
-
-@dataclass(frozen=True)
-class PowerOp(IdealExpression):
-    bracket: str  # "" ordinary, "[" bracket, "(" symbolic
-    base: IdealExpression
-    exponent: int
+# parsing
 
 
 def _found(tok: _Token) -> str:
@@ -156,6 +138,7 @@ class _Parser:
         self.pos = 0
         self.var_index = {v: i for i, v in enumerate(variables)}
         self.brackets = 0  # brackets open at the current token
+        self.steps = []  # the postfix program parsed so far
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -181,7 +164,7 @@ class _Parser:
                              tok.line, tok.column)
 
     # program := "ring" ident { "," ident } ";" expr
-    def program(self) -> tuple[tuple[str, ...], IdealExpression]:
+    def program(self) -> tuple[tuple[str, ...], tuple]:
         tok = self.peek()
         if tok.kind != "ident" or tok.text != "ring":
             raise ParseError("program must start with a ring declaration",
@@ -196,45 +179,46 @@ class _Parser:
         if len(self.var_index) != len(names):
             raise ParseError("variable names must be distinct",
                              names[0].line, names[0].column)
-        node = self.expr()
+        self.expr()
         self.end()
-        return tuple(self.var_index), node
+        return tuple(self.var_index), tuple(self.steps)
 
     # expr := term { "&" term };  term := atom { ("+"|"*") atom }
-    def expr(self) -> IdealExpression:
-        """Atoms joined by left-associative operators, tighter ones first.
+    def expr(self) -> None:
+        """Append the postfix steps of atoms joined by left-associative
+        operators, tighter ones first.
 
         Operators wait on a stack until one that binds no tighter, or the
-        end of the expression, folds them, so only brackets recurse.
+        end of the expression, emits them, so only brackets recurse.
         """
-        operands, waiting = [self.atom()], []
+        self.atom()
+        waiting = []
         while True:
             op = self.peek().kind
             while waiting and _PRECEDENCE.get(op, 0) <= _PRECEDENCE[waiting[-1]]:
-                right = operands.pop()
-                operands.append(BinaryOp(waiting.pop(), operands.pop(), right))
+                self.steps.append(waiting.pop())
             if op not in _PRECEDENCE:
-                return operands[0]
+                return
             waiting.append(self.advance().kind)
-            operands.append(self.atom())
+            self.atom()
 
-    def atom(self) -> IdealExpression:
+    def atom(self) -> None:
         if self.peek().kind == "[":
             tok = self.advance()
             if self.brackets == BRACKET_DEPTH_BOUND:
                 raise ParseError(f"brackets nested too deeply (more than "
                                  f"{BRACKET_DEPTH_BOUND})", tok.line, tok.column)
             self.brackets += 1
-            node = self.expr()
+            self.expr()
             self.expect("]")
             self.brackets -= 1
         else:
-            node = self.literal()
-        return self.power_suffix(node)
+            self.literal()
+        self.power_suffix()
 
-    def power_suffix(self, node: IdealExpression) -> IdealExpression:
+    def power_suffix(self) -> None:
         if self.peek().kind != "^":
-            return node
+            return
         self.advance()
         tok = self.peek()
         if tok.kind not in ("nat", "[", "("):
@@ -248,7 +232,7 @@ class _Parser:
         exponent = self.positive_nat()
         if bracket:
             self.expect(_CLOSE[bracket])
-        return PowerOp(bracket, node, exponent)
+        self.steps.append((bracket, exponent))
 
     def positive_nat(self) -> int:
         tok = self.expect("nat", "a number")
@@ -258,7 +242,7 @@ class _Parser:
         return value
 
     # literal := "(" monomial { "," monomial } ")"
-    def literal(self) -> Literal:
+    def literal(self) -> None:
         open_tok = self.expect("(", "a generator list or '['")
         if self.peek().kind == ")":
             raise ParseError(
@@ -269,7 +253,7 @@ class _Parser:
             self.advance()
             rows.append(self.monomial())
         self.expect(")", "',' or ')'")
-        return Literal(tuple(rows))
+        self.steps.append(tuple(rows))
 
     # monomial := factor { "*" factor }
     def monomial(self) -> tuple[int, ...]:
@@ -295,95 +279,77 @@ class _Parser:
 
 def parse(
     text: str, field: FieldSpec = FieldSpec.rationals()
-) -> tuple[RingContext, IdealExpression]:
-    """Parse a full program: a ring declaration followed by an expression."""
+) -> tuple[RingContext, tuple]:
+    """Parse a full program, a ring declaration followed by an expression,
+    into its ring and its postfix steps."""
     parser = _Parser(text)
     try:
-        variables, node = parser.program()
+        variables, steps = parser.program()
     except RecursionError:
         tok = parser.peek()
         raise ParseError("brackets nested too deeply", tok.line, tok.column) from None
-    return RingContext(variables, field), node
+    return RingContext(variables, field), steps
 
 
-def evaluate(ctx: RingContext, node: IdealExpression) -> MonomialIdeal:
-    """Fold an expression tree into a monomial ideal."""
-    try:
-        return _evaluate(ctx, node)
-    except RecursionError:
-        raise EvaluationError("expression nested too deeply to evaluate") from None
-
-
-def _evaluate(ctx: RingContext, node: IdealExpression) -> MonomialIdeal:
-    if isinstance(node, Literal):
-        return MonomialIdeal.from_generators(
-            ctx, [Monomial(ctx, row) for row in node.rows]
-        )
-    if isinstance(node, BinaryOp):
-        return _BINARY[node.op](_evaluate(ctx, node.left), _evaluate(ctx, node.right))
-    if isinstance(node, PowerOp):
-        base = _evaluate(ctx, node.base)
-        try:
-            return _POWER[node.bracket](base, node.exponent)
-        except ValueError as exc:
-            raise EvaluationError(str(exc)) from None
-    raise TypeError(f"unknown expression node {node!r}")
+def evaluate(ctx: RingContext, steps: tuple) -> MonomialIdeal:
+    """Run a postfix program on a stack of monomial ideals."""
+    stack = []
+    for step in steps:
+        if isinstance(step, str):
+            right = stack.pop()
+            stack.append(_BINARY[step](stack.pop(), right))
+        elif isinstance(step[0], str):
+            bracket, exponent = step
+            try:
+                stack[-1] = _POWER[bracket](stack[-1], exponent)
+            except ValueError as exc:
+                raise EvaluationError(str(exc)) from None
+        else:
+            stack.append(MonomialIdeal.from_exponents(ctx, step))
+    (ideal,) = stack
+    return ideal
 
 
 def evaluate_program(
     text: str, field: FieldSpec = FieldSpec.rationals()
 ) -> MonomialIdeal:
-    ctx, node = parse(text, field)
-    return evaluate(ctx, node)
+    ctx, steps = parse(text, field)
+    return evaluate(ctx, steps)
 
 
 # ---------------------------------------------------------------------------
 # canonical printing
 
 
-def _format_monomial_row(variables: tuple[str, ...], row: tuple[int, ...]) -> str:
-    parts = []
-    for name, e in zip(variables, row):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    if not parts:
-        return f"{variables[0]}^0"
-    return "*".join(parts)
+def format_program(ctx: RingContext, steps: tuple) -> str:
+    """Canonical text form; parsing and reprinting it is a fixed point.
 
-
-def _format(node: IdealExpression, variables: tuple[str, ...]) -> tuple[str, int]:
-    """The text of ``node`` and the precedence of its outermost operator."""
-    if isinstance(node, Literal):
-        inner = ", ".join(_format_monomial_row(variables, r) for r in node.rows)
-        return f"({inner})", _ATOM
-    if isinstance(node, BinaryOp):
-        prec = _PRECEDENCE[node.op]
-        lt, lp = _format(node.left, variables)
-        rt, rp = _format(node.right, variables)
-        # left-associative: only a right operand binds as loosely as op
-        if lp < prec:
-            lt = f"[{lt}]"
-        if rp <= prec:
-            rt = f"[{rt}]"
-        return f"{lt} {node.op} {rt}", prec
-    if isinstance(node, PowerOp):
-        bt, _ = _format(node.base, variables)
-        # the grammar allows one power suffix per atom, so only a literal
-        # can stand unbracketed under a power
-        if not isinstance(node.base, Literal):
-            bt = f"[{bt}]"
-        return f"{bt}^{node.bracket}{node.exponent}{_CLOSE[node.bracket]}", _ATOM
-    raise TypeError(f"unknown expression node {node!r}")
-
-
-def format_program(ctx: RingContext, node: IdealExpression) -> str:
-    """Canonical text form; parsing and reprinting it is a fixed point."""
-    try:
-        body, _ = _format(node, ctx.variables)
-    except RecursionError:
-        raise EvaluationError("expression nested too deeply to print") from None
+    The stack holds the text of each operand and the binding strength of
+    its outermost construct, which decides where brackets go.
+    """
+    unit = f"{ctx.variables[0]}^0"
+    stack = []
+    for step in steps:
+        if isinstance(step, str):
+            prec = _PRECEDENCE[step]
+            right, rp = stack.pop()
+            left, lp = stack.pop()
+            # left-associative: only a right operand binds as loosely as step
+            if lp < prec:
+                left = f"[{left}]"
+            if rp <= prec:
+                right = f"[{right}]"
+            stack.append((f"{left} {step} {right}", prec))
+        elif isinstance(step[0], str):
+            bracket, exponent = step
+            base, prec = stack.pop()
+            if prec != _LITERAL:
+                base = f"[{base}]"
+            stack.append((f"{base}^{bracket}{exponent}{_CLOSE[bracket]}", _POWERED))
+        else:
+            rows = ", ".join(_exponent_text(ctx.variables, r) or unit for r in step)
+            stack.append((f"({rows})", _LITERAL))
+    ((body, _),) = stack
     return f"ring {', '.join(ctx.variables)}; {body}"
 
 

@@ -7,6 +7,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -192,6 +193,18 @@ def test_exponent_bound_at_and_past_the_limit():
     with pytest.raises(ResourceLimitError):
         at_bound.bracket_power(2)
     assert ideal(CTX2, (MAX_EXPONENT - 1, 0)) * ideal(CTX2, (1, 0)) == at_bound
+
+
+def test_exponents_must_be_integers():
+    # a float exponent raises instead of being truncated to an int
+    with pytest.raises(TypeError):
+        mono(CTX2, (1.7, 0))
+    with pytest.raises(TypeError):
+        MonomialIdeal.from_exponents(CTX2, [(2.9, 0), (0, 1)])
+    # any integer passes, numpy's and bools included, and is stored as an int
+    m = mono(CTX2, (np.int64(2), True))
+    assert m.exponents == (2, 1) and all(type(e) is int for e in m.exponents)
+    assert str(m) == "x^2*y" and str(mono(CTX2, (0, 0))) == "1"
 
 
 @given(st.integers(0, MAX_EXPONENT), st.integers(0, MAX_EXPONENT))

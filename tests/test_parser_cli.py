@@ -25,11 +25,8 @@ from stci.cli import (
 from stci.core import MAX_EXPONENT, MODULUS_BOUND, RingContext
 from stci.parser import (
     BRACKET_DEPTH_BOUND,
-    BinaryOp,
     EvaluationError,
-    Literal,
     ParseError,
-    PowerOp,
     evaluate,
     evaluate_program,
     format_program,
@@ -87,6 +84,9 @@ def test_parse_error_positions():
 
 @pytest.mark.parametrize("text, line, column, message", [
     ("ring x; (x) $", 1, 13, "unexpected character '$'"),
+    # a digit that is not a decimal digit is no number
+    ("ring x; (x^²)", 1, 12, "unexpected character '²'"),
+    ("ring x; (x)^²", 1, 13, "unexpected character '²'"),
     ("(x,y)", 1, 1, "program must start with a ring declaration"),
     ("ring ; (x)", 1, 6, "expected a variable name, found ';'"),
     ("ring x, ; (x)", 1, 9, "expected a variable name, found ';'"),
@@ -167,52 +167,62 @@ def test_parse_monomial_helper():
 # canonical printing
 
 
-FIXED_POINT_PROGRAMS = [
-    "ring x,y,z; (x,y) & (y,z) & (x,z)",
-    "ring x, y; (x*y)^[2]",
-    "ring x,y,z; [(x) + (y)] * (z)",
-    "ring x,y; (x) + (y) * (x*y, y^2)",
-    "ring x,y; [(x,y)^2]^[3]",
-    "ring a, b, c; (a^2*b, c) & [(a) + (b^3)]",
-    "ring x; (x^0)",
-    "ring x,y,z; [(x*y, y*z)]^(2)",
-    "ring x,y; [(x*y)^(2)]^[2]",
-]
+# program -> its canonical text
+FIXED_POINT_PROGRAMS = {
+    "ring x,y,z; (x,y) & (y,z) & (x,z)": "ring x, y, z; (x, y) & (y, z) & (x, z)",
+    "ring x, y; (x*y)^[2]": "ring x, y; (x*y)^[2]",
+    "ring x,y,z; [(x) + (y)] * (z)": "ring x, y, z; (x) + (y) * (z)",
+    "ring x,y; (x) + (y) * (x*y, y^2)": "ring x, y; (x) + (y) * (x*y, y^2)",
+    "ring x,y; [(x,y)^2]^[3]": "ring x, y; [(x, y)^2]^[3]",
+    "ring a, b, c; (a^2*b, c) & [(a) + (b^3)]": "ring a, b, c; (a^2*b, c) & (a) + (b^3)",
+    "ring x; (x^0)": "ring x; (x^0)",
+    "ring x,y,z; [(x*y, y*z)]^(2)": "ring x, y, z; (x*y, y*z)^(2)",
+    "ring x,y; [(x*y)^(2)]^[2]": "ring x, y; [(x*y)^(2)]^[2]",
+}
 
 
 @pytest.mark.parametrize("text", FIXED_POINT_PROGRAMS)
 def test_print_parse_print_fixed_point(text):
-    ctx, node = parse(text)
-    printed = format_program(ctx, node)
-    ctx2, node2 = parse(printed)
-    assert format_program(ctx2, node2) == printed
+    canonical = FIXED_POINT_PROGRAMS[text]
+    ctx, steps = parse(text)
+    assert format_program(ctx, steps) == canonical
+    ctx2, steps2 = parse(canonical)
+    assert format_program(ctx2, steps2) == canonical
     # canonicalization preserves the evaluated ideal
-    assert evaluate(ctx, node) == evaluate(ctx2, node2)
+    assert evaluate(ctx, steps) == evaluate(ctx2, steps2)
 
 
-def expression_strategy(nvars=2, depth=3):
+def test_format_program_prints_exponents_past_the_monomial_bound():
+    # printing reads the parsed rows and builds no Monomial
+    text = f"ring x; (x^{MAX_EXPONENT + 1})"
+    assert format_program(*parse(text)) == text
+
+
+def program_strategy(nvars=2, depth=3):
+    """Postfix programs of expressions up to ``depth`` operators deep."""
     rows = st.lists(
         st.tuples(*[st.integers(0, 2)] * nvars).filter(any),
         min_size=1, max_size=2,
-    ).map(lambda r: Literal(tuple(r)))
+    ).map(lambda r: (tuple(r),))
     if depth == 0:
         return rows
-    sub = expression_strategy(nvars, depth - 1)
-    # symbolic powers need a squarefree base, so random trees leave them out
+    sub = program_strategy(nvars, depth - 1)
+    # symbolic powers need a squarefree base, so random programs leave them out
     return st.one_of(
         rows,
-        *[st.builds(BinaryOp, st.just(op), sub, sub) for op in "&+*"],
-        *[st.builds(PowerOp, st.just(b), sub, st.integers(1, 2)) for b in ("", "[")],
+        *[st.builds(lambda l, r, op=op: l + r + (op,), sub, sub) for op in "&+*"],
+        *[st.builds(lambda base, e, b=b: base + ((b, e),), sub, st.integers(1, 2))
+          for b in ("", "[")],
     )
 
 
-@given(expression_strategy())
-def test_printer_round_trips_random_trees(node):
+@given(program_strategy())
+def test_printer_round_trips_random_trees(steps):
     ctx = RingContext(("x", "y"))
-    printed = format_program(ctx, node)
-    ctx2, node2 = parse(printed)
-    assert format_program(ctx2, node2) == printed
-    assert evaluate(ctx, node) == evaluate(ctx2, node2)
+    printed = format_program(ctx, steps)
+    ctx2, steps2 = parse(printed)
+    assert format_program(ctx2, steps2) == printed
+    assert evaluate(ctx, steps) == evaluate(ctx2, steps2)
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +405,12 @@ def long_sum(terms):
 
 @pytest.mark.parametrize("command", ["eval", "report"])
 def test_cli_deep_or_long_expressions_exit_2(command):
-    # the parser recurses once per bracket and evaluation once per operator
-    for program in (nested(500), long_sum(1200)):
-        code, out, err = run_cli([command, program])
-        assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "nested too deeply" in err
-    for program in (nested(300), long_sum(500)):
+    # the parser recurses once per bracket; operator chains cost no frames
+    code, out, err = run_cli([command, nested(500)])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "nested too deeply" in err
+    for program in (nested(300), long_sum(500), long_sum(1200)):
         code, out, _ = run_cli([command, program])
         assert code == EXIT_OK
         assert "(x)" in out
@@ -433,11 +442,22 @@ def test_bracket_bound_does_not_depend_on_the_callers_stack(opening, frames):
 def test_deep_expressions_raise_documented_errors():
     with pytest.raises(ParseError, match="brackets nested too deeply"):
         parse(nested(2000))
-    ctx, node = parse(long_sum(3000))
-    with pytest.raises(EvaluationError, match="too deeply to evaluate"):
-        evaluate(ctx, node)
-    with pytest.raises(EvaluationError, match="too deeply to print"):
-        format_program(ctx, node)
+    ctx, steps = parse(long_sum(3000))
+    assert evaluate(ctx, steps) == evaluate_program("ring x; (x)")
+    assert format_program(ctx, steps) == "ring x; " + " + ".join(["(x)"] * 3000)
+
+
+def test_long_chain_does_not_depend_on_the_callers_stack():
+    # evaluation and printing run the postfix steps in a loop, so an operator
+    # chain costs no frames, however long
+    program = long_sum(5000)
+    expected = (EXIT_OK, json.dumps({
+        "ring": {"variables": ["x"], "field": "rational"},
+        "ideal": {"generators": ["x"]},
+        "canonical": program,
+    }, indent=2) + "\n", "")
+    for frames in (0, 200):
+        assert below(frames, lambda: run_cli(["eval", "--json", program])) == expected
 
 
 def test_cli_parse_error_exit_code():
