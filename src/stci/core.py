@@ -252,10 +252,6 @@ class Monomial:
             tuple(a - b for a, b in zip(self.exponents, other.exponents)),
         )
 
-    def radical(self) -> "Monomial":
-        """The squarefree support monomial."""
-        return Monomial(self.context, tuple(min(e, 1) for e in self.exponents))
-
     def __str__(self) -> str:
         return _exponent_text(self.context.variables, self.exponents) or "1"
 
@@ -303,11 +299,6 @@ def _minimal_exponent_rows(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]
     return sorted(r for r, k in zip(uniq, keep) if k)
 
 
-def _sort_key(exps: tuple[int, ...]) -> tuple:
-    # decreasing lexicographic term order: x before y before z
-    return tuple(-e for e in exps)
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal in canonical form (minimal generators, sorted)."""
@@ -329,14 +320,24 @@ class MonomialIdeal:
 
     @classmethod
     def _from_rows(
-        cls, context: RingContext, rows: list[tuple[int, ...]]
+        cls, context: RingContext, rows: Iterable[Iterable[int]]
     ) -> "MonomialIdeal":
-        """The ideal of non-negative exponent rows of length n.  Only the
-        minimal rows become monomials, so the exponent bound is checked on
-        them alone."""
-        rows = _minimal_exponent_rows(rows)
-        rows.sort(key=_sort_key)
-        return cls(context, tuple(Monomial(context, r) for r in rows))
+        """The ideal of non-negative exponent rows of length n, each a
+        sequence of Python ints (a list from ``ndarray.tolist()`` will do).
+        Only the minimal rows become monomials, so the exponent bound is
+        checked on them alone; being valid otherwise, they skip
+        ``Monomial.__post_init__``."""
+        # decreasing lexicographic term order: x before y before z
+        rows = sorted(_minimal_exponent_rows(list(map(tuple, rows))), reverse=True)
+        top = next((e for e in map(max, rows) if e > MAX_EXPONENT), None)
+        if top is not None:
+            raise ResourceLimitError(f"exponent {top} exceeds the bound {MAX_EXPONENT}")
+        gens = []
+        for r in rows:
+            g = object.__new__(Monomial)
+            g.__dict__.update(context=context, exponents=r)
+            gens.append(g)
+        return cls(context, tuple(gens))
 
     @classmethod
     def from_exponents(
@@ -375,10 +376,15 @@ class MonomialIdeal:
         return all(g.is_squarefree for g in self.generators)
 
     def exponent_matrix(self) -> np.ndarray:
-        """Generator exponents as a mu x n integer array."""
-        if self.is_zero:
-            return np.zeros((0, self.context.n), dtype=np.int64)
-        return np.array([g.exponents for g in self.generators], dtype=np.int64)
+        """Generator exponents as a read-only mu x n integer array, built once."""
+        return self._exponent_matrix
+
+    @cached_property
+    def _exponent_matrix(self) -> np.ndarray:
+        matrix = np.array([g.exponents for g in self.generators], dtype=np.int64)
+        matrix = matrix.reshape(self.mu, self.context.n)
+        matrix.flags.writeable = False
+        return matrix
 
     def support(self) -> frozenset[int]:
         """Variables occurring in some generator."""
@@ -394,8 +400,16 @@ class MonomialIdeal:
         return any(g.divides(m) for g in self.generators)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
+        """Whether every generator of ``other`` has a divisor among ours,
+        compared in blocks of at most about ``BLOCK_CELLS`` cells."""
         _check_same_context(self, other)
-        return all(g in self for g in other.generators)
+        a = self.exponent_matrix()
+        b = other.exponent_matrix()
+        step = max(1, BLOCK_CELLS // max(a.size, 1))
+        return all(
+            (a[None, :, :] <= b[start:start + step, None, :]).all(axis=2).any(axis=1).all()
+            for start in range(0, len(b), step)
+        )
 
     def __le__(self, other: "MonomialIdeal") -> bool:
         return other.contains_ideal(self)
@@ -422,7 +436,7 @@ class MonomialIdeal:
         a = self.exponent_matrix()
         b = other.exponent_matrix()
         rows = _unique_rows(combine(a[:, None, :], b[None, :, :]).reshape(-1, n))
-        return MonomialIdeal._from_rows(self.context, list(map(tuple, rows.tolist())))
+        return MonomialIdeal._from_rows(self.context, rows.tolist())
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         return self._pairwise(other, np.add)
@@ -475,9 +489,8 @@ class MonomialIdeal:
 
     @memo
     def radical(self) -> "MonomialIdeal":
-        return MonomialIdeal.from_generators(
-            self.context, [g.radical() for g in self.generators]
-        )
+        rows = np.minimum(self.exponent_matrix(), 1)
+        return MonomialIdeal._from_rows(self.context, rows.tolist())
 
     def bracket_power(self, q: int) -> "MonomialIdeal":
         """The ideal of q-th powers of the minimal generators."""

@@ -207,9 +207,10 @@ def _subset_lcms(exponents: np.ndarray) -> np.ndarray:
     """lcm exponent vector for every subset mask of the generators."""
     m, n = exponents.shape
     table = np.zeros((1 << m, n), dtype=np.int64)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        table[mask] = np.maximum(table[mask ^ low], exponents[low.bit_length() - 1])
+    for i in range(m):
+        # the masks with top bit i: the masks below it, joined with generator i
+        half = 1 << i
+        np.maximum(table[:half], exponents[i], out=table[half:2 * half])
     return table
 
 
@@ -221,6 +222,8 @@ def taylor_homology(a: MonomialIdeal) -> dict[int, int]:
     the quotient complex that :func:`_boundary_complex` builds from the
     subsets with lcm L as faces, a subset of i generators in dimension
     i - 1: the subsets with smaller lcm are closed under taking subsets.
+    A strand of one subset S has its one face as homology, so it adds 1 to
+    beta_|S| without a complex being built.
     Raises ResourceLimitError when mu exceeds ``TAYLOR_GENERATOR_BOUND``;
     :func:`koszul_proj_dim` gives the projective dimension of larger
     ideals, in particular powers.
@@ -234,11 +237,18 @@ def taylor_homology(a: MonomialIdeal) -> dict[int, int]:
             "use koszul_proj_dim for the projective dimension"
         )
     lcms = _subset_lcms(a.exponent_matrix())
-    classes: dict[bytes, list[int]] = {}
-    for mask in range(1 << mu):
-        classes.setdefault(lcms[mask].tobytes(), []).append(mask)
+    # equal lcms sort next to each other as equal row keys
+    keys = lcms.view(np.dtype((np.void, lcms.itemsize * lcms.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1])).tolist()
     betti: dict[int, int] = {}
-    for members in classes.values():
+    for start, stop in zip(starts, starts[1:] + [1 << mu]):
+        if stop - start == 1:
+            i = int(order[start]).bit_count()
+            betti[i] = betti.get(i, 0) + 1
+            continue
+        members = order[start:stop].tolist()
         for j, h in _boundary_complex(members).homology_ranks(field).items():
             if h:
                 betti[j + 1] = betti.get(j + 1, 0) + h

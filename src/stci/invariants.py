@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from . import homology
 from .core import (MEMOS, Monomial, MonomialIdeal, ResourceLimitError, memo,
                    require_proper)
@@ -82,12 +84,11 @@ def _support_components(a: MonomialIdeal) -> list[list[int]]:
 
 
 def _restrict(a: MonomialIdeal, variables: set[int]) -> MonomialIdeal:
-    rows = []
-    for g in a.generators:
-        rows.append(
-            tuple(e if j in variables else 0 for j, e in enumerate(g.exponents))
-        )
-    return MonomialIdeal.from_exponents(a.context, rows)
+    """The ideal of ``a``'s generators with every exponent outside
+    ``variables`` set to 0."""
+    keep = np.zeros(a.context.n, dtype=np.int64)
+    keep[list(variables)] = 1
+    return MonomialIdeal._from_rows(a.context, (a.exponent_matrix() * keep).tolist())
 
 
 def _product_split(a: MonomialIdeal) -> list[MonomialIdeal] | None:

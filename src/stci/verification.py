@@ -248,13 +248,15 @@ def check_disjoint_prime_intersection(
 
 
 def check_frobenius(a: MonomialIdeal, q: int, name: str = "frobenius") -> CheckResult:
-    """Bracket powers: the sandwich a^(mu q) <= a^[q] <= a^q, equal radicals,
-    unchanged depth, and depth <= fgrade <= dim of the quotient."""
+    """Bracket powers: the sandwich a^(mu(q-1)+1) <= a^[q] <= a^q, equal
+    radicals, unchanged depth, and depth <= fgrade <= dim of the quotient.
+    The left inclusion is pigeonhole: a product of mu(q-1)+1 generators
+    repeats one of them q times.  It implies the weaker a^(mu q) <= a^[q]."""
     if q < 2:
         raise ValueError("bracket-power checks need q >= 2")
     bracket = a.bracket_power(q)
     ordinary = a ** q
-    big = a ** (a.mu * q)
+    big = a ** (a.mu * (q - 1) + 1)
     dep = invariants.depth(a)
     fg = invariants.formal_grade(a)
     dim_q = dim_quotient(a)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import stci.core as core
+import stci.invariants as invariants
 from stci.core import (
     MAX_EXPONENT,
     ContextMismatchError,
@@ -335,7 +336,51 @@ def test_bracket_power_sandwich(a, q):
     bracket = a.bracket_power(q)
     assert (a ** q).contains_ideal(bracket)
     assert bracket.contains_ideal(a ** (a.mu * q))
+    assert bracket.contains_ideal(a ** (a.mu * (q - 1) + 1))
     assert bracket.radical() == (a ** q).radical()
+
+
+def test_pigeonhole_power_is_the_least_that_always_fits():
+    # (x, y)^2 holds x*y, which is not in (x^2, y^2): mu(q - 1) = 2 is too small
+    a = ideal(CTX2, (1, 0), (0, 1))
+    bracket = a.bracket_power(2)
+    assert not bracket.contains_ideal(a ** (a.mu * (2 - 1)))
+    assert bracket.contains_ideal(a ** (a.mu * (2 - 1) + 1))
+
+
+@given(ideal_strategy(CTX3, max_exp=2, max_gens=4), ideal_strategy(CTX3, max_exp=2, max_gens=4))
+def test_built_exponents_are_python_ints(a, b):
+    # JSON witnesses print exponents, and json refuses numpy integers
+    built = [a * b, a & b, a ** 2, a.radical(), invariants._restrict(a, {0, 2})]
+    for c in built:
+        assert all(type(e) is int for g in c.generators for e in g.exponents)
+
+
+def test_exponent_matrix_is_read_only_and_built_once():
+    a = ideal(CTX2, (2, 0), (1, 1))
+    matrix = a.exponent_matrix()
+    assert matrix.tolist() == [[2, 0], [1, 1]]
+    assert a.exponent_matrix() is matrix
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 5
+    assert CTX2.zero_ideal().exponent_matrix().shape == (0, 2)
+
+
+def test_contains_ideal_across_blocks(monkeypatch):
+    # one row per block: the answer must not depend on where blocks split
+    rng = random.Random(5)
+    for _ in range(40):
+        a = ideal(CTX3, *[tuple(rng.randint(0, 2) for _ in range(3)) for _ in range(4)])
+        b = ideal(CTX3, *[tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(5)])
+        rows = [g.exponents for g in a.generators]
+        want = all(in_ideal(rows, g.exponents) for g in b.generators)
+        assert a.contains_ideal(b) == want
+        monkeypatch.setattr(core, "BLOCK_CELLS", 1)
+        assert a.contains_ideal(b) == want
+        monkeypatch.undo()
+    zero = CTX3.zero_ideal()
+    assert a.contains_ideal(zero) and zero.contains_ideal(zero)
+    assert not zero.contains_ideal(a)
 
 
 @given(ideal_strategy(CTX3))

@@ -434,6 +434,51 @@ def test_koszul_totals_match_taylor_random(rows):
     assert koszul_betti_totals(a) == taylor_homology(a)
 
 
+def strand_sizes(monkeypatch, a):
+    """taylor_homology(a), and the sizes of the strands it built complexes for."""
+    sizes = []
+    real_builder = homology._boundary_complex
+
+    def recording(faces):
+        sizes.append(len(faces))
+        return real_builder(faces)
+
+    monkeypatch.setattr(homology, "_boundary_complex", recording)
+    betti = taylor_homology(a)
+    monkeypatch.undo()
+    return betti, sizes
+
+
+def test_taylor_counts_singleton_strands_without_a_complex(monkeypatch):
+    # generators in disjoint variables: every subset has its own lcm
+    rng = random.Random(18)
+    for _ in range(12):
+        ctx = RingContext(tuple(f"x{i}" for i in range(7)))
+        cuts = sorted(rng.sample(range(1, 7), rng.randint(1, 5)))
+        blocks = [range(lo, hi) for lo, hi in zip([0] + cuts, cuts + [7])]
+        rows = [tuple(rng.randint(1, 3) if j in block else 0 for j in range(7))
+                for block in blocks]
+        a = MonomialIdeal.from_exponents(ctx, rows)
+        betti, sizes = strand_sizes(monkeypatch, a)
+        assert sizes == []
+        assert betti == koszul_betti_totals(a)
+
+
+def test_taylor_matches_koszul_on_large_strands(monkeypatch):
+    # powers of small ideals: many subsets share one lcm
+    rng = random.Random(19)
+    powers = [maximal_ideal(CTX3) ** 3]
+    for _ in range(8):
+        rows = [tuple(rng.randint(0, 2) for _ in range(3)) for _ in range(4)]
+        powers.append(MonomialIdeal.from_exponents(CTX3, [r for r in rows if any(r)]) ** 2)
+    largest = 0
+    for a in powers:
+        betti, sizes = strand_sizes(monkeypatch, a)
+        largest = max([largest] + sizes)
+        assert betti == koszul_betti_totals(a)
+    assert largest >= 32
+
+
 @given(rows_strategy(3, 2, 4))
 def test_betti_paths_match_quotient_koszul_oracle(rows):
     a = MonomialIdeal.from_exponents(CTX3, rows)

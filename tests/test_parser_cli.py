@@ -580,6 +580,10 @@ def test_cli_exponent_bound_exit_codes():
         code, _, err = run_cli(["eval", program])
         assert code == EXIT_RESOURCE
         assert "exceeds the bound" in err
+    # the minimal rows of a product are checked once, with the monomial's words
+    code, _, err = run_cli(["eval", f"ring x; (x^{MAX_EXPONENT})^2"])
+    assert code == EXIT_RESOURCE
+    assert f"exponent 4294967294 exceeds the bound {MAX_EXPONENT}" in err
 
 
 def test_cli_usage_error():

@@ -140,6 +140,24 @@ def test_frobenius_examples():
         check_frobenius(triangle_edge_ideal(), 1)
 
 
+@pytest.mark.parametrize("wrong", ["drops a generator", "raises an exponent"])
+def test_frobenius_fails_on_a_wrong_bracket_power(monkeypatch, wrong):
+    # (x^3, y^2) in place of (x^2, y^2) keeps the radical, the depth and
+    # a^[2] <= a^2, so only the pigeonhole inclusion a^3 <= a^[2] catches it
+    def bracket_power(self, q):
+        rows = [tuple(e * q for e in g.exponents) for g in self.generators]
+        if wrong == "drops a generator":
+            rows = rows[:-1]
+        else:
+            rows[0] = tuple(e + (j == 0) for j, e in enumerate(rows[0]))
+        return MonomialIdeal.from_exponents(self.context, rows)
+
+    a = ideal(RingContext(("x", "y")), (1, 0), (0, 1))
+    assert check_frobenius(a, 2).verdict == PASS
+    monkeypatch.setattr(MonomialIdeal, "bracket_power", bracket_power)
+    assert check_frobenius(a, 2).verdict == FAIL
+
+
 def test_reference_suite_all_pass_and_deterministic():
     first = run_reference_suite()
     second = run_reference_suite()
