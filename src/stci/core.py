@@ -2,9 +2,10 @@
 
 Monomials are exponent tuples inside a fixed ring context (an ordered list
 of variables over an exact coefficient field).  A monomial ideal is stored
-in canonical form: the unique minimal monomial generating set, sorted in
-decreasing lexicographic order.  All values are immutable; every operation
-returns fresh objects and never mutates its inputs.
+in canonical form: the exponent rows of its unique minimal monomial
+generating set, sorted in decreasing lexicographic order.  All values are
+immutable; every operation returns fresh objects and never mutates its
+inputs.
 
 Conventions: the zero ideal is the empty generator set, the unit ideal is
 generated by the monomial 1.  Both flow through all operations without
@@ -208,14 +209,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    @property
-    def is_unit(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
-
     def support(self) -> frozenset[int]:
         """Indices of variables with positive exponent."""
         return frozenset(i for i, e in enumerate(self.exponents) if e > 0)
@@ -224,24 +217,12 @@ class Monomial:
         _check_same_context(self, other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        _check_same_context(self, other)
-        return Monomial(
-            self.context,
-            tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)),
-        )
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         _check_same_context(self, other)
         return Monomial(
             self.context,
             tuple(a + b for a, b in zip(self.exponents, other.exponents)),
         )
-
-    def __pow__(self, k: int) -> "Monomial":
-        if k < 0:
-            raise ValueError("monomial powers must be non-negative")
-        return Monomial(self.context, tuple(e * k for e in self.exponents))
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         """Exact quotient; requires ``other`` to divide ``self``."""
@@ -301,22 +282,24 @@ def _minimal_exponent_rows(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal in canonical form (minimal generators, sorted)."""
+    """A monomial ideal in canonical form: the exponent rows of its minimal
+    generators, tuples of Python ints in decreasing lexicographic order."""
 
     context: RingContext
-    generators: tuple[Monomial, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_generators(
         cls, context: RingContext, gens: Iterable[Monomial]
     ) -> "MonomialIdeal":
-        gens = list(gens)
+        rows = []
         for g in gens:
             if g.context != context:
                 raise ContextMismatchError(
                     f"generator {g} does not live in {context}"
                 )
-        return cls._from_rows(context, [g.exponents for g in gens])
+            rows.append(g.exponents)
+        return cls._from_rows(context, rows)
 
     @classmethod
     def _from_rows(
@@ -324,20 +307,14 @@ class MonomialIdeal:
     ) -> "MonomialIdeal":
         """The ideal of non-negative exponent rows of length n, each a
         sequence of Python ints (a list from ``ndarray.tolist()`` will do).
-        Only the minimal rows become monomials, so the exponent bound is
-        checked on them alone; being valid otherwise, they skip
-        ``Monomial.__post_init__``."""
+        Only the minimal rows are kept, so the exponent bound is checked on
+        them alone."""
         # decreasing lexicographic term order: x before y before z
-        rows = sorted(_minimal_exponent_rows(list(map(tuple, rows))), reverse=True)
+        rows = _minimal_exponent_rows(list(map(tuple, rows)))[::-1]
         top = next((e for e in map(max, rows) if e > MAX_EXPONENT), None)
         if top is not None:
             raise ResourceLimitError(f"exponent {top} exceeds the bound {MAX_EXPONENT}")
-        gens = []
-        for r in rows:
-            g = object.__new__(Monomial)
-            g.__dict__.update(context=context, exponents=r)
-            gens.append(g)
-        return cls(context, tuple(gens))
+        return cls(context, tuple(rows))
 
     @classmethod
     def from_exponents(
@@ -354,26 +331,31 @@ class MonomialIdeal:
     def _hash(self) -> int:
         # the memos hash their key ideal on every lookup; equal fields give
         # equal hashes, as with the dataclass hash this replaces
-        return hash((self.context, self.generators))
+        return hash((self.context, self.rows))
 
     # -- structure -------------------------------------------------------
+
+    @cached_property
+    def generators(self) -> tuple[Monomial, ...]:
+        """The minimal generators as monomials, built on first use."""
+        return tuple(Monomial(self.context, r) for r in self.rows)
 
     @property
     def mu(self) -> int:
         """Minimal number of generators (0 for the zero ideal)."""
-        return len(self.generators)
+        return len(self.rows)
 
     @property
     def is_zero(self) -> bool:
-        return not self.generators
+        return not self.rows
 
     @property
     def is_unit(self) -> bool:
-        return len(self.generators) == 1 and self.generators[0].is_unit
+        return len(self.rows) == 1 and not any(self.rows[0])
 
     @property
     def is_squarefree(self) -> bool:
-        return all(g.is_squarefree for g in self.generators)
+        return all(e <= 1 for r in self.rows for e in r)
 
     def exponent_matrix(self) -> np.ndarray:
         """Generator exponents as a read-only mu x n integer array, built once."""
@@ -381,23 +363,19 @@ class MonomialIdeal:
 
     @cached_property
     def _exponent_matrix(self) -> np.ndarray:
-        matrix = np.array([g.exponents for g in self.generators], dtype=np.int64)
-        matrix = matrix.reshape(self.mu, self.context.n)
+        matrix = np.array(self.rows, dtype=np.int64).reshape(self.mu, self.context.n)
         matrix.flags.writeable = False
         return matrix
 
     def support(self) -> frozenset[int]:
         """Variables occurring in some generator."""
-        out: set[int] = set()
-        for g in self.generators:
-            out |= g.support()
-        return frozenset(out)
+        return frozenset(j for r in self.rows for j, e in enumerate(r) if e)
 
     # -- membership ------------------------------------------------------
 
     def __contains__(self, m: Monomial) -> bool:
         _check_same_context(self, m)
-        return any(g.divides(m) for g in self.generators)
+        return any(all(a <= b for a, b in zip(r, m.exponents)) for r in self.rows)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """Whether every generator of ``other`` has a divisor among ours,
@@ -418,9 +396,7 @@ class MonomialIdeal:
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         _check_same_context(self, other)
-        return MonomialIdeal.from_generators(
-            self.context, self.generators + other.generators
-        )
+        return MonomialIdeal._from_rows(self.context, self.rows + other.rows)
 
     def _pairwise(self, other: "MonomialIdeal", combine) -> "MonomialIdeal":
         """The ideal generated by ``combine`` of every pair of generators."""
@@ -464,8 +440,9 @@ class MonomialIdeal:
     def colon(self, m: Monomial) -> "MonomialIdeal":
         """(self : m) = { u : u*m in self }."""
         _check_same_context(self, m)
-        gens = [g / g.gcd(m) for g in self.generators]
-        return MonomialIdeal.from_generators(self.context, gens)
+        return MonomialIdeal._from_rows(self.context, [
+            [max(e - f, 0) for e, f in zip(r, m.exponents)] for r in self.rows
+        ])
 
     def colon_ideal(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """(self : other), the intersection of colons by each generator."""
@@ -496,8 +473,8 @@ class MonomialIdeal:
         """The ideal of q-th powers of the minimal generators."""
         if q < 1:
             raise ValueError("bracket power needs q >= 1")
-        return MonomialIdeal.from_generators(
-            self.context, [g ** q for g in self.generators]
+        return MonomialIdeal._from_rows(
+            self.context, [[e * q for e in r] for r in self.rows]
         )
 
     # -- presentation ----------------------------------------------------
@@ -506,7 +483,8 @@ class MonomialIdeal:
         return iter(self.generators)
 
     def generator_strings(self) -> list[str]:
-        return [str(g) for g in self.generators]
+        names = self.context.variables
+        return [_exponent_text(names, r) or "1" for r in self.rows]
 
     def __str__(self) -> str:
         if self.is_zero:

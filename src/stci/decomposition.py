@@ -13,7 +13,9 @@ powers of squarefree ideals are derived from the minimal primes.
 
 from __future__ import annotations
 
-from .core import Monomial, MonomialIdeal, RingContext, memo, require_proper
+from typing import Iterable
+
+from .core import MonomialIdeal, RingContext, memo, require_proper
 
 
 def _contains(q: tuple[int, ...], p: tuple[int, ...]) -> bool:
@@ -22,7 +24,7 @@ def _contains(q: tuple[int, ...], p: tuple[int, ...]) -> bool:
     return all(0 < q[j] <= e for j, e in enumerate(p) if e)
 
 
-def _components(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+def _components(rows: Iterable[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     """Irredundant irreducible components of the ideal generated by ``rows``.
 
     A component is an exponent tuple, 0 for an absent variable.  Starting
@@ -60,17 +62,16 @@ def _components(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
 
 def _irreducible(ctx: RingContext, q: tuple[int, ...]) -> MonomialIdeal:
     """The ideal of the pure powers x_i^{q_i}, q_i > 0.  In increasing
-    variable index they are already its minimal generators in canonical
+    variable index their rows are already its minimal rows in canonical
     order."""
     n = ctx.n
     return MonomialIdeal(ctx, tuple(
-        Monomial(ctx, tuple(e if j == i else 0 for j in range(n)))
-        for i, e in enumerate(q) if e
+        tuple(e if j == i else 0 for j in range(n)) for i, e in enumerate(q) if e
     ))
 
 
 def _component_ideals(
-    ctx: RingContext, rows: list[tuple[int, ...]]
+    ctx: RingContext, rows: Iterable[tuple[int, ...]]
 ) -> tuple[MonomialIdeal, ...]:
     """The irredundant irreducible components of the ideal of ``rows``,
     sorted by their (variable, -exponent) pairs: the order of their
@@ -92,7 +93,7 @@ def irreducible_decomposition(a: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     """Irredundant irreducible components whose intersection is ``a``,
     sorted by their generator lists."""
     require_proper(a)
-    return _component_ideals(a.context, [g.exponents for g in a.generators])
+    return _component_ideals(a.context, a.rows)
 
 
 @memo
@@ -104,7 +105,7 @@ def minimal_primes(a: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     variable lists.
     """
     require_proper(a)
-    rows = sorted({tuple(min(e, 1) for e in g.exponents) for g in a.generators})
+    rows = sorted({tuple(min(e, 1) for e in r) for r in a.rows})
     return _component_ideals(a.context, rows)
 
 

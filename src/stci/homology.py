@@ -462,7 +462,7 @@ def local_cohomology_nonvanishing(a: MonomialIdeal) -> frozenset[int]:
         )
     full = (1 << n) - 1
     facets = [
-        full & ~sum(1 << j for g in p.generators for j in g.support())
+        full & ~sum(1 << j for j in p.support())
         for p in minimal_primes(a)
     ]
     field = a.context.field

@@ -76,10 +76,10 @@ def _connected_blocks(sets: list[frozenset[int]]) -> list[set[int]]:
 
 def _support_components(a: MonomialIdeal) -> list[list[int]]:
     """Partition generator indices by connected variable support."""
-    blocks = _connected_blocks([g.support() for g in a.generators])
+    supports = [frozenset(j for j, e in enumerate(r) if e) for r in a.rows]
     return [
-        [k for k, g in enumerate(a.generators) if g.support() <= block]
-        for block in blocks
+        [k for k, s in enumerate(supports) if s <= block]
+        for block in _connected_blocks(supports)
     ]
 
 
@@ -132,8 +132,7 @@ def proj_dim(a: MonomialIdeal) -> int:
         pd = max(homology.taylor_homology(a))
     elif len(components := _support_components(a)) > 1:
         pd = sum(
-            proj_dim(MonomialIdeal.from_generators(
-                a.context, [a.generators[k] for k in comp]))
+            proj_dim(MonomialIdeal(a.context, tuple(a.rows[k] for k in comp)))
             for comp in components
         )
     elif (factors := _product_split(a)) is not None:
@@ -250,7 +249,7 @@ def analytic_spread(a: MonomialIdeal) -> int:
     dropped.
     """
     require_proper(a)
-    points = [g.exponents for g in a.generators]
+    points = a.rows
     degrees = {sum(p) for p in points}
     if len(degrees) == 1:
         return homology.rank(points)
@@ -276,7 +275,7 @@ def is_valid_sv_partition(
     is divisible by a monomial of an earlier level.
     """
     flat = [m.exponents for level in partition for m in level]
-    if sorted(flat) != sorted(g.exponents for g in a.generators):
+    if sorted(flat) != sorted(a.rows):
         return False
     if not partition or len(partition[0]) != 1:
         return False
@@ -290,7 +289,7 @@ def is_valid_sv_partition(
     return True
 
 
-def _pair_divisors(exps: list[tuple[int, ...]]) -> dict[tuple[int, int], int]:
+def _pair_divisors(exps: tuple[tuple[int, ...], ...]) -> dict[tuple[int, int], int]:
     """For each pair ``i < j`` of exponent rows, the bitmask of the rows
     dividing the product of rows ``i`` and ``j``."""
     pair_div: dict[tuple[int, int], int] = {}
@@ -417,7 +416,7 @@ def schmitt_vogel_upper(a: MonomialIdeal) -> tuple[tuple[Monomial, ...], ...]:
     require_proper(a)
     gens = a.generators
     mu = len(gens)
-    pair_div = _pair_divisors([g.exponents for g in gens])
+    pair_div = _pair_divisors(a.rows)
     search = _sv_exact if mu <= SV_EXACT_BOUND else _sv_greedy
     partition = tuple(
         tuple(gens[i] for i in range(mu) if block >> i & 1)

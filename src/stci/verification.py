@@ -41,7 +41,7 @@ def _ideal_witness(a: MonomialIdeal) -> dict:
     return {
         "ring": list(a.context.variables),
         "field": str(a.context.field),
-        "generators": [list(g.exponents) for g in a.generators],
+        "generators": [list(r) for r in a.rows],
         "generator_strings": a.generator_strings(),
     }
 
@@ -137,9 +137,7 @@ def check_one_dimensional_prime(
     """
     witness = _ideal_witness(p) | {"checker": "one-dimensional-prime",
                                    "horizon": horizon}
-    variable_generated = all(
-        len(g.support()) == 1 and g.degree == 1 for g in p.generators
-    )
+    variable_generated = all(sum(r) == 1 for r in p.rows)
     if not variable_generated:
         witness["reason"] = "not generated by variables"
         return CheckResult(name, NOT_APPLICABLE, witness)

@@ -270,7 +270,7 @@ def brute_betti(a: MonomialIdeal) -> dict[int, int]:
 
 
 def exponent_rows(a: MonomialIdeal) -> list[tuple[int, ...]]:
-    return [g.exponents for g in a.generators]
+    return list(a.rows)
 
 
 def from_rows(ctx, rows) -> MonomialIdeal:

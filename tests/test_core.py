@@ -351,9 +351,34 @@ def test_pigeonhole_power_is_the_least_that_always_fits():
 @given(ideal_strategy(CTX3, max_exp=2, max_gens=4), ideal_strategy(CTX3, max_exp=2, max_gens=4))
 def test_built_exponents_are_python_ints(a, b):
     # JSON witnesses print exponents, and json refuses numpy integers
-    built = [a * b, a & b, a ** 2, a.radical(), invariants._restrict(a, {0, 2})]
+    built = [a * b, a & b, a ** 2, a.radical(), invariants._restrict(a, {0, 2}),
+             a.colon(mono(CTX3, (1, 0, 2))), a.bracket_power(3)]
     for c in built:
+        assert all(type(e) is int for r in c.rows for e in r)
         assert all(type(e) is int for g in c.generators for e in g.exponents)
+
+
+@given(ideal_strategy(CTX3, max_exp=2, max_gens=4), ideal_strategy(CTX3, max_exp=2, max_gens=4))
+def test_operations_build_no_monomials(a, b):
+    # an ideal is its rows; its generators are built only when asked for
+    # (the radical memo may hold an ideal whose generators an earlier example read)
+    invariants.clear_caches()
+    built = [a * b, a ** 2, a & b, a + b, a.radical(),
+             a.colon(mono(CTX3, (1, 0, 2))), a.bracket_power(2)]
+    assert not any("generators" in vars(c) for c in built)
+    for c in built:
+        matrix = c.exponent_matrix().tolist()
+        assert [g.exponents for g in c.generators] == list(c.rows)
+        assert [list(r) for r in c.rows] == matrix
+    for c in (a, b):
+        rows = list(c.rows)
+        ways = [
+            MonomialIdeal.from_exponents(CTX3, rows[::-1]),
+            MonomialIdeal.from_generators(CTX3, [mono(CTX3, r) for r in rows]),
+            MonomialIdeal._from_rows(CTX3, rows + rows),
+        ]
+        for d in ways:
+            assert d == c and hash(d) == hash(c) and d.rows == c.rows
 
 
 def test_exponent_matrix_is_read_only_and_built_once():

@@ -787,9 +787,7 @@ def assert_sv_matches_oracle(a):
     """The maximal-level search finds as few levels as the all-submask
     oracle, with a valid witness."""
     gens = list(a.generators)
-    levels = invariants._sv_exact(
-        a.mu, invariants._pair_divisors([g.exponents for g in gens])
-    )
+    levels = invariants._sv_exact(a.mu, invariants._pair_divisors(a.rows))
     assert len(levels) == len(sv_levels_oracle(a)), a
     witness = tuple(
         tuple(g for i, g in enumerate(gens) if block >> i & 1) for block in levels

@@ -485,6 +485,18 @@ def test_cli_resource_exit_code():
     assert "resource" in err.lower()
 
 
+def test_cli_out_of_memory_exits_3_without_traceback(monkeypatch):
+    # fuzz --n 99999 runs out of memory growing irreducible components
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(stci.cli, "fuzz", exhausted)
+    code, out, err = run_cli(["fuzz", "--n", "99999", "--count", "1"])
+    assert code == EXIT_RESOURCE
+    assert err == "resource limit: out of memory\n"
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("power", ["^(99999999999999999999)", "^99999999999999999999"])
 def test_cli_huge_power_exits_within_budget(power):
     # the symbolic and the ordinary power both square (x,y) repeatedly; the
