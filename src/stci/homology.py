@@ -2,8 +2,9 @@
 
 Computes the projective dimension of quotients by monomial ideals in two
 ways: from the Betti numbers of the Taylor complex on the minimal
-generators, or by a pruned search over the upper-Koszul simplicial
-complexes at the multidegrees of the lcm lattice.  Also computes the
+generators, or by a pruned search over upper-Koszul simplicial complexes,
+enumerated either at the points of the exponent grid, when the grid is
+small, or at the points of the lcm lattice.  Also computes the
 nonvanishing degrees of local cohomology of squarefree quotients through
 links in the Stanley-Reisner complex.  Every computation on an ideal works
 over the field of the ideal's ring; :func:`rank` and
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
-from math import gcd
+from math import gcd, prod
 from operator import and_, index
 
 import numpy as np
@@ -36,6 +37,13 @@ from .decomposition import minimal_primes
 
 TAYLOR_GENERATOR_BOUND = 20
 LATTICE_SIZE_BOUND = 200_000
+# Face bits, grid points times the 2^k faces of each, of the grid
+# enumeration in koszul_proj_dim; past it the lcm lattice is walked.
+GRID_CELL_BOUND = 1 << 20
+# _WITHOUT[v]: the bits t < 64 with bit v of t clear, the faces of one word
+# of a face set that miss vertex v
+_WITHOUT = [np.uint64(sum(1 << t for t in range(64) if not t >> v & 1))
+            for v in range(6)]
 # Variables of a Stanley-Reisner complex, whose up to 2^n faces are all visited.
 STANLEY_REISNER_BOUND = 20
 # BLOCK_CELLS also sets lattice points times generators in one numpy block of
@@ -214,7 +222,8 @@ def _subset_lcms(exponents: np.ndarray) -> np.ndarray:
     return table
 
 
-def taylor_homology(a: MonomialIdeal) -> dict[int, int]:
+def taylor_homology(a: MonomialIdeal,
+                    strand_bound: int | None = None) -> dict[int, int] | None:
     """Betti numbers of R/a from the Taylor complex on the minimal generators.
 
     The tensored differential only connects subsets with equal lcm, so the
@@ -223,7 +232,8 @@ def taylor_homology(a: MonomialIdeal) -> dict[int, int]:
     subsets with lcm L as faces, a subset of i generators in dimension
     i - 1: the subsets with smaller lcm are closed under taking subsets.
     A strand of one subset S has its one face as homology, so it adds 1 to
-    beta_|S| without a complex being built.
+    beta_|S| without a complex being built.  With ``strand_bound``, returns
+    None, having built no complex, when a strand has more subsets than that.
     Raises ResourceLimitError when mu exceeds ``TAYLOR_GENERATOR_BOUND``;
     :func:`koszul_proj_dim` gives the projective dimension of larger
     ideals, in particular powers.
@@ -242,8 +252,12 @@ def taylor_homology(a: MonomialIdeal) -> dict[int, int]:
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1])).tolist()
+    stops = starts[1:] + [1 << mu]
+    if strand_bound is not None and max(
+            stop - start for start, stop in zip(starts, stops)) > strand_bound:
+        return None
     betti: dict[int, int] = {}
-    for start, stop in zip(starts, starts[1:] + [1 << mu]):
+    for start, stop in zip(starts, stops):
         if stop - start == 1:
             i = int(order[start]).bit_count()
             betti[i] = betti.get(i, 0) + 1
@@ -376,26 +390,14 @@ def _largest_carriers(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.where(divides, size, -1).max(axis=1)
 
 
-def koszul_proj_dim(a: MonomialIdeal) -> int:
-    """Projective dimension of R/a over the lcm lattice, without the Betti
-    table.
+def _lattice_complexes(a: MonomialIdeal):
+    """(s, facets) of the upper-Koszul complex at every lcm lattice point
+    whose largest carrier has s < n vertices, s descending and in lattice
+    order within equal s.
 
-    The complex at a point with largest carrier of size s has reduced
-    homology in degrees at most s - 1, so it gives Betti numbers beta_i with
-    i <= s + 1.  One vectorised pass finds s at every point.  Points with
-    s = n are skipped: their complex is the full simplex, a cone.  The rest
-    are visited in groups of equal s, highest first and in lattice order
-    within a group, from best = 1 (beta_1 = mu); since s + 1 <= n, the walk
-    ends at the first point with s + 1 <= best, in particular once best = n.
-    Only the points visited get their carriers, facets and cone test (a
-    complex whose facets share a vertex is a cone, with no reduced
-    homology).  A complex can raise best only by homology in a degree
-    j >= best - 1, so only the boundary maps of those degrees are ranked,
-    from the top down, and the first nonzero homology ends the complex.
-    Each distinct complex is ranked once.
+    One vectorised pass finds s at every point; the carriers and facets of
+    a point are found only when the walk asks for it, in blocks of points.
     """
-    require_proper(a)
-    q = a.context.field.modulus
     n = a.context.n
     lattice = lcm_lattice(a)
     gens = a.exponent_matrix()
@@ -406,32 +408,127 @@ def koszul_proj_dim(a: MonomialIdeal) -> int:
     ])
     order = np.argsort(-sizes, kind="stable")
     order = order[sizes[order] < n]
-    seen: set[frozenset[int]] = set()
-    best = 1
     for start in range(0, len(order), step):
         chosen = order[start:start + step]
         for s, row in zip(sizes[chosen].tolist(),
                           _carriers(gens, lattice[chosen]).tolist()):
-            if s + 1 <= best:
-                return best
-            facets = _facets(row)
-            if reduce(and_, facets):
-                continue
-            key = frozenset(facets)
-            if key in seen:
-                continue
-            seen.add(key)
-            # the faces of dimension best - 2 and up: the maps D_j, j >= best - 1
-            chain = _boundary_complex(
-                f for f in _down_closure(facets) if f.bit_count() >= best - 1
-            )
-            above = 0  # rank of D_{j+1}
-            for j in range(s - 1, best - 2, -1):
-                here = _eliminate(chain.diffs[j], q)
-                if chain.dims[j] - here - above:
-                    best = j + 2
-                    break
-                above = here
+            yield s, _facets(row)
+
+
+def _grid_complexes(axes: list[np.ndarray], gens: np.ndarray):
+    """(s, facets) of every distinct upper-Koszul complex on the exponent
+    grid that is neither void nor a cone, s descending.
+
+    ``axes`` holds each variable's distinct exponents with 0, for the k
+    variables that occur in ``gens``, whose columns they are; face bit j is
+    variable j of them.  The complex at each grid point is a set of faces,
+    kept as 2^k bits in 64-bit words, bit T set when face T is in it.
+    Membership in a at every grid point is the prefix-OR of the generators
+    along every axis: bit 0, the empty face.  At grid point c with
+    multidegree b, face T is in the complex when x^(b - T) is in a; every
+    generator exponent is a grid value, so e_j <= b_j - 1 holds exactly
+    when e_j is at most the grid value before b_j, and face T is membership
+    at the point c - 1_T.  So each axis j in turn adds the faces with j at
+    c as the faces without j at c - e_j, and none at c_j = 0.
+    """
+    k = len(axes)
+    faces = np.zeros([len(v) for v in axes] + [1], dtype=np.uint64)
+    faces[tuple(np.searchsorted(v, col) for v, col in zip(axes, gens.T))] = 1
+    for j in range(k):
+        np.bitwise_or.accumulate(faces, axis=j, out=faces)
+    for j in range(k):
+        if j < 6:
+            down = np.moveaxis(faces, j, 0)
+            down[1:] |= down[:-1] << np.uint64(1 << j)
+        else:
+            words = faces.shape[-1]
+            wide = np.zeros(faces.shape[:-1] + (2 * words,), dtype=np.uint64)
+            wide[..., :words] = faces
+            np.moveaxis(wide, j, 0)[1:, ..., words:] = np.moveaxis(faces, j, 0)[:-1]
+            faces = wide
+    faces = faces.reshape(-1, faces.shape[-1])
+    # void without the empty face; a cone with apex v when every face T
+    # without v has T | v as a face too
+    keep = (faces[:, 0] & np.uint64(1)).astype(bool)
+    for v in range(k):
+        if v < 6:
+            escape = faces & _WITHOUT[v] & ~(faces >> np.uint64(1 << v))
+        else:
+            pairs = faces.reshape(len(faces), -1, 2, 1 << (v - 6))
+            escape = pairs[:, :, 0] & ~pairs[:, :, 1]
+        keep &= escape.reshape(len(faces), -1).any(axis=1)
+    faces = faces[keep]
+    keys = faces.view(np.dtype((np.void, faces.itemsize * faces.shape[1]))).ravel()
+    faces = faces[np.unique(keys, return_index=True)[1]]
+    bits = np.unpackbits(faces.astype("<u8").view(np.uint8), axis=1,
+                         bitorder="little")
+    size = np.array([t.bit_count() for t in range(bits.shape[1])])
+    sizes = np.where(bits, size, -1).max(axis=1)
+    for i in np.argsort(-sizes, kind="stable").tolist():
+        yield int(sizes[i]), _facets(np.flatnonzero(bits[i]).tolist())
+
+
+def koszul_proj_dim(a: MonomialIdeal) -> int:
+    """Projective dimension of R/a from its upper-Koszul complexes, without
+    the Betti table.
+
+    The upper-Koszul complex at a multidegree b is {T : x^(b - T) in a};
+    its reduced homology in degree j is beta_{j+2}(R/a) at b.  The
+    complexes come from one of two enumerations, which give the same
+    complexes apart from cones and void ones, so the same pd:
+
+    - the exponent grid, the product over the k variables that occur of
+      their distinct exponents with 0 (:func:`_grid_complexes`), when it has
+      G <= 2^mu points and G * 2^k <= ``GRID_CELL_BOUND``.  The lcm lattice
+      has at most 2^mu - 1 points, so a larger grid is the larger set;
+    - otherwise the lcm lattice (:func:`_lattice_complexes`), where the
+      facets at a point are its maximal carriers.
+
+    Points off the lattice carry cones, and pd is a maximum, so neither the
+    extra points of the grid nor the order of the visits changes it.
+
+    A complex whose largest face has s vertices has reduced homology in
+    degrees at most s - 1, so it gives Betti numbers beta_i with
+    i <= s + 1.  Complexes are visited by s, highest first, from best = 1
+    (beta_1 = mu); the walk ends at the first complex with s + 1 <= best,
+    in particular once best = n.  A complex whose facets share a vertex is
+    a cone, with no reduced homology.  A complex can raise best only by
+    homology in a degree j >= best - 1, so only the boundary maps of those
+    degrees are ranked, from the top down, and the first nonzero homology
+    ends the complex.  Each distinct complex is ranked once.
+    """
+    require_proper(a)
+    q = a.context.field.modulus
+    gens = a.exponent_matrix()
+    gens = gens[:, gens.any(axis=0)]
+    axes = [np.unique(np.append(col, 0)) for col in gens.T]
+    points = prod(len(v) for v in axes)
+    if points <= 1 << a.mu and points << len(axes) <= GRID_CELL_BOUND:
+        complexes = _grid_complexes(axes, gens)
+    else:
+        complexes = _lattice_complexes(a)
+    seen: set[frozenset[int]] = set()
+    best = 1
+    for s, facets in complexes:
+        if s + 1 <= best:
+            return best
+        if reduce(and_, facets):
+            continue
+        key = frozenset(facets)
+        if key in seen:
+            continue
+        seen.add(key)
+        # the faces of dimension best - 2 and up: the maps D_j, j >= best - 1
+        chain = _boundary_complex(
+            f for f in _down_closure(facets) if f.bit_count() >= best - 1
+        )
+        above = 0  # rank of D_{j+1}
+        for j in range(s - 1, best - 2, -1):
+            here = _eliminate(chain.diffs[j], q)
+            if chain.dims[j] - here - above:
+                best = j + 2
+                break
+            above = here
     return best
 
 

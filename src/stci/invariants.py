@@ -28,8 +28,8 @@ from itertools import combinations
 import numpy as np
 
 from . import homology
-from .core import (MEMOS, Monomial, MonomialIdeal, ResourceLimitError, memo,
-                   require_proper)
+from .core import (MEMOS, PAIR_CELL_BOUND, Monomial, MonomialIdeal,
+                   ResourceLimitError, memo, require_proper)
 from .decomposition import dim_quotient, height, minimal_primes
 from .linfeas import _bits, newton_facets
 
@@ -121,15 +121,28 @@ def proj_dim(a: MonomialIdeal) -> int:
     """Projective dimension of R/a.
 
     Ideals with at most ``TAYLOR_DISPATCH_BOUND`` generators take the top
-    degree of the Taylor complex.  Larger ones are split before the lattice
-    search: disjoint-variable summands add their projective dimensions, and
-    k factors of a product in disjoint variables add theirs less k - 1 (the
+    degree of the Taylor complex.  So do ideals with at most n generators
+    whose 2^mu x n table of subset lcms fits ``PAIR_CELL_BOUND`` cells, as
+    long as no strand has more subsets than the whole Taylor complex at
+    mu = ``TAYLOR_DISPATCH_BOUND``: few generators in many variables can
+    make a small lcm lattice whose complexes have facets on nearly every
+    variable, which the lattice search ranks slowly, while a large strand
+    is slow for Taylor.  Other ideals are split before the lattice search:
+    disjoint-variable summands add their projective dimensions, and k
+    factors of a product in disjoint variables add theirs less k - 1 (the
     Mayer-Vietoris sequence of the intersection splits).  The field is
     that of the ideal's ring.
     """
     require_proper(a)
+    n = a.context.n
+    betti = None
     if a.mu <= TAYLOR_DISPATCH_BOUND:
-        pd = max(homology.taylor_homology(a))
+        betti = homology.taylor_homology(a)
+    elif a.mu <= n and n << a.mu <= PAIR_CELL_BOUND:
+        betti = homology.taylor_homology(
+            a, strand_bound=1 << TAYLOR_DISPATCH_BOUND)
+    if betti is not None:
+        pd = max(betti)
     elif len(components := _support_components(a)) > 1:
         pd = sum(
             proj_dim(MonomialIdeal(a.context, tuple(a.rows[k] for k in comp)))
@@ -140,7 +153,7 @@ def proj_dim(a: MonomialIdeal) -> int:
     else:
         pd = homology.koszul_proj_dim(a)
     # Hilbert's syzygy theorem, and the length of the Taylor resolution
-    _check(1 <= pd <= min(a.context.n, a.mu), "1 <= pd <= min(n, mu)")
+    _check(1 <= pd <= min(n, a.mu), "1 <= pd <= min(n, mu)")
     return pd
 
 

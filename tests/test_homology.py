@@ -4,6 +4,7 @@ lattice walk."""
 
 import copy
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
@@ -295,6 +296,8 @@ def test_principal_ideal_upper_koszul_is_irrelevant():
 def test_lattice_size_bound(monkeypatch):
     assert len(lcm_lattice(triangle())) == 4
     monkeypatch.setattr(homology, "LATTICE_SIZE_BOUND", 3)
+    # the triangle's grid enumeration would never build the lattice
+    monkeypatch.setattr(homology, "GRID_CELL_BOUND", 0)
     with pytest.raises(ResourceLimitError, match="lcm lattice exceeds 3"):
         lcm_lattice(triangle())
     with pytest.raises(ResourceLimitError, match="lcm lattice exceeds 3"):
@@ -449,6 +452,15 @@ def strand_sizes(monkeypatch, a):
     return betti, sizes
 
 
+def test_taylor_strand_bound(monkeypatch):
+    # the triangle's strand at xyz has the 4 subsets of two or more generators
+    betti, sizes = strand_sizes(monkeypatch, triangle())
+    assert sizes == [4]
+    assert taylor_homology(triangle(), strand_bound=4) == betti
+    monkeypatch.setattr(homology, "_boundary_complex", None)
+    assert taylor_homology(triangle(), strand_bound=3) is None
+
+
 def test_taylor_counts_singleton_strands_without_a_complex(monkeypatch):
     # generators in disjoint variables: every subset has its own lcm
     rng = random.Random(18)
@@ -499,12 +511,50 @@ def test_betti_field_independent_for_small_squarefree(rows):
 # the projective-dimension walk
 
 
+WALK_ROUTES = ("grid", "lattice")
+
+
+@contextmanager
+def walk_route(monkeypatch, route):
+    """Send the pd walk through the grid enumeration wherever its grid has
+    at most 2^mu points ("grid"), or always through the lcm lattice
+    ("lattice"); the block must reach the grid enumeration on the grid
+    route and only there."""
+    grids = []
+    real_grid = homology._grid_complexes
+
+    def recording_grid(axes, gens):
+        grids.append(len(axes))
+        return real_grid(axes, gens)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homology, "_grid_complexes", recording_grid)
+        patch.setattr(homology, "GRID_CELL_BOUND",
+                      1 << 22 if route == "grid" else 0)
+        yield
+    assert bool(grids) == (route == "grid")
+
+
+def lattice_calls(monkeypatch):
+    """Record each ideal that reaches ``homology.lcm_lattice``."""
+    calls = []
+    real_lattice = homology.lcm_lattice
+
+    def counting_lattice(a):
+        calls.append(a)
+        return real_lattice(a)
+
+    monkeypatch.setattr(homology, "lcm_lattice", counting_lattice)
+    return calls
+
+
 def largest_carriers(a):
     return homology._largest_carriers(a.exponent_matrix(), lcm_lattice(a))
 
 
 def count_facet_calls(monkeypatch):
-    """Record each point whose carriers reach ``homology._facets``."""
+    """Record each lattice point whose carriers, or each distinct grid
+    complex whose faces, reach ``homology._facets``."""
     calls = []
     real_facets = homology._facets
 
@@ -522,53 +572,134 @@ def assert_pd_matches_betti_oracle(a, field):
 
 
 @pytest.mark.parametrize("field", [Q, F2], ids=str)
-def test_pd_walk_below_top_points_that_are_full_simplices(field):
+def test_pd_walk_below_top_points_that_are_full_simplices(monkeypatch, field):
     # the points of largest carrier size n carry the full simplex, a cone,
     # and are skipped; pd comes from the groups below them
-    rng = random.Random(5)
-    kept = below_n = 0
-    while kept < 40:
-        rows = [tuple(rng.randint(0, 3) for _ in range(4))
-                for _ in range(rng.randint(4, 12))]
-        a = MonomialIdeal.from_exponents(CTX4, [r for r in rows if any(r)])
-        if a.is_zero or a.is_unit or largest_carriers(a).max() < 4:
-            continue
-        assert_pd_matches_betti_oracle(a, field)
-        kept += 1
-        below_n += koszul_proj_dim(a) < 4
-    assert below_n >= 20
+    for route in WALK_ROUTES:
+        rng = random.Random(5)
+        kept = below_n = 0
+        with walk_route(monkeypatch, route):
+            while kept < 40:
+                rows = [tuple(rng.randint(0, 3) for _ in range(4))
+                        for _ in range(rng.randint(4, 12))]
+                a = MonomialIdeal.from_exponents(CTX4, [r for r in rows if any(r)])
+                if a.is_zero or a.is_unit or largest_carriers(a).max() < 4:
+                    continue
+                assert_pd_matches_betti_oracle(a, field)
+                kept += 1
+                below_n += koszul_proj_dim(a) < 4
+        assert below_n >= 20
 
 
 @pytest.mark.parametrize("field", [Q, F2], ids=str)
 def test_pd_walk_stops_in_the_middle_of_a_group(monkeypatch, field):
     # m^t reaches pd = n at a point of carrier size n - 1 that is not the
     # last of its size; the points of size n are full simplices
-    for n, t in ((2, 3), (3, 2), (3, 3), (4, 2)):
-        ctx = RingContext(tuple(f"x{i}" for i in range(n)), field)
-        a = maximal_ideal(ctx) ** t
-        sizes = largest_carriers(a)
-        assert sizes.max() == n
-        calls = count_facet_calls(monkeypatch)
-        pd = koszul_proj_dim(a)
-        monkeypatch.undo()
-        assert pd == n == len(betti_numbers_oracle(a)) - 1
-        assert 0 < len(calls) < (sizes == n - 1).sum()
+    for route in WALK_ROUTES:
+        for n, t in ((2, 3), (3, 2), (3, 3), (4, 2)):
+            ctx = RingContext(tuple(f"x{i}" for i in range(n)), field)
+            a = maximal_ideal(ctx) ** t
+            sizes = largest_carriers(a)
+            assert sizes.max() == n
+            with walk_route(monkeypatch, route), monkeypatch.context() as patch:
+                calls = count_facet_calls(patch)
+                pd = koszul_proj_dim(a)
+            assert pd == n == len(betti_numbers_oracle(a)) - 1
+            assert 0 < len(calls) < (sizes == n - 1).sum()
 
 
 @pytest.mark.parametrize("field", [Q, F2], ids=str)
-def test_pd_walk_with_more_variables_than_mask_bits(field):
+def test_pd_walk_with_more_variables_than_mask_bits(monkeypatch, field):
+    # a has a grid of 2^8 points, more than 2^mu; a^2 takes the grid, with
+    # face sets of 2^8 bits over the 8 variables that occur
     a = seventy_variable_ideal()
     assert homology._carriers(a.exponent_matrix(), lcm_lattice(a)).dtype == object
-    for b in (a, a ** 2):
-        assert_pd_matches_betti_oracle(b, field)
+    for route in WALK_ROUTES:
+        with walk_route(monkeypatch, route):
+            for b in (a, a ** 2):
+                assert_pd_matches_betti_oracle(b, field)
 
 
 def test_pd_walk_passes_fewer_points_to_facets_than_the_lattice_has(monkeypatch):
     a = cycle(6) ** 3
     points = len(lcm_lattice(a))
-    calls = count_facet_calls(monkeypatch)
-    assert koszul_proj_dim(a) == 4
-    assert 0 < len(calls) < points
+    for route in WALK_ROUTES:
+        with walk_route(monkeypatch, route), monkeypatch.context() as patch:
+            calls = count_facet_calls(patch)
+            assert koszul_proj_dim(a) == 4
+        assert 0 < len(calls) < points
+
+
+def grid_route_ideals(seed, count, n, used, top, mus, power=1):
+    """``count`` seeded ideals in n variables whose pd walk takes the grid
+    at the default bound: powers of ideals whose generators involve only
+    the first ``used`` variables, with exponents <= top, and mu in
+    ``mus``."""
+    rng = random.Random(seed)
+    ctx = RingContext(tuple(f"x{i}" for i in range(n)))
+    out = []
+    while len(out) < count:
+        rows = [tuple(rng.randint(0, top) if j < used else 0 for j in range(n))
+                for _ in range(rng.randint(mus.start, mus.stop + 3))]
+        a = MonomialIdeal.from_exponents(ctx, [r for r in rows if any(r)])
+        if a.is_unit or a.mu not in mus:
+            continue
+        a = a ** power
+        gens = a.exponent_matrix()
+        points = 1
+        for col in gens.T:
+            points *= len(set(col.tolist()) | {0})
+        if points <= 1 << a.mu and points << used <= homology.GRID_CELL_BOUND:
+            out.append(a)
+    return out
+
+
+@pytest.mark.parametrize("field", [Q, F2, FieldSpec.parse("fp:32003")], ids=str)
+def test_grid_route_matches_lattice_route_and_oracle(monkeypatch, field):
+    # n = 7 and 8 give face sets of 128 and 256 bits, several 64-bit words;
+    # an ideal with used < n has variables in no generator
+    inputs = (
+        grid_route_ideals(81, 12, 4, 3, 3, range(4, 12))
+        + grid_route_ideals(82, 6, 4, 4, 2, range(3, 5), power=2)
+        + grid_route_ideals(83, 10, 5, 5, 2, range(8, 13))
+        + grid_route_ideals(84, 6, 7, 7, 1, range(7, 12))
+        + grid_route_ideals(85, 4, 7, 7, 2, range(12, 15))
+        + grid_route_ideals(86, 6, 8, 7, 1, range(7, 12))
+        + grid_route_ideals(87, 6, 8, 8, 1, range(8, 13))
+    )
+    lattices = lattice_calls(monkeypatch)
+    for a in inputs:
+        a = over_field(a, field)
+        lattices.clear()
+        grid = koszul_proj_dim(a)
+        assert lattices == []
+        with monkeypatch.context() as patch:
+            patch.setattr(homology, "GRID_CELL_BOUND", 0)
+            lattice = koszul_proj_dim(a)
+        assert lattices == [a]
+        assert grid == lattice == len(betti_numbers_oracle(a)) - 1
+
+
+def test_pd_walk_dispatch_between_grid_and_lattice(monkeypatch):
+    # mu 9 in 5 variables with exponents <= 4: the grid has 2500 points,
+    # more than the 2^9 - 1 that the lcm lattice can have
+    larger_grid = ideal(
+        RingContext(tuple("abcde")),
+        (4, 2, 3, 0, 0), (4, 0, 0, 1, 1), (3, 3, 4, 4, 1), (2, 2, 2, 0, 4),
+        (1, 4, 4, 1, 0), (1, 2, 4, 1, 3), (0, 4, 4, 0, 3), (0, 2, 0, 3, 2),
+        (0, 0, 1, 2, 4),
+    )
+    assert larger_grid.mu == 9
+    # C8^2: 3^8 grid points of 2^8 faces each pass GRID_CELL_BOUND; C7^2
+    # has 3^7 points of 2^7 faces and takes the grid
+    assert 3 ** 8 << 8 > homology.GRID_CELL_BOUND >= 3 ** 7 << 7
+    lattices = lattice_calls(monkeypatch)
+    for a, lattice in ((larger_grid, True), (cycle(8) ** 2, True),
+                       (cycle(7) ** 2, False)):
+        lattices.clear()
+        pd = koszul_proj_dim(a)
+        assert lattices == ([a] if lattice else [])
+        assert pd == len(betti_numbers_oracle(a)) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,39 @@ def test_proj_dim_matches_betti_oracle_drawn_squarefree(rows):
         assert_pd_matches_oracle(a, F32003)
 
 
+def test_proj_dim_takes_taylor_for_few_generators_in_many_variables(monkeypatch):
+    # the square of the seed-0 RandomIdealSpec(n=25, max_exponent=1) draw:
+    # mu 10 <= n = 25, an lcm lattice of 96 points with carriers of up to
+    # 19 variables, on which the lattice walk ran for minutes
+    spec = RandomIdealSpec(n=25, max_exponent=1)
+    a = random_ideal(spec, random.Random(spec.seed)) ** 2
+    assert a.mu == 10
+
+    def refuse(b):
+        raise AssertionError("lattice walk reached")
+
+    monkeypatch.setattr(homology, "koszul_proj_dim", refuse)
+    invariants.clear_caches()
+    assert proj_dim(a) == max(homology.taylor_homology(a)) == 4
+    # the 12 products of 11 of 12 variables: every set of two or more
+    # generators has the same lcm, one strand of 4083 subsets, which took
+    # Taylor 0.8 s; it goes to the walk
+    ctx = RingContext(tuple(f"x{i}" for i in range(12)))
+    hat = MonomialIdeal.from_exponents(
+        ctx, [tuple(int(i != j) for i in range(12)) for j in range(12)])
+    invariants.clear_caches()
+    with pytest.raises(AssertionError, match="lattice walk reached"):
+        proj_dim(hat)
+    # a 2^mu x n table of subset lcms past PAIR_CELL_BOUND goes to the walk
+    monkeypatch.setattr(invariants, "PAIR_CELL_BOUND", (25 << 10) - 1)
+    invariants.clear_caches()
+    with pytest.raises(AssertionError, match="lattice walk reached"):
+        proj_dim(a)
+    monkeypatch.undo()
+    invariants.clear_caches()
+    assert proj_dim(hat) == 2
+
+
 def test_proj_dim_check_survives_python_optimize():
     # a Taylor table patched one degree past n breaks Hilbert's syzygy
     # theorem; the explicit check must raise under -O too
