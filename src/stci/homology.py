@@ -14,7 +14,13 @@ an argument.
 Chain complexes, the Taylor strands included, have one builder,
 :func:`_boundary_complex`, which takes faces as vertex bitmasks (bit v set
 when v is in the face).  Every matrix is one form, sparse integer rows, and
-every rank comes from one elimination loop, :func:`_eliminate`.
+every rank comes from one entry point, :func:`_eliminate`.  Over the
+rationals it first takes the rank over F_2 of the rows as bitmasks, a lower
+bound on the rational rank, and accepts it when it meets an upper bound
+that the caller knows: for the boundary map D_i of a chain complex, ranked
+from the top degree down, D_i . D_{i+1} = 0 gives
+rank D_i <= dim C_i - rank D_{i+1}.  Only when the two bounds do not meet,
+as at 2-torsion, does the exact elimination loop run.
 """
 
 from __future__ import annotations
@@ -89,7 +95,28 @@ def _combine(row: dict[int, int], pivot_row: dict[int, int], pj: int,
     return new_row
 
 
-def _eliminate(rows: dict[int, dict[int, int]], q: int | None) -> int:
+def _bit_rank(rows: dict[int, dict[int, int]], cap: int) -> int:
+    """Rank over F_2 of the rows' entries mod 2, each row a column bitmask;
+    stops once it reaches ``cap``."""
+    pivots: dict[int, int] = {}  # leading bit -> reduced row
+    for row in rows.values():
+        bits = 0
+        for j, v in row.items():
+            if v & 1:
+                bits |= 1 << j
+        while bits:
+            top = bits.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = bits
+                if len(pivots) == cap:
+                    return cap
+                break
+            bits ^= pivot
+    return len(pivots)
+
+
+def _markowitz(rows: dict[int, dict[int, int]], q: int | None) -> int:
     """Rank of sparse integer rows over the rationals (q None) or F_q, by
     sparse elimination with Markowitz pivots.
 
@@ -136,6 +163,28 @@ def _eliminate(rows: dict[int, dict[int, int]], q: int | None) -> int:
     return rank
 
 
+def _eliminate(rows: dict[int, dict[int, int]], q: int | None,
+               bound: int | None = None) -> int:
+    """Rank of sparse integer rows over the rationals (q None) or F_q.
+
+    ``bound`` is an upper bound on the rank that the caller knows, such as
+    dim C_i - rank D_{i+1} for a boundary map D_i; the number of rows
+    bounds it too.  Over F_2 the rank is that of the bitmask rows
+    (:func:`_bit_rank`).  Over the rationals the F_2 rank comes first: it
+    is a lower bound, since a minor that is odd is nonzero, so when it
+    reaches the upper bound it is the rank.  Otherwise, and over odd
+    primes, the rank comes from :func:`_markowitz`.  The rows passed in
+    are left unchanged.
+    """
+    if q not in (None, 2):
+        return _markowitz(rows, q)
+    cap = len(rows) if bound is None else min(len(rows), bound)
+    low = _bit_rank(rows, cap)
+    if q == 2 or low == cap:
+        return low
+    return _markowitz(rows, q)
+
+
 def rank(matrix, field: FieldSpec = FieldSpec.rationals()) -> int:
     """Exact rank over the given field of a sequence of integer rows or an
     integer numpy array.
@@ -144,11 +193,11 @@ def rank(matrix, field: FieldSpec = FieldSpec.rationals()) -> int:
     """
     if isinstance(matrix, np.ndarray):
         matrix = matrix.tolist()
-    return _eliminate(
-        {i: {j: w for j, v in enumerate(row) if (w := index(v))}
-         for i, row in enumerate(matrix)},
-        field.modulus,
-    )
+    rows = {i: {j: w for j, v in enumerate(row) if (w := index(v))}
+            for i, row in enumerate(matrix)}
+    # the rank is at most the number of rows and of nonzero columns
+    return _eliminate(rows, field.modulus,
+                      len({j for row in rows.values() for j in row}))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +214,12 @@ class ChainComplex:
 
     def homology_ranks(self, field: FieldSpec = FieldSpec.rationals()) -> dict[int, int]:
         """dim C_i - rank D_i - rank D_{i+1} in each degree; every
-        differential is ranked once."""
-        ranks = {i: _eliminate(d, field.modulus) for i, d in self.diffs.items()}
+        differential is ranked once, from the top degree down, so that
+        dim C_i - rank D_{i+1} bounds rank D_i."""
+        ranks: dict[int, int] = {}
+        for i in sorted(self.diffs, reverse=True):
+            ranks[i] = _eliminate(self.diffs[i], field.modulus,
+                                  self.dims[i] - ranks.get(i + 1, 0))
         return {
             i: dim - ranks.get(i, 0) - ranks.get(i + 1, 0)
             for i, dim in sorted(self.dims.items())
@@ -494,8 +547,9 @@ def koszul_proj_dim(a: MonomialIdeal) -> int:
     in particular once best = n.  A complex whose facets share a vertex is
     a cone, with no reduced homology.  A complex can raise best only by
     homology in a degree j >= best - 1, so only the boundary maps of those
-    degrees are ranked, from the top down, and the first nonzero homology
-    ends the complex.  Each distinct complex is ranked once.
+    degrees are ranked, from the top down, each with the bound
+    dim C_j - rank D_{j+1}, and the first nonzero homology ends the
+    complex.  Each distinct complex is ranked once.
     """
     require_proper(a)
     q = a.context.field.modulus
@@ -524,7 +578,7 @@ def koszul_proj_dim(a: MonomialIdeal) -> int:
         )
         above = 0  # rank of D_{j+1}
         for j in range(s - 1, best - 2, -1):
-            here = _eliminate(chain.diffs[j], q)
+            here = _eliminate(chain.diffs[j], q, chain.dims[j] - above)
             if chain.dims[j] - here - above:
                 best = j + 2
                 break

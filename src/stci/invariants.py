@@ -23,6 +23,7 @@ It checks ``height <= cd <= ara upper``, ``cd <= analytic spread <= mu`` and
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -357,39 +358,34 @@ def _sv_exact(mu: int, pair_div: dict[tuple[int, int], int]) -> list[int]:
     unplaced generators, and its new members deleted from later levels,
     without adding a level.  The maximal levels after ``placed`` are the
     maximal cliques of the graph on the unplaced generators that joins
-    ``x`` and ``y`` when an earlier generator divides their product.
+    ``x`` and ``y`` when an earlier generator divides their product.  The
+    search ends with the expansion that first reaches the full mask; a
+    mask's parent is set once, so a later expansion could not change the
+    partition.
     """
     full = (1 << mu) - 1
-    parent: dict[int, tuple[int, int]] = {}
-    frontier = []
-    for i in range(mu):
-        mask = 1 << i
-        parent[mask] = (0, mask)
-        frontier.append(mask)
-    while frontier:
-        nxt = []
-        for placed in frontier:
-            if placed == full:
-                levels = []
-                cur = placed
-                while cur:
-                    prev, block = parent[cur]
-                    levels.append(block)
-                    cur = prev
-                return list(reversed(levels))
-            comp = full ^ placed
-            adj = [0] * mu
-            for x, y in combinations([i for i in range(mu) if comp >> i & 1], 2):
-                if pair_div[(x, y)] & placed:
-                    adj[x] |= 1 << y
-                    adj[y] |= 1 << x
-            for level in _maximal_cliques(adj, comp):
-                new = placed | level
-                if new not in parent:
-                    parent[new] = (placed, level)
-                    nxt.append(new)
-        frontier = nxt
-    raise AssertionError("singleton levels always reach the full mask")
+    # the singleton levels reach the full mask, so the queue never runs dry
+    parent = {1 << i: (0, 1 << i) for i in range(mu)}
+    queue = deque(parent)
+    while full not in parent:
+        placed = queue.popleft()
+        comp = full ^ placed
+        adj = [0] * mu
+        for x, y in combinations([i for i in range(mu) if comp >> i & 1], 2):
+            if pair_div[(x, y)] & placed:
+                adj[x] |= 1 << y
+                adj[y] |= 1 << x
+        for level in _maximal_cliques(adj, comp):
+            new = placed | level
+            if new not in parent:
+                parent[new] = (placed, level)
+                queue.append(new)
+    levels = []
+    cur = full
+    while cur:
+        cur, block = parent[cur]
+        levels.append(block)
+    return levels[::-1]
 
 
 def _sv_greedy(mu: int, pair_div: dict[tuple[int, int], int]) -> list[int]:

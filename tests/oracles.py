@@ -5,10 +5,11 @@ avoiding the code paths under test: ideal membership is decided monomial
 by monomial over a bounded degree range, Betti numbers come from Koszul
 strands on the quotient's monomial basis, heights from exhaustive
 transversal search, and matrix ranks from dense Gaussian elimination over
-``Fraction``.  Code that only the tests use lives here too: ``over_field``,
+``Fraction`` or mod a prime.  Code that only the tests use lives here too: ``over_field``,
 which moves an ideal to another coefficient field, since the library takes
 the field from the ring; ``maximal_ideal``, the ideal of every variable, which
-no library code needs; the full Taylor complex, a boundary-squared check
+no library code needs; the real projective plane, whose homology has
+2-torsion; the full Taylor complex, a boundary-squared check
 for chain complexes with the product of sparse rows behind it; simplicial complexes
 as face sets with their reduced homology, upper-Koszul and Stanley-Reisner
 complexes, the Stanley-Reisner faces from a scan of all vertex subsets and
@@ -24,7 +25,8 @@ feasibility with the all-subsets compact-face searches built on it that
 the facet walk of :mod:`stci.invariants` replaced; the growth of mu(a^t)
 as an estimate of the analytic spread; the all-submask Schmitt-Vogel
 search that :func:`stci.invariants.schmitt_vogel_upper` replaced with
-maximal levels; the generator-splitting decomposition and
+maximal levels, and the level-by-level maximal-level search that it
+replaced with an early goal test; the generator-splitting decomposition and
 subset-enumeration minimal primes that the incremental pass of
 :mod:`stci.decomposition` replaced; and the subset enumeration of random
 Stanley-Reisner ideals that the prime intersection of
@@ -54,6 +56,7 @@ from stci.homology import ChainComplex, _subset_lcms, taylor_homology
 from stci.invariants import (
     TAYLOR_DISPATCH_BOUND,
     _affine_dim,
+    _maximal_cliques,
     _product_split,
     _support_components,
 )
@@ -212,6 +215,30 @@ def dense_rank_fraction(rows: list[list]) -> int:
         if row == nrows:
             break
     return rank
+
+
+def dense_rank_mod(rows: list[list], q: int) -> int:
+    """Plain Gaussian elimination mod the prime q, as a rank oracle."""
+    m = [[v % q for v in row] for row in rows]
+    nrows, ncols = len(m), len(m[0])
+    r = 0
+    row = 0
+    for col in range(ncols):
+        pivot = next((k for k in range(row, nrows) if m[k][col]), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = pow(m[row][col], q - 2, q)
+        for k in range(nrows):
+            if k != row and m[k][col]:
+                f = m[k][col] * inv % q
+                for c in range(col, ncols):
+                    m[k][c] = (m[k][c] - f * m[row][c]) % q
+        row += 1
+        r += 1
+        if row == nrows:
+            break
+    return r
 
 
 def brute_betti(a: MonomialIdeal) -> dict[int, int]:
@@ -436,6 +463,21 @@ def reduced_homology_ranks(
     rank one in degree -1.
     """
     return boundary_chain_complex(complex_).homology_ranks(field)
+
+
+# the ten triangles of the 6-vertex real projective plane; every edge is a face
+RP2_FACETS = ((0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+              (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5))
+
+
+def rp2_ideal() -> MonomialIdeal:
+    """Stanley-Reisner ideal of the 6-vertex real projective plane: every
+    edge is a face, so the 10 triangles outside the complex generate it."""
+    ctx = RingContext(tuple(f"x{i}" for i in range(6)))
+    return MonomialIdeal.from_exponents(ctx, [
+        [int(i in t) for i in range(6)]
+        for t in combinations(range(6), 3) if t not in RP2_FACETS
+    ])
 
 
 def upper_koszul_complex(a: MonomialIdeal, b) -> SimplicialComplex:
@@ -930,6 +972,43 @@ def sv_levels_oracle(a: MonomialIdeal) -> list[int]:
                 sub = (sub - 1) & comp
         frontier = nxt
     return []
+
+
+def sv_exact_level_bfs(mu: int, pair_div: dict[tuple[int, int], int]) -> list[int]:
+    """The maximal-level Schmitt-Vogel search of
+    :func:`stci.invariants._sv_exact` as it was before its early goal test:
+    the whole previous level is expanded before the full mask is met."""
+    full = (1 << mu) - 1
+    parent: dict[int, tuple[int, int]] = {}
+    frontier = []
+    for i in range(mu):
+        mask = 1 << i
+        parent[mask] = (0, mask)
+        frontier.append(mask)
+    while frontier:
+        nxt = []
+        for placed in frontier:
+            if placed == full:
+                levels = []
+                cur = placed
+                while cur:
+                    prev, block = parent[cur]
+                    levels.append(block)
+                    cur = prev
+                return list(reversed(levels))
+            comp = full ^ placed
+            adj = [0] * mu
+            for x, y in combinations([i for i in range(mu) if comp >> i & 1], 2):
+                if pair_div[(x, y)] & placed:
+                    adj[x] |= 1 << y
+                    adj[y] |= 1 << x
+            for level in _maximal_cliques(adj, comp):
+                new = placed | level
+                if new not in parent:
+                    parent[new] = (placed, level)
+                    nxt.append(new)
+        frontier = nxt
+    raise AssertionError("singleton levels always reach the full mask")
 
 
 def _sorted_by_generators(ideals) -> list[MonomialIdeal]:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stci import homology
+from stci import homology, invariants
 from stci.core import FieldSpec, MonomialIdeal, ResourceLimitError, RingContext
 from stci.homology import (
     ChainComplex,
@@ -24,11 +24,13 @@ from stci.homology import (
 )
 
 from oracles import (
+    RP2_FACETS,
     SimplicialComplex,
     betti_numbers_oracle,
     boundary_chain_complex,
     brute_betti,
     dense_rank_fraction,
+    dense_rank_mod,
     koszul_betti,
     koszul_betti_totals,
     lattice_betti_oracle,
@@ -37,6 +39,7 @@ from oracles import (
     maximal_ideal,
     over_field,
     reduced_homology_ranks,
+    rp2_ideal,
     sparse_matmul,
     stanley_reisner_complex,
     taylor_chain_complex,
@@ -94,29 +97,6 @@ def test_rank_with_fractions_and_prime_fields():
     assert rank([[2, 0], [0, 2]], F3) == 2
 
 
-def _dense_rank_mod(rows, q):
-    m = [[v % q for v in row] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((k for k in range(row, nrows) if m[k][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], q - 2, q)
-        for k in range(nrows):
-            if k != row and m[k][col]:
-                f = m[k][col] * inv % q
-                for c in range(col, ncols):
-                    m[k][c] = (m[k][c] - f * m[row][c]) % q
-        row += 1
-        r += 1
-        if row == nrows:
-            break
-    return r
-
-
 def test_rank_against_dense_oracle_random():
     rng = random.Random(11)
     for _ in range(60):
@@ -126,7 +106,7 @@ def test_rank_against_dense_oracle_random():
         ]
         assert rank(rows) == dense_rank_fraction(rows)
         q = rng.choice([2, 3, 5])
-        assert rank(rows, FieldSpec.prime(q)) == _dense_rank_mod(rows, q)
+        assert rank(rows, FieldSpec.prime(q)) == dense_rank_mod(rows, q)
 
 
 def test_eliminate_leaves_its_rows_unchanged():
@@ -139,8 +119,81 @@ def test_eliminate_leaves_its_rows_unchanged():
         before = copy.deepcopy(rows)
         dense = [[rows[i].get(j, 0) for j in range(5)] for i in sorted(rows)]
         assert homology._eliminate(rows, None) == dense_rank_fraction(dense)
-        assert homology._eliminate(rows, 3) == _dense_rank_mod(dense, 3)
+        assert homology._eliminate(rows, 3) == dense_rank_mod(dense, 3)
         assert rows == before
+
+
+def seeded_sparse_matrices(seed, count):
+    """Integer matrices up to 10 x 10 of three kinds: sparse draws, products
+    of two thin factors, which lose rank, and twice a draw plus a sparse
+    pattern of odd entries, whose rank over F_2 is mostly below the rational
+    one."""
+    rng = random.Random(seed)
+    out = [[[1, 1], [1, -1]], [[2, 0], [0, 2]], [[1, 1, 0], [1, -1, 0], [0, 0, 3]]]
+    while len(out) < count:
+        nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+        kind = rng.randrange(3)
+        if kind == 0:
+            density = rng.random()
+            m = [[rng.randint(-3, 3) if rng.random() < density else 0
+                  for _ in range(ncols)] for _ in range(nrows)]
+        elif kind == 1:
+            inner = rng.randint(1, min(nrows, ncols))
+            right = [[rng.randint(-2, 2) for _ in range(ncols)]
+                     for _ in range(inner)]
+            m = [[sum(rng.randint(-2, 2) * r[j] for r in right)
+                  for j in range(ncols)] for _ in range(nrows)]
+        else:
+            m = [[2 * rng.randint(-2, 2) + (rng.random() < 0.2)
+                  for _ in range(ncols)] for _ in range(nrows)]
+        out.append(m)
+    return out
+
+
+def test_rank_matches_oracles_over_q_f2_and_a_large_prime():
+    fp = FieldSpec.prime(32003)
+    assert rank([[1, 1], [1, -1]]) == 2 and rank([[1, 1], [1, -1]], F2) == 1
+    below = 0
+    for m in seeded_sparse_matrices(7, 200):
+        q_rank, f2_rank = dense_rank_fraction(m), dense_rank_mod(m, 2)
+        assert rank(m) == q_rank, m
+        assert rank(m, F2) == f2_rank, m
+        assert rank(m, fp) == dense_rank_mod(m, 32003), m
+        below += f2_rank < q_rank
+        # a caller's upper bound, tight or not, leaves the rank exact
+        rows = {i: {j: v for j, v in enumerate(row) if v}
+                for i, row in enumerate(m)}
+        for bound in (q_rank, q_rank + 1):
+            assert homology._eliminate(rows, None, bound) == q_rank, m
+        assert homology._eliminate(rows, 2, f2_rank) == f2_rank, m
+    assert below >= 30
+
+
+def test_rp2_runs_the_exact_loop_over_q_and_never_over_f2(monkeypatch):
+    # H_1(RP^2; Z) = Z/2: over F_2 the reduced homology is F_2 in degrees 1
+    # and 2, over Q it is zero.  So over Q the F_2 rank of D_2 misses its
+    # bound and only the exact loop can give the rank
+    loops = []
+    real_markowitz = homology._markowitz
+
+    def counting_markowitz(rows, q):
+        loops.append(q)
+        return real_markowitz(rows, q)
+
+    monkeypatch.setattr(homology, "_markowitz", counting_markowitz)
+    cc = boundary_chain_complex(SimplicialComplex.from_facets(6, RP2_FACETS))
+    assert cc.homology_ranks(F2) == {-1: 0, 0: 0, 1: 1, 2: 1}
+    assert loops == []
+    assert cc.homology_ranks(Q) == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert loops and set(loops) == {None}
+
+    loops.clear()
+    a = rp2_ideal()
+    invariants.clear_caches()
+    assert invariants.proj_dim(over_field(a, F2)) == 4
+    assert loops == []
+    assert invariants.proj_dim(a) == 3
+    assert loops and set(loops) == {None}
 
 
 def test_sparse_matrix_matmul():
@@ -213,9 +266,9 @@ def test_homology_ranks_ranks_each_differential_once(monkeypatch):
     ranked = []
     real_eliminate = homology._eliminate
 
-    def counting_eliminate(rows, q):
+    def counting_eliminate(rows, q, bound=None):
         ranked.append(id(rows))
-        return real_eliminate(rows, q)
+        return real_eliminate(rows, q, bound)
 
     monkeypatch.setattr(homology, "_eliminate", counting_eliminate)
     k = SimplicialComplex.from_facets(5, [(0, 1, 2), (1, 2, 3), (3, 4), (0, 4)])

@@ -44,6 +44,8 @@ from oracles import (
     compact_faces_oracle,
     fiber_growth_oracle,
     over_field,
+    rp2_ideal,
+    sv_exact_level_bfs,
     sv_levels_oracle,
 )
 
@@ -344,18 +346,6 @@ def memos_by_name():
     return {f"{m.__module__}.{m.__qualname__}": m for m in MEMOS}
 
 
-def rp2_ideal():
-    """Stanley-Reisner ideal of the 6-vertex real projective plane: every
-    edge is a face, so the 10 triangles outside the complex generate it."""
-    facets = {(0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
-              (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5)}
-    ctx = RingContext(tuple(f"x{i}" for i in range(6)))
-    return MonomialIdeal.from_exponents(ctx, [
-        [int(i in t) for i in range(6)]
-        for t in combinations(range(6), 3) if t not in facets
-    ])
-
-
 def test_memos_are_bounded_and_cleared():
     memos = memos_by_name()
     assert set(memos) == MEMOIZED
@@ -547,6 +537,22 @@ def run_python(script: str, *flags: str) -> str:
         timeout=10, check=True,
     )
     return done.stdout.strip()
+
+
+def test_squarefree_n16_draw_within_budget():
+    # the seed-0 squarefree draw in 16 variables has 46 generators; with
+    # every rational rank from exact elimination, pd took about 28 s and the
+    # local cohomology degrees about 63 s
+    out = run_python("""
+        import random
+        from stci.homology import local_cohomology_nonvanishing
+        from stci.invariants import proj_dim
+        from stci.verification import RandomIdealSpec, random_ideal
+        spec = RandomIdealSpec(16, squarefree=True)
+        a = random_ideal(spec, random.Random(spec.seed))
+        print(a.mu, proj_dim(a), sorted(local_cohomology_nonvanishing(a)))
+    """)
+    assert out == "46 10 [6, 7, 8, 9, 10, 11, 12, 15]"
 
 
 def test_analytic_spread_without_compact_facet_is_fast():
@@ -850,6 +856,18 @@ def test_sv_exact_matches_submask_oracle_drawn(rows):
     a = MonomialIdeal.from_exponents(ctx, rows)
     if a.mu >= 2:
         assert_sv_matches_oracle(a)
+
+
+def test_sv_exact_early_goal_keeps_the_level_bfs_partition():
+    # the search stops at the expansion that first reaches the full mask;
+    # the level-by-level search it replaced returns the same level masks
+    ideals = (seeded_mixed_degree_ideals(150, seed=21)
+              + seeded_squarefree_ideals(150, seed=21))
+    assert sum(a.mu >= 8 for a in ideals) >= 10
+    for a in ideals:
+        pair_div = invariants._pair_divisors(a.rows)
+        assert invariants._sv_exact(a.mu, pair_div) == (
+            sv_exact_level_bfs(a.mu, pair_div)), a
 
 
 def brute_maximal_cliques(adj, vertices):

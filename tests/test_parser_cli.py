@@ -527,6 +527,19 @@ def test_cli_report_on_the_9_cycle_within_budget():
     assert json.loads(done.stdout)["invariants"]["proj_dim"] == 6
 
 
+def test_cli_fuzz_n12_within_budget():
+    # the seed-0 draw's cube goes to the pd walk through the dg check; its
+    # 437 rational ranks took about 9.5 s of exact elimination when no rank
+    # was certified over F_2 first
+    src = str(Path(stci.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "stci.cli", "fuzz", "--n", "12", "--count", "1"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=10,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+
+
 def test_cli_closed_pipe_exits_1_without_traceback():
     # about 440 kB of JSON, more than a pipe buffer holds, read only in part
     src = str(Path(stci.__file__).resolve().parents[1])
