@@ -46,11 +46,16 @@ MODULUS_BOUND = 2**31
 def memo(fn):
     """``fn`` with its results kept in a bounded LRU memo, keyed by its
     (hashable, immutable) arguments and listed in ``MEMOS``.  The result is
-    a plain function, so it binds as a method and tracers can wrap it."""
+    a plain function, so it binds as a method and tracers can wrap it.
+    Positional arguments left out take their defaults before the lookup, so
+    ``f(a)`` and ``f(a, default)`` share one entry."""
     cached = lru_cache(maxsize=MEMO_SIZE)(fn)
+    arity, defaults = fn.__code__.co_argcount, fn.__defaults__ or ()
 
     @wraps(fn)
     def memoized(*args, **kwargs):
+        if not kwargs and arity - len(defaults) <= len(args) < arity:
+            args += defaults[len(args) - arity:]
         return cached(*args, **kwargs)
 
     memoized.cache_info, memoized.cache_clear = cached.cache_info, cached.cache_clear

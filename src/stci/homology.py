@@ -468,9 +468,10 @@ def _lattice_complexes(a: MonomialIdeal):
             yield s, _facets(row)
 
 
-def _grid_complexes(axes: list[np.ndarray], gens: np.ndarray):
+def _grid_complexes(axes: list[np.ndarray], gens: np.ndarray, floor: int):
     """(s, facets) of every distinct upper-Koszul complex on the exponent
-    grid that is neither void nor a cone, s descending.
+    grid that is neither void nor a cone and has a face of at least
+    ``floor`` vertices, s descending.
 
     ``axes`` holds each variable's distinct exponents with 0, for the k
     variables that occur in ``gens``, whose columns they are; face bit j is
@@ -501,8 +502,11 @@ def _grid_complexes(axes: list[np.ndarray], gens: np.ndarray):
             faces = wide
     faces = faces.reshape(-1, faces.shape[-1])
     # void without the empty face; a cone with apex v when every face T
-    # without v has T | v as a face too
+    # without v has T | v as a face too; s < floor without a face T of at
+    # least floor bits
     keep = (faces[:, 0] & np.uint64(1)).astype(bool)
+    at_floor = [t.bit_count() >= floor for t in range(64 * faces.shape[1])]
+    keep &= (faces & np.packbits(at_floor, bitorder="little").view("<u8")).any(axis=1)
     for v in range(k):
         if v < 6:
             escape = faces & _WITHOUT[v] & ~(faces >> np.uint64(1 << v))
@@ -521,9 +525,9 @@ def _grid_complexes(axes: list[np.ndarray], gens: np.ndarray):
         yield int(sizes[i]), _facets(np.flatnonzero(bits[i]).tolist())
 
 
-def koszul_proj_dim(a: MonomialIdeal) -> int:
-    """Projective dimension of R/a from its upper-Koszul complexes, without
-    the Betti table.
+def koszul_proj_dim(a: MonomialIdeal, floor: int = 1) -> int:
+    """max(floor, pd R/a), from the upper-Koszul complexes of a, without
+    the Betti table; ``floor = 1`` gives the projective dimension.
 
     The upper-Koszul complex at a multidegree b is {T : x^(b - T) in a};
     its reduced homology in degree j is beta_{j+2}(R/a) at b.  The
@@ -542,12 +546,14 @@ def koszul_proj_dim(a: MonomialIdeal) -> int:
 
     A complex whose largest face has s vertices has reduced homology in
     degrees at most s - 1, so it gives Betti numbers beta_i with
-    i <= s + 1.  Complexes are visited by s, highest first, from best = 1
-    (beta_1 = mu); the walk ends at the first complex with s + 1 <= best,
-    in particular once best = n.  A complex whose facets share a vertex is
-    a cone, with no reduced homology.  A complex can raise best only by
-    homology in a degree j >= best - 1, so only the boundary maps of those
-    degrees are ranked, from the top down, each with the bound
+    i <= s + 1.  Complexes are visited by s, highest first, from
+    best = floor (beta_1 = mu gives pd >= 1); the walk ends at the first
+    complex with s + 1 <= best, in particular once best = n, and the grid
+    enumeration leaves out the complexes with s < floor.  A complex whose
+    facets share a vertex is a cone, with no reduced homology.  A complex
+    can raise best only by homology in a degree j >= best - 1, so only the
+    faces of dimension best - 2 and up are built and only the boundary maps
+    of those degrees are ranked, from the top down, each with the bound
     dim C_j - rank D_{j+1}, and the first nonzero homology ends the
     complex.  Each distinct complex is ranked once.
     """
@@ -558,11 +564,11 @@ def koszul_proj_dim(a: MonomialIdeal) -> int:
     axes = [np.unique(np.append(col, 0)) for col in gens.T]
     points = prod(len(v) for v in axes)
     if points <= 1 << a.mu and points << len(axes) <= GRID_CELL_BOUND:
-        complexes = _grid_complexes(axes, gens)
+        complexes = _grid_complexes(axes, gens, floor)
     else:
         complexes = _lattice_complexes(a)
     seen: set[frozenset[int]] = set()
-    best = 1
+    best = floor
     for s, facets in complexes:
         if s + 1 <= best:
             return best

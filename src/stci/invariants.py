@@ -59,29 +59,27 @@ def _check(ok: bool, relation: str) -> None:
 # projective dimension: dispatcher over Taylor / lattice with splittings
 
 
-def _connected_blocks(sets: list[frozenset[int]]) -> list[set[int]]:
-    """Unions of the nonempty ``sets`` that are connected through shared
-    elements, ordered by their least element."""
-    blocks: list[set[int]] = []
-    for s in sets:
-        block = set(s)
+def _connected_blocks(sets: list) -> list:
+    """Unions of the nonempty ``sets``, frozensets or bitmasks, that are
+    connected through shared elements, in no fixed order."""
+    blocks: list = []
+    for block in sets:
         apart = []
         for b in blocks:
             if b & block:
-                block |= b
+                block = block | b
             else:
                 apart.append(b)
         blocks = apart + [block]
-    return sorted(blocks, key=min)
+    return blocks
 
 
 def _support_components(a: MonomialIdeal) -> list[list[int]]:
-    """Partition generator indices by connected variable support."""
-    supports = [frozenset(j for j, e in enumerate(r) if e) for r in a.rows]
-    return [
-        [k for k, s in enumerate(supports) if s <= block]
-        for block in _connected_blocks(supports)
-    ]
+    """Partition generator indices by connected variable support, the parts
+    ordered by their least variable."""
+    supports = [sum(1 << j for j, e in enumerate(r) if e) for r in a.rows]
+    blocks = sorted(_connected_blocks(supports), key=lambda b: b & -b)
+    return [[k for k, s in enumerate(supports) if s & b == s] for b in blocks]
 
 
 def _restrict(a: MonomialIdeal, variables: set[int]) -> MonomialIdeal:
@@ -99,9 +97,10 @@ def _product_split(a: MonomialIdeal) -> list[MonomialIdeal] | None:
     the factorization is verified by multiplying back, so a wrong candidate
     can only cost time, never correctness.
     """
-    primes = minimal_primes(a.radical())
+    rad = a.radical()
     blocks = _connected_blocks(
-        [p.support() for p in primes] + [frozenset([v]) for v in a.support()]
+        [p.support() for p in minimal_primes(rad)]
+        + [frozenset([v]) for v in rad.support()]
     )
     if len(blocks) <= 1:
         return None
@@ -118,8 +117,9 @@ def _product_split(a: MonomialIdeal) -> list[MonomialIdeal] | None:
 
 
 @memo
-def proj_dim(a: MonomialIdeal) -> int:
-    """Projective dimension of R/a.
+def proj_dim(a: MonomialIdeal, floor: int = 1) -> int:
+    """max(floor, pd R/a); ``floor = 1`` gives the projective dimension of
+    R/a, and the memo is keyed by ``(a, floor)``.
 
     Ideals with at most ``TAYLOR_DISPATCH_BOUND`` generators take the top
     degree of the Taylor complex.  So do ideals with at most n generators
@@ -131,8 +131,10 @@ def proj_dim(a: MonomialIdeal) -> int:
     is slow for Taylor.  Other ideals are split before the lattice search:
     disjoint-variable summands add their projective dimensions, and k
     factors of a product in disjoint variables add theirs less k - 1 (the
-    Mayer-Vietoris sequence of the intersection splits).  The field is
-    that of the ideal's ring.
+    Mayer-Vietoris sequence of the intersection splits).  These routes
+    compute the whole projective dimension; only the lattice search starts
+    from the floor, and it skips the complexes that cannot raise pd above
+    it.  The field is that of the ideal's ring.
     """
     require_proper(a)
     n = a.context.n
@@ -152,15 +154,20 @@ def proj_dim(a: MonomialIdeal) -> int:
     elif (factors := _product_split(a)) is not None:
         pd = sum(proj_dim(f) for f in factors) - (len(factors) - 1)
     else:
-        pd = homology.koszul_proj_dim(a)
+        pd = homology.koszul_proj_dim(a, floor)
+        if pd == floor:
+            # pd R/a <= floor, and the walk did not compute it; the floor
+            # can exceed mu, which drops from some powers to the next
+            return pd
     # Hilbert's syzygy theorem, and the length of the Taylor resolution
     _check(1 <= pd <= min(n, a.mu), "1 <= pd <= min(n, mu)")
-    return pd
+    return max(pd, floor)
 
 
-def depth(a: MonomialIdeal) -> int:
-    """depth of R/a, by the Auslander-Buchsbaum formula n - pd."""
-    return a.context.n - proj_dim(a)
+def depth(a: MonomialIdeal, floor: int = 1) -> int:
+    """depth of R/a, by the Auslander-Buchsbaum formula n - pd, or n - floor
+    when that is less (see :func:`proj_dim`)."""
+    return a.context.n - proj_dim(a, floor)
 
 
 def cohomological_dimension(a: MonomialIdeal) -> int:
@@ -445,19 +452,23 @@ def min_depth_powers(a: MonomialIdeal, horizon: int) -> int:
 
     Stabilization of depth of powers holds eventually, but no effective
     bound for the onset is used here; :func:`report` shows the horizon
-    alongside.
-    Short-circuits once depth zero is reached; memoized on ``(a, horizon)``.
+    alongside.  Only n - max_t pd R/a^t is needed, so each power after the
+    first has its projective dimension taken from the floor n - (least
+    depth so far), where the pd walk skips every complex that cannot raise
+    it.  Short-circuits once depth zero is reached; memoized on
+    ``(a, horizon)``.
     """
     require_proper(a)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    n = a.context.n
     power = a
     best = depth(power)
     for _ in range(horizon - 1):
         if best == 0:
             break
         power = power * a
-        best = min(best, depth(power))
+        best = depth(power, n - best)
     return best
 
 

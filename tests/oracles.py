@@ -20,7 +20,10 @@ lcm-lattice closure, the per-point lcm-lattice Betti composition, and the full l
 (``koszul_points``) with the multigraded Betti numbers it gives
 (``koszul_betti``), which :func:`stci.homology.koszul_proj_dim` replaced
 by a walk over the points that can still raise pd, and the Betti table
-that :func:`stci.invariants.proj_dim` no longer builds; Fourier-Motzkin
+that :func:`stci.invariants.proj_dim` no longer builds; the loop over
+powers with the full projective dimension of each that
+:func:`stci.invariants.min_depth_powers` replaced with walks from the
+running floor; Fourier-Motzkin
 feasibility with the all-subsets compact-face searches built on it that
 the facet walk of :mod:`stci.invariants` replaced; the growth of mu(a^t)
 as an estimate of the analytic spread; the all-submask Schmitt-Vogel
@@ -59,6 +62,7 @@ from stci.invariants import (
     _maximal_cliques,
     _product_split,
     _support_components,
+    proj_dim,
 )
 
 
@@ -666,6 +670,19 @@ def betti_numbers_oracle(a: MonomialIdeal) -> tuple[int, ...]:
     else:
         table = koszul_betti_totals(a)
     return tuple(table.get(i, 0) for i in range(max(table) + 1))
+
+
+def min_depth_powers_oracle(a: MonomialIdeal, horizon: int) -> int:
+    """min over 1 <= t <= horizon of depth R/a^t, from the full projective
+    dimension of each power in turn, stopping at depth 0."""
+    n = a.context.n
+    power, best = a, n - proj_dim(a)
+    for _ in range(horizon - 1):
+        if best == 0:
+            break
+        power = power * a
+        best = min(best, n - proj_dim(power))
+    return best
 
 
 Row = tuple[tuple[Fraction, ...], Fraction]  # (coefficients, rhs) meaning <c,x> >= r

@@ -576,9 +576,9 @@ def walk_route(monkeypatch, route):
     grids = []
     real_grid = homology._grid_complexes
 
-    def recording_grid(axes, gens):
+    def recording_grid(axes, gens, floor):
         grids.append(len(axes))
-        return real_grid(axes, gens)
+        return real_grid(axes, gens, floor)
 
     with monkeypatch.context() as patch:
         patch.setattr(homology, "_grid_complexes", recording_grid)
@@ -731,6 +731,30 @@ def test_grid_route_matches_lattice_route_and_oracle(monkeypatch, field):
             lattice = koszul_proj_dim(a)
         assert lattices == [a]
         assert grid == lattice == len(betti_numbers_oracle(a)) - 1
+
+
+@pytest.mark.parametrize("field", [Q, F2, FieldSpec.parse("fp:32003")], ids=str)
+def test_pd_walk_from_a_floor_is_the_floor_or_pd(monkeypatch, field):
+    # koszul_proj_dim(a, f) = max(f, pd) for every floor f in 1..n on both
+    # routes; with n = 7 and 8 the faces of at least f vertices span two
+    # and four 64-bit words of a face set
+    inputs = (
+        grid_route_ideals(91, 8, 4, 3, 3, range(4, 12))
+        + grid_route_ideals(92, 4, 4, 4, 2, range(3, 5), power=2)
+        + grid_route_ideals(93, 6, 5, 5, 2, range(8, 13))
+        + grid_route_ideals(94, 3, 7, 7, 1, range(7, 12))
+        + grid_route_ideals(95, 3, 8, 8, 1, range(8, 13))
+    )
+    below = 0
+    for route in WALK_ROUTES:
+        with walk_route(monkeypatch, route):
+            for a in inputs:
+                a = over_field(a, field)
+                n, pd = a.context.n, koszul_proj_dim(a)
+                assert [koszul_proj_dim(a, f) for f in range(1, n + 1)] == [
+                    max(f, pd) for f in range(1, n + 1)]
+                below += pd < n - 1
+    assert below >= 10
 
 
 def test_pd_walk_dispatch_between_grid_and_lattice(monkeypatch):

@@ -43,6 +43,7 @@ from oracles import (
     betti_numbers_oracle,
     compact_faces_oracle,
     fiber_growth_oracle,
+    min_depth_powers_oracle,
     over_field,
     rp2_ideal,
     sv_exact_level_bfs,
@@ -284,7 +285,7 @@ def test_proj_dim_takes_taylor_for_few_generators_in_many_variables(monkeypatch)
     a = random_ideal(spec, random.Random(spec.seed)) ** 2
     assert a.mu == 10
 
-    def refuse(b):
+    def refuse(b, floor=1):
         raise AssertionError("lattice walk reached")
 
     monkeypatch.setattr(homology, "koszul_proj_dim", refuse)
@@ -328,6 +329,35 @@ def test_proj_dim_check_survives_python_optimize():
     assert out == "invariant violated: 1 <= pd <= min(n, mu)"
 
 
+def test_proj_dim_returns_a_floor_above_mu_unchecked(monkeypatch):
+    # 1 <= pd <= min(n, mu) binds a computed pd, not a floor: mu can drop
+    # from one power to the next (Eliahou, Herzog and Saem 2018), so the
+    # horizon can pass a floor above mu.  The products of 9 of 10 of 12
+    # variables have mu 10 and one Taylor strand of 1013 subsets, so they go
+    # to the walk, which has no complex with a face of 11 vertices; a
+    # principal ideal goes to Taylor
+    ctx = RingContext(tuple(f"x{i}" for i in range(12)))
+    hat = MonomialIdeal.from_exponents(
+        ctx, [tuple(int(i != j and i < 10) for i in range(12)) for j in range(10)])
+    walks = []
+    real_walk = homology.koszul_proj_dim
+
+    def recording_walk(a, floor=1):
+        walks.append(floor)
+        return real_walk(a, floor)
+
+    monkeypatch.setattr(homology, "koszul_proj_dim", recording_walk)
+    invariants.clear_caches()
+    assert hat.mu == 10 and proj_dim(hat) == 2
+    for floor in (3, 11, 12):
+        assert proj_dim(hat, floor) == floor
+        assert depth(hat, floor) == 12 - floor
+    assert walks == [1, 3, 11, 12]
+    x = ideal(CTX3, (1, 0, 0))
+    assert proj_dim(x, 3) == 3 and depth(x, 3) == 0 and proj_dim(x) == 1
+    assert walks == [1, 3, 11, 12]
+
+
 # ---------------------------------------------------------------------------
 # memos
 
@@ -368,6 +398,16 @@ def test_memo_keys_carry_the_field():
     assert proj_dim(a) == 3
     assert proj_dim(over_field(a, FieldSpec.prime(2))) == 4
     assert proj_dim.cache_info().misses == 2
+
+
+def test_proj_dim_memo_is_keyed_by_ideal_and_floor():
+    # a floor left out is the floor 1
+    a = rp2_ideal()
+    invariants.clear_caches()
+    assert proj_dim(a) == proj_dim(a, 1) == 6 - depth(a) == 3
+    assert proj_dim(a, 4) == 4 and proj_dim(a, 2) == 3
+    info = proj_dim.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
 
 
 def test_each_invariant_of_one_ideal_is_computed_once():
@@ -943,6 +983,33 @@ def test_dg_examples():
 def test_min_depth_requires_positive_horizon():
     with pytest.raises(ValueError):
         min_depth_powers(triangle(), 0)
+
+
+@pytest.mark.parametrize("field", [Q, FieldSpec.prime(2), F32003], ids=str)
+def test_min_depth_powers_matches_full_pd_oracle(monkeypatch, field):
+    # each power after the first goes to proj_dim with the floor
+    # n - (least depth so far); the oracle takes the full pd of every power.
+    # The depths of the 6-cycle's powers drop only at t = 4
+    c6 = over_field(cycle_ideal(6), field)
+    assert [depth(c6 ** t) for t in range(1, 5)] == [2, 2, 2, 1]
+    inputs = [c6] + [over_field(a, field) for a in
+                     seeded_ideals(95, 8, 4, 2, range(3, 7))
+                     + seeded_ideals(96, 6, 5, 1, range(4, 8))
+                     + seeded_ideals(97, 6, 5, 2, range(3, 6))]
+    floors = []
+    real_walk = homology.koszul_proj_dim
+
+    def recording_walk(a, floor=1):
+        floors.append(floor)
+        return real_walk(a, floor)
+
+    monkeypatch.setattr(homology, "koszul_proj_dim", recording_walk)
+    for a in inputs:
+        invariants.clear_caches()
+        got = [min_depth_powers(a, h) for h in range(1, 5)]
+        invariants.clear_caches()
+        assert got == [min_depth_powers_oracle(a, h) for h in range(1, 5)], a
+    assert max(floors) >= 3
 
 
 # ---------------------------------------------------------------------------
