@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
-from operator import index
+from operator import index, le
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -245,43 +245,52 @@ class Monomial:
         return f"Monomial({self})"
 
 
-def _unique_rows(arr: np.ndarray) -> np.ndarray:
-    """The distinct rows of a C-contiguous 2-D int64 array, in some order.
-
-    Each row is viewed as one fixed-width value, so a 1-D unique dedupes
-    rows exactly for any width, much faster than ``np.unique(axis=0)``.
-    """
-    n = arr.shape[1]
-    row_value = np.dtype((np.void, arr.itemsize * n))
-    return np.unique(arr.view(row_value).ravel()).view(np.int64).reshape(-1, n)
-
-
 def _minimal_exponent_rows(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Drop rows componentwise-dominated by another row (duplicates collapse).
+    """The rows not componentwise-dominated by another row, distinct and
+    sorted in increasing lexicographic order (duplicates collapse).
 
     A proper divisor of a row has strictly smaller degree, and distinct rows
-    of one degree never divide each other.  So, with the distinct rows in
-    degree order, each block of rows is compared only with the rows of
-    degree below the block's top degree; rows of a single degree need no
-    comparison at all.
+    of one degree never divide each other.  So the distinct rows are grouped
+    by degree, and rows of a single degree are returned with no comparison.
+    Otherwise each group, in increasing degree order, is compared only with
+    rows of smaller degree:
+
+    * when all rows against all rows would fit in one numpy block of
+      ``BLOCK_CELLS`` cells, in plain Python against the rows kept so far;
+      a dropped row has a kept divisor, so these are enough;
+    * above that, in numpy blocks of at most about ``BLOCK_CELLS`` cells
+      against every row of smaller degree, on one array built over all
+      distinct rows in degree order.
     """
-    uniq = sorted(set(rows), key=lambda r: (sum(r), r))
-    degrees = [sum(r) for r in uniq]
-    m = len(uniq)
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for r in set(rows):
+        groups.setdefault(sum(r), []).append(r)
+    if len(groups) < 2:
+        return sorted(next(iter(groups.values()), []))
+    order = sorted(groups)
+    m = sum(map(len, groups.values()))
+    n = len(rows[0])
+    if m * m * n <= BLOCK_CELLS:
+        kept: list[tuple[int, ...]] = []
+        for d in order:
+            group = groups[d]
+            if kept:
+                group = [r for r in group if not any(all(map(le, s, r)) for s in kept)]
+            kept += group
+        return sorted(kept)
+    uniq = [r for d in order for r in groups[d]]
+    degrees = [d for d in order for _ in groups[d]]
+    arr = np.array(uniq, dtype=np.int64)
+    deg = np.array(degrees, dtype=np.int64)
     keep = [True] * m
-    arr = deg = None
-    step = max(1, BLOCK_CELLS // (m * len(uniq[0]))) if uniq else 1
+    step = max(1, BLOCK_CELLS // (m * n))
     for start in range(0, m, step):
         stop = min(start + step, m)
         lower = bisect_left(degrees, degrees[stop - 1])
-        if not lower:
-            continue
-        if arr is None:  # built on first use: most inputs have one degree
-            arr = np.array(uniq, dtype=np.int64)
-            deg = np.array(degrees, dtype=np.int64)
-        divides = (arr[None, :lower] <= arr[start:stop, None]).all(axis=2)
-        divides &= deg[None, :lower] < deg[start:stop, None]
-        keep[start:stop] = (~divides.any(axis=1)).tolist()
+        if lower:
+            divides = (arr[None, :lower] <= arr[start:stop, None]).all(axis=2)
+            divides &= deg[None, :lower] < deg[start:stop, None]
+            keep[start:stop] = (~divides.any(axis=1)).tolist()
     return sorted(r for r, k in zip(uniq, keep) if k)
 
 
@@ -312,8 +321,11 @@ class MonomialIdeal:
     ) -> "MonomialIdeal":
         """The ideal of non-negative exponent rows of length n, each a
         sequence of Python ints (a list from ``ndarray.tolist()`` will do).
-        Only the minimal rows are kept, so the exponent bound is checked on
-        them alone."""
+        Rows may repeat: a product or an intersection passes the row of
+        every generator pair, and ``_minimal_exponent_rows`` collapses the
+        duplicates.  Only the minimal rows are kept, so the exponent bound is
+        checked on them alone; every entry must still fit in int64, which
+        large inputs are compared in."""
         # decreasing lexicographic term order: x before y before z
         rows = _minimal_exponent_rows(list(map(tuple, rows)))[::-1]
         top = next((e for e in map(max, rows) if e > MAX_EXPONENT), None)
@@ -416,7 +428,7 @@ class MonomialIdeal:
             )
         a = self.exponent_matrix()
         b = other.exponent_matrix()
-        rows = _unique_rows(combine(a[:, None, :], b[None, :, :]).reshape(-1, n))
+        rows = combine(a[:, None, :], b[None, :, :]).reshape(-1, n)
         return MonomialIdeal._from_rows(self.context, rows.tolist())
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
@@ -471,6 +483,8 @@ class MonomialIdeal:
 
     @memo
     def radical(self) -> "MonomialIdeal":
+        if self.is_squarefree:
+            return self
         rows = np.minimum(self.exponent_matrix(), 1)
         return MonomialIdeal._from_rows(self.context, rows.tolist())
 
@@ -478,6 +492,11 @@ class MonomialIdeal:
         """The ideal of q-th powers of the minimal generators."""
         if q < 1:
             raise ValueError("bracket power needs q >= 1")
+        # the q-th powers of minimal generators are minimal, so a row past
+        # the bound would be refused anyway; refuse it before building rows
+        top = q * max(map(max, self.rows), default=0)
+        if top > MAX_EXPONENT:
+            raise ResourceLimitError(f"exponent {top} exceeds the bound {MAX_EXPONENT}")
         return MonomialIdeal._from_rows(
             self.context, [[e * q for e in r] for r in self.rows]
         )

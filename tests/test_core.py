@@ -6,10 +6,11 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import stci.core as core
 import stci.invariants as invariants
@@ -106,8 +107,8 @@ def test_unit_and_zero_flow_through_operations():
     assert (a & unit) == a
     assert (a & zero) == zero
     assert a * zero == zero
-    assert zero.radical() == zero
-    assert unit.radical() == unit
+    assert zero.radical() is zero
+    assert unit.radical() is unit
     assert a.colon(CTX2.unit_monomial()) == a
 
 
@@ -167,7 +168,8 @@ def test_radical_examples():
     a = ideal(CTX3, (2, 2, 0), (0, 0, 2)).radical()
     assert a == ideal(CTX3, (1, 1, 0), (0, 0, 1))
     sf = ideal(CTX3, (1, 1, 0), (0, 0, 1))
-    assert sf.radical() == sf
+    invariants.clear_caches()
+    assert sf.radical() is sf
 
 
 def test_bracket_power_examples():
@@ -177,6 +179,22 @@ def test_bracket_power_examples():
     assert a.bracket_power(1) == a
     with pytest.raises(ValueError):
         a.bracket_power(0)
+
+
+@pytest.mark.parametrize("mu", [3, 50])
+def test_bracket_power_past_the_exponent_bound_is_refused(mu):
+    # a mixed-degree staircase x^i y^(2(mu - i)); 3 generators are minimalized
+    # in Python, 50 in numpy blocks, where a row past int64 used to overflow
+    a = ideal(CTX2, *[(i, 2 * (mu - i)) for i in range(mu)])
+    assert (mu * mu * 2 <= core.BLOCK_CELLS) == (mu == 3)
+    top = 2 * mu
+    q = MAX_EXPONENT // top
+    assert a.bracket_power(q).rows == tuple(
+        tuple(e * q for e in r) for r in a.rows
+    )
+    for q in (MAX_EXPONENT // top + 1, 10**20):
+        with pytest.raises(ResourceLimitError, match=f"exponent {q * top} exceeds"):
+            a.bracket_power(q)
 
 
 def test_exponent_bound_at_and_past_the_limit():
@@ -228,6 +246,23 @@ def naive_minimal_rows(rows):
 @given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=80))
 def test_minimal_exponent_rows_matches_definition(rows):
     assert _minimal_exponent_rows(rows) == naive_minimal_rows(rows)
+
+
+mixed_degree_rows = st.integers(2, 8).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=2, max_size=60)
+).filter(lambda rows: len({sum(r) for r in rows}) > 1)
+
+
+@settings(max_examples=200)
+@given(mixed_degree_rows)
+def test_minimal_exponent_rows_python_and_numpy_branches_agree(rows):
+    # up to 60 rows in 2-8 variables fall on both sides of the cutoff
+    # len(rows)^2 * n <= BLOCK_CELLS; each draw is also forced down each branch
+    want = naive_minimal_rows(rows)
+    assert _minimal_exponent_rows(rows) == want
+    for cells in (1 << 30, 1):  # Python, then numpy with one row per block
+        with mock.patch.object(core, "BLOCK_CELLS", cells):
+            assert _minimal_exponent_rows(rows) == want
 
 
 def test_minimal_exponent_rows_one_row_per_block():
@@ -410,9 +445,11 @@ def test_contains_ideal_across_blocks(monkeypatch):
 
 @given(ideal_strategy(CTX3))
 def test_radical_is_squarefree_and_idempotent(a):
+    # with a memo of earlier examples, an equal ideal's radical may come back
+    invariants.clear_caches()
     r = a.radical()
     assert r.is_squarefree
-    assert r.radical() == r
+    assert r.radical() is r
 
 
 @given(rows_strategy(3))
