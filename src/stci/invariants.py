@@ -23,8 +23,10 @@ It checks ``height <= cd <= ara upper``, ``cd <= analytic spread <= mu`` and
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from itertools import combinations
+from operator import add, le
 
 import numpy as np
 
@@ -197,11 +199,17 @@ def _affine_dim(points: list[tuple[int, ...]]) -> int:
     return homology.rank(rows)
 
 
-def _exposed(w, points) -> tuple[int, int]:
-    """The least w.p over the points p, and the mask of the points taking it."""
-    values = [sum(x * y for x, y in zip(w, p)) for p in points]
-    least = min(values)
-    return least, sum(1 << k for k, v in enumerate(values) if v == least)
+def _exposed_all(weights, points) -> tuple[list[int], list[int]]:
+    """For each weight w, the least w.p over the points p and the mask of the
+    points taking it, from one integer matrix product.  Its entries are at
+    most max|w| max p n, so the product is int64 below 2^62 and Python ints
+    otherwise, as exponents reach 2^31 - 1."""
+    top = max(abs(x) for w in weights for x in w) * max(map(max, points))
+    dtype = np.int64 if top * len(points[0]) < 1 << 62 else object
+    values = np.array(weights, dtype=dtype) @ np.array(points, dtype=dtype).T
+    least = values.min(axis=1)
+    on = np.packbits(values == least[:, None], axis=1, bitorder="little")
+    return least.tolist(), [int.from_bytes(row.tobytes(), "little") for row in on]
 
 
 def _compact_faces(points) -> dict[int, tuple[int, ...]]:
@@ -220,9 +228,11 @@ def _compact_faces(points) -> dict[int, tuple[int, ...]]:
     no compact face is larger.
     """
     facets = newton_facets(points, NEWTON_FACET_BOUND)
-    for w, c, mask in facets:
-        _check(min(w) >= 0 and _exposed(w, points) == (c, mask),
-               "a facet is valid and tight exactly on its points")
+    least, on = _exposed_all([w for w, _, _ in facets], points)
+    _check(all(min(w) >= 0 for w, _, _ in facets)
+           and least == [c for _, c, _ in facets]
+           and on == [mask for _, _, mask in facets],
+           "a facet is valid and tight exactly on its points")
     compact = [(mask, w) for w, _, mask in facets if min(w) > 0]
     if compact:
         return dict(compact[:1])
@@ -250,13 +260,13 @@ def _compact_faces(points) -> dict[int, tuple[int, ...]]:
         # the facets covering the missed variable that fewest facets cover
         cuts = min((c for c in cover if not fs & c), key=int.bit_count, default=0)
         if not cuts:
-            weight = tuple(map(sum, zip(*(facets[i][0] for i in _bits(fs)))))
-            _check(min(weight) > 0 and _exposed(weight, points)[1] == face,
-                   "a compact face is the argmin of a strictly positive weight")
-            found[face] = weight
+            found[face] = tuple(map(sum, zip(*(facets[i][0] for i in _bits(fs)))))
         for i in _bits(cuts & ~fs):
             if face & facets[i][2]:
                 stack.append(face & facets[i][2])
+    _, on = _exposed_all(list(found.values()), points)
+    _check(all(min(w) > 0 for w in found.values()) and on == list(found),
+           "a compact face is the argmin of a strictly positive weight")
     return found
 
 
@@ -300,26 +310,40 @@ def is_valid_sv_partition(
         return False
     if not partition or len(partition[0]) != 1:
         return False
-    earlier: list[Monomial] = []
+    earlier: list[tuple[int, ...]] = []
     for level in partition:
-        for p, q in combinations(level, 2):
-            prod = p * q
-            if not any(e.divides(prod) for e in earlier):
+        rows = [m.exponents for m in level]
+        for p, q in combinations(rows, 2):
+            prod = tuple(map(add, p, q))
+            if not any(all(map(le, e, prod)) for e in earlier):
                 return False
-        earlier.extend(level)
+        earlier.extend(rows)
     return True
 
 
 def _pair_divisors(exps: tuple[tuple[int, ...], ...]) -> dict[tuple[int, int], int]:
     """For each pair ``i < j`` of exponent rows, the bitmask of the rows
-    dividing the product of rows ``i`` and ``j``."""
+    dividing the product of rows ``i`` and ``j``.
+
+    For each variable, ``at_most[t]`` is the bitmask of the rows whose
+    exponent is at most ``values[t]``, the t-th distinct exponent in that
+    column; a pair's mask ANDs, over the variables, the entry of the
+    largest value not past the pair's sum, found by bisection, so no table
+    is indexed by an exponent.
+    """
+    tables = []
+    for col in zip(*exps):
+        values = sorted(set(col))
+        at_most, below = [], 0
+        for t in values:
+            below |= sum(1 << k for k, e in enumerate(col) if e == t)
+            at_most.append(below)
+        tables.append((values, at_most))
     pair_div: dict[tuple[int, int], int] = {}
     for i, j in combinations(range(len(exps)), 2):
-        prod = [a + b for a, b in zip(exps[i], exps[j])]
-        mask = 0
-        for k, e in enumerate(exps):
-            if all(a <= b for a, b in zip(e, prod)):
-                mask |= 1 << k
+        mask = -1
+        for (values, at_most), a, b in zip(tables, exps[i], exps[j]):
+            mask &= at_most[bisect_right(values, a + b) - 1]
         pair_div[(i, j)] = mask
     return pair_div
 

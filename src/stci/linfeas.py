@@ -13,6 +13,7 @@ bitmask of the rays tight on each.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 from .core import ResourceLimitError
 
@@ -29,44 +30,56 @@ def newton_facets(
     rays = [tuple(int(i == j) for i in range(n)) + (points[0][j],) for j in range(n)]
     rays.append((0,) * n + (-1,))
     zs = [((1 << n) - 1 ^ 1 << j) | 1 << n for j in range(n)] + [(1 << n) - 1]
+    # the set bits of each zero set, listed once for the ray's lifetime
+    cons = [list(_bits(z)) for z in zs]
     for k in range(1, len(points)):
-        vals = [sum(w * x for w, x in zip(r, points[k])) - r[n] for r in rays]
-        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
-        new_zs = [z | (v == 0) << (n + k) for z, v in zip(zs, vals) if v >= 0]
+        vals = [sum(map(mul, r, points[k])) - r[n] for r in rays]
+        tight_k = 1 << (n + k)
+        if min(vals) >= 0:
+            # no ray leaves, so none is joined: the tight ones gain bit n + k
+            zs = [z | (v == 0) * tight_k for z, v in zip(zs, vals)]
+            cons = [cs + [n + k] if v == 0 else cs for cs, v in zip(cons, vals)]
+            continue
+        keep = [q for q, v in enumerate(vals) if v >= 0]
+        new_rays = [rays[q] for q in keep]
+        new_zs = [zs[q] | (vals[q] == 0) * tight_k for q in keep]
+        new_cons = [cons[q] + [n + k] if vals[q] == 0 else cons[q] for q in keep]
         # bit q of tight[c] is set when ray q is tight on constraint c
         tight = [0] * (n + k)
-        for q, z in enumerate(zs):
-            for c in _bits(z):
+        for q, cs in enumerate(cons):
+            for c in cs:
                 tight[c] |= 1 << q
         neg = sum(1 << m for m, v in enumerate(vals) if v < 0)
+        full = (1 << len(zs)) - 1
         for i in (i for i, v in enumerate(vals) if v > 0):
             # adjacent rays share n - 1 or more constraints, so m misses at
             # most d of those of ray i; near[e] holds the negative rays that
             # miss at most e of the constraints met so far
-            d = zs[i].bit_count() - (n - 1)
+            d = len(cons[i]) - (n - 1)
             near = [neg] * (d + 1)
-            for c in _bits(zs[i]):
+            for c in cons[i]:
                 for e in range(d, 0, -1):
                     near[e] = near[e] & tight[c] | near[e - 1]
                 near[0] &= tight[c]
             for m in _bits(near[d]):
-                common = zs[i] & zs[m]
-                pair = 1 << i | 1 << m
-                on = (1 << len(zs)) - 1  # the rays tight wherever both are
-                for c in _bits(common):
+                zm = zs[m]
+                common = [c for c in cons[i] if zm >> c & 1]
+                on = full  # the rays tight wherever both are
+                for c in common:
                     on &= tight[c]
-                if on != pair:
+                if on != 1 << i | 1 << m:
                     continue
                 ray = [vals[i] * y - vals[m] * x for x, y in zip(rays[i], rays[m])]
                 g = gcd(*ray)
                 new_rays.append(tuple(x // g for x in ray))
-                new_zs.append(common | 1 << (n + k))
+                new_zs.append(zs[i] & zm | tight_k)
+                new_cons.append(common + [n + k])
                 if len(new_rays) > bound:
                     raise ResourceLimitError(
                         f"the Newton polyhedron needs more than {bound} "
                         "double-description rays"
                     )
-        rays, zs = new_rays, new_zs
+        rays, zs, cons = new_rays, new_zs, new_cons
     return [(r[:n], r[n], z >> n) for r, z in zip(rays, zs) if any(r[:n])]
 
 

@@ -25,8 +25,11 @@ powers with the full projective dimension of each that
 :func:`stci.invariants.min_depth_powers` replaced with walks from the
 running floor; Fourier-Motzkin
 feasibility with the all-subsets compact-face searches built on it that
-the facet walk of :mod:`stci.invariants` replaced; the growth of mu(a^t)
-as an estimate of the analytic spread; the all-submask Schmitt-Vogel
+the facet walk of :mod:`stci.invariants` replaced, and the dot product per
+point (``exposed``) that its facet and weight checks replaced with one
+matrix product; the growth of mu(a^t)
+as an estimate of the analytic spread; the row-by-row pair table
+(``pair_divisors_oracle``) that threshold bitmasks replaced; the all-submask Schmitt-Vogel
 search that :func:`stci.invariants.schmitt_vogel_upper` replaced with
 maximal levels, and the level-by-level maximal-level search that it
 replaced with an early goal test; the generator-splitting decomposition and
@@ -867,6 +870,15 @@ def _positive_weight(points, subset, gap: int = 0) -> list[Fraction] | None:
     return feasible_point(eqs, ineqs, n)
 
 
+def exposed(w, points) -> tuple[int, int]:
+    """The least w.p over the points p, and the mask of the points taking
+    it, one dot product per point: the facet and weight check that
+    :func:`stci.invariants._exposed_all` replaced with one matrix product."""
+    values = [sum(x * y for x, y in zip(w, p)) for p in points]
+    least = min(values)
+    return least, sum(1 << k for k, v in enumerate(values) if v == least)
+
+
 def compact_faces_oracle(a: MonomialIdeal) -> set[tuple[tuple, int]]:
     """The compact faces of the Newton polyhedron as ``(points, dim)``: the
     generator subsets that some positive weight minimises strictly, one
@@ -933,6 +945,22 @@ def fiber_growth_oracle(a: MonomialIdeal, horizon: int) -> GrowthEstimate:
         if len(seq) >= 2 and seq[-1] == 0 and seq[-2] == 0:
             return GrowthEstimate(d, True, counts)
     return GrowthEstimate(None, False, counts)
+
+
+def pair_divisors_oracle(exps: tuple[tuple[int, ...], ...]) -> dict[tuple[int, int], int]:
+    """For each pair ``i < j`` of exponent rows, the bitmask of the rows
+    dividing the product of rows ``i`` and ``j``, testing every row against
+    every pair product: the loop that the threshold bitmasks of
+    :func:`stci.invariants._pair_divisors` replaced."""
+    pair_div: dict[tuple[int, int], int] = {}
+    for i, j in combinations(range(len(exps)), 2):
+        prod = [a + b for a, b in zip(exps[i], exps[j])]
+        mask = 0
+        for k, e in enumerate(exps):
+            if all(a <= b for a, b in zip(e, prod)):
+                mask |= 1 << k
+        pair_div[(i, j)] = mask
+    return pair_div
 
 
 def sv_levels_oracle(a: MonomialIdeal) -> list[int]:

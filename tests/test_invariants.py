@@ -42,9 +42,11 @@ from oracles import (
     analytic_spread_oracle,
     betti_numbers_oracle,
     compact_faces_oracle,
+    exposed,
     fiber_growth_oracle,
     min_depth_powers_oracle,
     over_field,
+    pair_divisors_oracle,
     rp2_ideal,
     sv_exact_level_bfs,
     sv_levels_oracle,
@@ -680,8 +682,9 @@ def test_compact_face_walk_bound(monkeypatch):
 
 
 def test_facet_checks_survive_python_optimize():
-    # facets patched one level too high hold on no point of the facet; the
-    # facet check must raise under -O as well
+    # facets patched one level too high hold on no point of the facet, and a
+    # facet patched to miss one of its points is tight on a point outside
+    # its mask; the facet check must raise on both under -O as well
     out = run_python("""
         import sys
         import stci.invariants as inv
@@ -689,15 +692,24 @@ def test_facet_checks_survive_python_optimize():
         if __debug__:
             sys.exit("not running under -O")
         facets = inv.newton_facets
-        inv.newton_facets = lambda points, bound: [
-            (w, c + 1, mask) for w, c, mask in facets(points, bound)
-        ]
-        try:
-            inv.analytic_spread(evaluate_program("ring x,y; (x^2, x*y, y^3)"))
-        except AssertionError as exc:
-            print(exc)
+
+        def raised(points, bound):
+            return [(w, c + 1, mask) for w, c, mask in facets(points, bound)]
+
+        def dropped(points, bound):
+            (w, c, mask), *rest = facets(points, bound)
+            return [(w, c, mask & mask - 1)] + rest
+
+        for patched in (raised, dropped):
+            inv.newton_facets = patched
+            inv.clear_caches()
+            try:
+                inv.analytic_spread(evaluate_program("ring x,y; (x^2, x*y, y^3)"))
+            except AssertionError as exc:
+                print(exc)
     """, "-O")
-    assert out == "invariant violated: a facet is valid and tight exactly on its points"
+    assert out.splitlines() == [
+        "invariant violated: a facet is valid and tight exactly on its points"] * 2
 
 
 def compact_faces(a):
@@ -706,7 +718,7 @@ def compact_faces(a):
     points = [g.exponents for g in a.generators]
     out = {}
     for mask, weight in invariants._compact_faces(points).items():
-        assert invariants._exposed(weight, points)[1] == mask
+        assert exposed(weight, points)[1] == mask
         pts = tuple(p for k, p in enumerate(points) if mask >> k & 1)
         out[(pts, invariants._affine_dim(list(pts)))] = weight
     return out
@@ -874,6 +886,28 @@ def assert_sv_matches_oracle(a):
     assert is_valid_sv_partition(a, witness), a
 
 
+def test_pair_divisors_match_oracle_seeded():
+    ideals = seeded_mixed_degree_ideals(60, seed=5) + seeded_squarefree_ideals(60, seed=5)
+    # exponents up to 2^31 - 1, so no table may be indexed by an exponent
+    ideals.append(evaluate_program(
+        "ring x,y,z; (x^2147483647, x*y^2147483646, y*z^5, z^2147483647*x^3)"))
+    for a in ideals:
+        assert invariants._pair_divisors(a.rows) == pair_divisors_oracle(a.rows), a
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.integers(1, 6).flatmap(lambda n: rows_strategy(n, 4, 10)),
+    st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(*[st.sampled_from((0, 1, 2**31 - 2, 2**31 - 1))] * n),
+        min_size=1, max_size=8)),
+))
+def test_pair_divisors_match_oracle_drawn(rows):
+    # rows may repeat or divide each other; the table is defined on any rows
+    rows = tuple(rows)
+    assert invariants._pair_divisors(rows) == pair_divisors_oracle(rows)
+
+
 def test_sv_exact_matches_submask_oracle_seeded():
     ideals = seeded_mixed_degree_ideals(60, seed=5) + seeded_squarefree_ideals(60, seed=5)
     for a in ideals:
@@ -939,8 +973,10 @@ def test_maximal_cliques_match_brute_force():
 
 
 def test_sv_partition_check_survives_python_optimize():
-    # _sv_exact patched to drop its last level leaves generators unplaced;
-    # the partition check must raise under -O as well
+    # _sv_exact patched to drop its last level leaves generators unplaced,
+    # and the levels [x], [y, z] of (x, y, z) place every generator though
+    # no earlier generator divides y*z; the partition check must raise on
+    # both under -O as well
     script = textwrap.dedent("""
         import sys
         import stci.invariants as inv
@@ -954,13 +990,22 @@ def test_sv_partition_check_survives_python_optimize():
             inv.schmitt_vogel_upper(a)
         except AssertionError as exc:
             print(exc)
+        a = evaluate_program("ring x,y,z; (x, y, z)")
+        index = a.generator_strings().index
+        levels = [1 << index("x"), 1 << index("y") | 1 << index("z")]
+        inv._sv_exact = lambda mu, pair_div: levels
+        try:
+            inv.schmitt_vogel_upper(a)
+        except AssertionError as exc:
+            print(exc)
     """)
     src = str(Path(stci.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-O", "-c", script], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert done.stdout.strip() == "invariant violated: valid Schmitt-Vogel partition"
+    assert done.stdout.strip().splitlines() == [
+        "invariant violated: valid Schmitt-Vogel partition"] * 2
 
 
 # ---------------------------------------------------------------------------

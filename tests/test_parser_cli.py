@@ -253,6 +253,18 @@ def test_cli_report_principal():
     assert inv["height"] == inv["cd"] == inv["analytic_spread"] == inv["mu"] == 1
 
 
+def test_cli_report_past_int64_facet_products():
+    # a facet normal of (2147483647, 4611686003395002389, 2147483644) times
+    # an exponent of 2^31 - 1 passes int64, so the facet and weight checks
+    # multiply Python ints; the values are those of one dot product per point
+    program = ("ring x,y,z; (x^2147483647, x*y^2147483646, y*z^5, "
+               "z^2147483647*x^3)")
+    code, out, _ = run_cli(["report", "--json", "--horizon", "1", program])
+    assert code == EXIT_OK
+    inv = json.loads(out)["invariants"]
+    assert (inv["analytic_spread"], inv["ara"]["upper"]) == (3, 3)
+
+
 REPORT_TEXT = {
     (TWO_PLANES,): """\
 ring x1, x2, x3, x4 over rational
