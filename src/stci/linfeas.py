@@ -35,11 +35,6 @@ def newton_facets(
     for k in range(1, len(points)):
         vals = [sum(map(mul, r, points[k])) - r[n] for r in rays]
         tight_k = 1 << (n + k)
-        if min(vals) >= 0:
-            # no ray leaves, so none is joined: the tight ones gain bit n + k
-            zs = [z | (v == 0) * tight_k for z, v in zip(zs, vals)]
-            cons = [cs + [n + k] if v == 0 else cs for cs, v in zip(cons, vals)]
-            continue
         keep = [q for q, v in enumerate(vals) if v >= 0]
         new_rays = [rays[q] for q in keep]
         new_zs = [zs[q] | (vals[q] == 0) * tight_k for q in keep]

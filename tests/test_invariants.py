@@ -712,6 +712,38 @@ def test_facet_checks_survive_python_optimize():
         "invariant violated: a facet is valid and tight exactly on its points"] * 2
 
 
+def test_weight_check_survives_python_optimize():
+    # (x*z, y^2*z) has no compact facet, so the walk runs and the weight
+    # check takes a second matrix product; patched to drop a point from the
+    # first face it returns, that check must raise under -O as well
+    out = run_python("""
+        import sys
+        import stci.invariants as inv
+        from stci.parser import evaluate_program
+        if __debug__:
+            sys.exit("not running under -O")
+        exposed_all = inv._exposed_all
+        calls = []
+
+        def dropped(weights, points):
+            least, on = exposed_all(weights, points)
+            calls.append(len(weights))
+            if len(calls) == 2:
+                on[0] &= on[0] - 1
+            return least, on
+
+        inv._exposed_all = dropped
+        try:
+            inv.analytic_spread(evaluate_program("ring x,y,z; (x*z, y^2*z)"))
+        except AssertionError as exc:
+            print(exc)
+        print(len(calls))
+    """, "-O")
+    assert out.splitlines() == [
+        "invariant violated: a compact face is the argmin of a strictly "
+        "positive weight", "2"]
+
+
 def compact_faces(a):
     """The faces ``invariants._compact_faces`` returns for the generators of
     ``a``, as ``{(points, dim): weight}``."""
