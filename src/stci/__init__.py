@@ -34,6 +34,7 @@ from .homology import (
     local_cohomology_nonvanishing,
     rank,
     taylor_homology,
+    taylor_proj_dim,
 )
 from .invariants import (
     analytic_spread,

@@ -1,15 +1,17 @@
 """Exact linear algebra and simplicial homology over the rationals or F_q.
 
-Computes the projective dimension of quotients by monomial ideals in two
-ways: from the Betti numbers of the Taylor complex on the minimal
-generators, or by a pruned search over upper-Koszul simplicial complexes,
+Computes the projective dimension of quotients by monomial ideals with one
+pruned walk (:func:`_walk`) over complexes whose homology gives Betti
+numbers: the strands of the Taylor complex on the minimal generators
+(:func:`taylor_proj_dim`), or the upper-Koszul simplicial complexes,
 enumerated either at the points of the exponent grid, when the grid is
-small, or at the points of the lcm lattice.  Also computes the
-nonvanishing degrees of local cohomology of squarefree quotients through
-links in the Stanley-Reisner complex.  Every computation on an ideal works
-over the field of the ideal's ring; :func:`rank` and
-:meth:`ChainComplex.homology_ranks`, which have no ring, take the field as
-an argument.
+small, or at the points of the lcm lattice (:func:`koszul_proj_dim`), each
+ranked through the nerve of its facets when that has fewer vertices.  Also
+computes the Taylor Betti table and the nonvanishing degrees of local
+cohomology of squarefree quotients through links in the Stanley-Reisner
+complex.  Every computation on an ideal works over the field of the
+ideal's ring; :func:`rank` and :meth:`ChainComplex.homology_ranks`, which
+have no ring, take the field as an argument.
 
 Chain complexes, the Taylor strands included, have one builder,
 :func:`_boundary_complex`, which takes faces as vertex bitmasks (bit v set
@@ -19,16 +21,18 @@ rationals it first takes the rank over F_2 of the rows as bitmasks, a lower
 bound on the rational rank, and accepts it when it meets an upper bound
 that the caller knows: for the boundary map D_i of a chain complex, ranked
 from the top degree down, D_i . D_{i+1} = 0 gives
-rank D_i <= dim C_i - rank D_{i+1}.  Only when the two bounds do not meet,
-as at 2-torsion, does the exact elimination loop run.
-"""
+rank D_i <= dim C_i - rank D_{i+1}.  When the two bounds do not meet, and
+over odd primes, rows of +-1 entries, as in every boundary map, are
+eliminated with +-1 pivots, which is exact over every field at once while
+no entry leaves {-1, 0, 1}.  Only when one does, as it must at 2-torsion,
+does the general elimination loop run."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
+from functools import partial, reduce
 from math import gcd, prod
-from operator import and_, index
+from operator import and_, index, itemgetter
 
 import numpy as np
 
@@ -95,24 +99,71 @@ def _combine(row: dict[int, int], pivot_row: dict[int, int], pj: int,
     return new_row
 
 
-def _bit_rank(rows: dict[int, dict[int, int]], cap: int) -> int:
-    """Rank over F_2 of the rows' entries mod 2, each row a column bitmask;
-    stops once it reaches ``cap``."""
+def _bit_rank(bits: list[int], cap: int) -> int:
+    """Rank over F_2 of rows given as column bitmasks; stops once it
+    reaches ``cap``."""
     pivots: dict[int, int] = {}  # leading bit -> reduced row
-    for row in rows.values():
-        bits = 0
-        for j, v in row.items():
-            if v & 1:
-                bits |= 1 << j
-        while bits:
-            top = bits.bit_length() - 1
+    for row in bits:
+        while row:
+            top = row.bit_length() - 1
             pivot = pivots.get(top)
             if pivot is None:
-                pivots[top] = bits
+                pivots[top] = row
                 if len(pivots) == cap:
                     return cap
                 break
-            bits ^= pivot
+            row ^= pivot
+    return len(pivots)
+
+
+def _unit_masks(rows: dict[int, dict[int, int]],
+                q: int | None) -> list[tuple[int, int]] | None:
+    """Each row as (pos, neg), the bitmasks of its columns with entry 1 and
+    with entry -1 (q - 1 over F_q); None when some entry is neither."""
+    out = []
+    for row in rows.values():
+        pos = neg = 0
+        for j, v in row.items():
+            if q:
+                v %= q
+                if v == q - 1:
+                    v = -1
+            if v == 1:
+                pos |= 1 << j
+            elif v == -1:
+                neg |= 1 << j
+            elif v:
+                return None
+        out.append((pos, neg))
+    return out
+
+
+def _unit_rank(rows: list[tuple[int, int]], cap: int) -> int | None:
+    """Rank of (pos, neg) rows by elimination with +-1 pivots, the same over
+    the rationals and every F_p; None once an entry would leave
+    {-1, 0, 1}.
+
+    Each row is reduced by the pivot row with its leading column: the
+    pivot, negated when the signs there differ, is subtracted.  While every
+    entry stays in {-1, 0, 1} the integer rows are the rows over every
+    field, nonzero entries included, so the pivots found are the rank over
+    each; an entry 1 - (-1) = 2 would vanish over F_2 alone.  Stops once
+    the rank reaches ``cap``.
+    """
+    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> reduced row
+    for pos, neg in rows:
+        while pos | neg:
+            top = (pos | neg).bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = (pos, neg)
+                if len(pivots) == cap:
+                    return cap
+                break
+            p, m = pivot if (pos ^ pivot[0]) >> top & 1 == 0 else pivot[::-1]
+            if pos & m or neg & p:
+                return None
+            pos, neg = pos & ~p | m & ~neg, neg & ~m | p & ~pos
     return len(pivots)
 
 
@@ -169,19 +220,28 @@ def _eliminate(rows: dict[int, dict[int, int]], q: int | None,
 
     ``bound`` is an upper bound on the rank that the caller knows, such as
     dim C_i - rank D_{i+1} for a boundary map D_i; the number of rows
-    bounds it too.  Over F_2 the rank is that of the bitmask rows
-    (:func:`_bit_rank`).  Over the rationals the F_2 rank comes first: it
-    is a lower bound, since a minor that is odd is nonzero, so when it
-    reaches the upper bound it is the rank.  Otherwise, and over odd
-    primes, the rank comes from :func:`_markowitz`.  The rows passed in
-    are left unchanged.
+    bounds it too.  Over F_2 the rank is that of the rows' odd entries as
+    bitmasks (:func:`_bit_rank`).  Over the rationals that F_2 rank comes
+    first: it is a lower bound, since a minor that is odd is nonzero, so
+    when it reaches the upper bound it is the rank.  Otherwise, and over
+    odd primes, rows whose entries are all +-1, as in every boundary map,
+    go to :func:`_unit_rank`, and only when an entry leaves {-1, 0, 1}
+    there, or some entry is not +-1 to begin with, does :func:`_markowitz`
+    run.  The rows passed in are left unchanged.
     """
-    if q not in (None, 2):
-        return _markowitz(rows, q)
     cap = len(rows) if bound is None else min(len(rows), bound)
-    low = _bit_rank(rows, cap)
-    if q == 2 or low == cap:
-        return low
+    units = _unit_masks(rows, q)
+    if q in (None, 2):
+        if units is not None:
+            bits = [pos | neg for pos, neg in units]
+        else:
+            bits = [sum(1 << j for j, v in row.items() if v & 1)
+                    for row in rows.values()]
+        low = _bit_rank(bits, cap)
+        if q == 2 or low == cap:
+            return low
+    if units is not None and (found := _unit_rank(units, cap)) is not None:
+        return found
     return _markowitz(rows, q)
 
 
@@ -275,24 +335,18 @@ def _subset_lcms(exponents: np.ndarray) -> np.ndarray:
     return table
 
 
-def taylor_homology(a: MonomialIdeal,
-                    strand_bound: int | None = None) -> dict[int, int] | None:
-    """Betti numbers of R/a from the Taylor complex on the minimal generators.
+def _taylor_strands(a: MonomialIdeal, strand_bound: int | None = None
+                    ) -> list[tuple[int, list[int]]] | None:
+    """The strands of the Taylor complex of R/a, as (s, members): the masks
+    of the generator subsets with one lcm, in increasing order, and the size
+    s of the largest, s descending.
 
-    The tensored differential only connects subsets with equal lcm, so the
-    computation is blocked by lcm multidegree.  The strand at one lcm L is
-    the quotient complex that :func:`_boundary_complex` builds from the
-    subsets with lcm L as faces, a subset of i generators in dimension
-    i - 1: the subsets with smaller lcm are closed under taking subsets.
-    A strand of one subset S has its one face as homology, so it adds 1 to
-    beta_|S| without a complex being built.  With ``strand_bound``, returns
-    None, having built no complex, when a strand has more subsets than that.
     Raises ResourceLimitError when mu exceeds ``TAYLOR_GENERATOR_BOUND``;
     :func:`koszul_proj_dim` gives the projective dimension of larger
-    ideals, in particular powers.
+    ideals, in particular powers.  With ``strand_bound``, returns None when
+    a strand has more subsets than that.
     """
     require_proper(a)
-    field = a.context.field
     mu = a.mu
     if mu > TAYLOR_GENERATOR_BOUND:
         raise ResourceLimitError(
@@ -304,22 +358,108 @@ def taylor_homology(a: MonomialIdeal,
     keys = lcms.view(np.dtype((np.void, lcms.itemsize * lcms.shape[1]))).ravel()
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1])).tolist()
-    stops = starts[1:] + [1 << mu]
-    if strand_bound is not None and max(
-            stop - start for start, stop in zip(starts, stops)) > strand_bound:
+    starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    stops = np.append(starts[1:], 1 << mu)
+    if strand_bound is not None and (stops - starts).max() > strand_bound:
         return None
+    size = np.zeros(1 << mu, dtype=np.int64)  # subset sizes, by doubling too
+    for i in range(mu):
+        size[1 << i:2 << i] = size[:1 << i] + 1
+    largest = np.maximum.reduceat(size[order], starts).tolist()
+    order = order.tolist()
+    return [(s, order[start:stop]) for s, start, stop in sorted(
+        zip(largest, starts.tolist(), stops.tolist()),
+        key=itemgetter(0), reverse=True)]
+
+
+def taylor_homology(a: MonomialIdeal) -> dict[int, int]:
+    """Betti numbers of R/a from the Taylor complex on the minimal generators.
+
+    The tensored differential only connects subsets with equal lcm, so the
+    computation is blocked by lcm multidegree (:func:`_taylor_strands`).
+    The strand at one lcm L is the quotient complex that
+    :func:`_boundary_complex` builds from the subsets with lcm L as faces,
+    a subset of i generators in dimension i - 1: the subsets with smaller
+    lcm are closed under taking subsets.  A strand of one subset S has its
+    one face as homology, so it adds 1 to beta_|S| without a complex being
+    built.
+    """
+    field = a.context.field
     betti: dict[int, int] = {}
-    for start, stop in zip(starts, stops):
-        if stop - start == 1:
-            i = int(order[start]).bit_count()
-            betti[i] = betti.get(i, 0) + 1
+    for s, members in _taylor_strands(a):
+        if len(members) == 1:
+            betti[s] = betti.get(s, 0) + 1
             continue
-        members = order[start:stop].tolist()
         for j, h in _boundary_complex(members).homology_ranks(field).items():
             if h:
                 betti[j + 1] = betti.get(j + 1, 0) + h
     return dict(sorted(betti.items()))
+
+
+def taylor_proj_dim(a: MonomialIdeal, floor: int = 1,
+                    strand_bound: int | None = None) -> int | None:
+    """max(floor, pd R/a) from the Taylor strands (:func:`taylor_homology`)
+    by the pruned walk (:func:`_walk`), largest subset first; homology in
+    degree j of a strand is beta_{j+1}.  A strand of one subset S is its
+    one face, with homology in degree |S| - 1, so these raise the floor
+    before the walk.  When each generator alone takes the top exponent of
+    some variable, the lcm of all mu generators is above that of any
+    mu - 1, so all mu form a strand of their own, and pd = mu, the length of
+    the Taylor resolution, with no strand built.  With ``strand_bound``,
+    returns None, having ranked nothing, when a strand has more subsets
+    than that.
+    """
+    require_proper(a)
+    alone = set()  # the generators alone at the top of some variable
+    for col in zip(*a.rows):
+        if col.count(top := max(col)) == 1:
+            alone.add(col.index(top))
+    if len(alone) == a.mu:
+        return max(floor, a.mu)
+    strands = _taylor_strands(a, strand_bound)
+    if strands is None:
+        return None
+    best = max([floor] + [s for s, members in strands if len(members) == 1])
+    return _walk(((s, 1, partial(_at_least, members))
+                  for s, members in strands if len(members) > 1),
+                 a.context.field.modulus, best)
+
+
+def _at_least(faces, least: int) -> list[int]:
+    """The faces, as bitmasks, with at least ``least`` vertices."""
+    return [f for f in faces if f.bit_count() >= least]
+
+
+def _walk(complexes, q: int | None, best: int) -> int:
+    """max(best, pd) over complexes given as (s, shift, faces), s
+    descending, whose homology in degree j is beta_{j + shift} at one
+    multidegree.
+
+    ``faces(least)`` lists the faces of at least ``least`` vertices of the
+    complex, or none when it has no homology in degree least or above, and
+    s bounds the size of its largest face, so it has homology in degrees at
+    most s - 1.  A complex can raise best only by homology in a degree
+    j >= least = best - shift + 1, so the walk ends at the first complex
+    with s <= least, builds only the faces of dimension least - 1 and up,
+    and ranks only the boundary maps of those degrees, from the top down,
+    each with the bound dim C_j - rank D_{j+1}; a degree with no faces or no
+    map ranks 0.  The first nonzero homology ends the complex.
+    """
+    for s, shift, faces in complexes:
+        least = best - shift + 1
+        if s <= least:
+            break
+        chain = _boundary_complex(faces(least))
+        above = 0  # rank of D_{j+1}
+        for j in range(s - 1, least - 1, -1):
+            dim = chain.dims.get(j, 0)
+            here = (_eliminate(chain.diffs[j], q, dim - above)
+                    if j in chain.diffs else 0)
+            if dim - here - above:
+                best = j + shift
+                break
+            above = here
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +665,41 @@ def _grid_complexes(axes: list[np.ndarray], gens: np.ndarray, floor: int):
         yield int(sizes[i]), _facets(np.flatnonzero(bits[i]).tolist())
 
 
+def _nerve(facets: list[int]) -> list[int]:
+    """The faces of the nerve of the facets, as masks over their indices: a
+    set of facets is a face when their AND is nonzero.  Built by doubling,
+    facet by facet, with the AND of each face."""
+    faces = {0: -1}  # face -> AND of its facets; the empty face ANDs none
+    for i, f in enumerate(facets):
+        faces.update([(t | 1 << i, meet & f) for t, meet in faces.items()
+                      if meet & f])
+    return list(faces)
+
+
+def _upper_koszul_faces(s: int, facets: list[int], seen: set, least: int):
+    """The faces of at least ``least`` vertices of the upper-Koszul complex
+    with these facets, or of its nerve when that has fewer vertices.
+
+    Every nonempty intersection of simplices is a simplex, so the complex
+    and the nerve of its facets have the same reduced homology in every
+    degree and over every field (Borsuk 1948; Bjorner 1995, Thm 10.6).
+    When the r facets share no vertex the nerve lacks the face of all r,
+    so both have homology only in degrees at most r - 2.  So a cone (the
+    facets share a vertex), a complex with r - 2 < least and a complex
+    already seen give no faces, and the nerve stands in for the complex
+    when r - 1 < s.
+    """
+    r = len(facets)
+    if reduce(and_, facets) or r - 2 < least:
+        return []
+    key = frozenset(facets)
+    if key in seen:
+        return []
+    seen.add(key)
+    return _at_least(_nerve(facets) if r - 1 < s else _down_closure(facets),
+                     least)
+
+
 def koszul_proj_dim(a: MonomialIdeal, floor: int = 1) -> int:
     """max(floor, pd R/a), from the upper-Koszul complexes of a, without
     the Betti table; ``floor = 1`` gives the projective dimension.
@@ -535,9 +710,8 @@ def koszul_proj_dim(a: MonomialIdeal, floor: int = 1) -> int:
     complexes apart from cones and void ones, so the same pd:
 
     - the exponent grid, the product over the k variables that occur of
-      their distinct exponents with 0 (:func:`_grid_complexes`), when it has
-      G <= 2^mu points and G * 2^k <= ``GRID_CELL_BOUND``.  The lcm lattice
-      has at most 2^mu - 1 points, so a larger grid is the larger set;
+      their distinct exponents with 0 (:func:`_grid_complexes`), when its
+      G points have G * 2^k <= ``GRID_CELL_BOUND`` face bits;
     - otherwise the lcm lattice (:func:`_lattice_complexes`), where the
       facets at a point are its maximal carriers.
 
@@ -546,50 +720,26 @@ def koszul_proj_dim(a: MonomialIdeal, floor: int = 1) -> int:
 
     A complex whose largest face has s vertices has reduced homology in
     degrees at most s - 1, so it gives Betti numbers beta_i with
-    i <= s + 1.  Complexes are visited by s, highest first, from
-    best = floor (beta_1 = mu gives pd >= 1); the walk ends at the first
-    complex with s + 1 <= best, in particular once best = n, and the grid
-    enumeration leaves out the complexes with s < floor.  A complex whose
-    facets share a vertex is a cone, with no reduced homology.  A complex
-    can raise best only by homology in a degree j >= best - 1, so only the
-    faces of dimension best - 2 and up are built and only the boundary maps
-    of those degrees are ranked, from the top down, each with the bound
-    dim C_j - rank D_{j+1}, and the first nonzero homology ends the
-    complex.  Each distinct complex is ranked once.
+    i <= s + 1.  :func:`_walk` visits the complexes by s, highest first,
+    from best = floor (beta_1 = mu gives pd >= 1), and ends at the first
+    complex with s + 1 <= best, in particular once best = n; the grid
+    enumeration leaves out the complexes with s < floor.  The faces it
+    ranks are those of :func:`_upper_koszul_faces`: cones and complexes of
+    too few facets give none, each distinct complex is ranked once, and a
+    complex with fewer facets than vertices in its largest face is ranked
+    through its nerve.
     """
     require_proper(a)
-    q = a.context.field.modulus
     gens = a.exponent_matrix()
     gens = gens[:, gens.any(axis=0)]
     axes = [np.unique(np.append(col, 0)) for col in gens.T]
-    points = prod(len(v) for v in axes)
-    if points <= 1 << a.mu and points << len(axes) <= GRID_CELL_BOUND:
+    if prod(len(v) for v in axes) << len(axes) <= GRID_CELL_BOUND:
         complexes = _grid_complexes(axes, gens, floor)
     else:
         complexes = _lattice_complexes(a)
     seen: set[frozenset[int]] = set()
-    best = floor
-    for s, facets in complexes:
-        if s + 1 <= best:
-            return best
-        if reduce(and_, facets):
-            continue
-        key = frozenset(facets)
-        if key in seen:
-            continue
-        seen.add(key)
-        # the faces of dimension best - 2 and up: the maps D_j, j >= best - 1
-        chain = _boundary_complex(
-            f for f in _down_closure(facets) if f.bit_count() >= best - 1
-        )
-        above = 0  # rank of D_{j+1}
-        for j in range(s - 1, best - 2, -1):
-            here = _eliminate(chain.diffs[j], q, chain.dims[j] - above)
-            if chain.dims[j] - here - above:
-                best = j + 2
-                break
-            above = here
-    return best
+    return _walk(((s, 2, partial(_upper_koszul_faces, s, facets, seen))
+                  for s, facets in complexes), a.context.field.modulus, floor)
 
 
 # ---------------------------------------------------------------------------

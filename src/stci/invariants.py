@@ -24,7 +24,6 @@ It checks ``height <= cd <= ara upper``, ``cd <= analytic spread <= mu`` and
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from itertools import combinations
 from operator import add, le
 
@@ -123,44 +122,45 @@ def proj_dim(a: MonomialIdeal, floor: int = 1) -> int:
     """max(floor, pd R/a); ``floor = 1`` gives the projective dimension of
     R/a, and the memo is keyed by ``(a, floor)``.
 
-    Ideals with at most ``TAYLOR_DISPATCH_BOUND`` generators take the top
-    degree of the Taylor complex.  So do ideals with at most n generators
-    whose 2^mu x n table of subset lcms fits ``PAIR_CELL_BOUND`` cells, as
-    long as no strand has more subsets than the whole Taylor complex at
+    Ideals with at most ``TAYLOR_DISPATCH_BOUND`` generators take the
+    Taylor strands.  So do ideals with at most n generators whose 2^mu x n
+    table of subset lcms fits ``PAIR_CELL_BOUND`` cells, as long as no
+    strand has more subsets than the whole Taylor complex at
     mu = ``TAYLOR_DISPATCH_BOUND``: few generators in many variables can
     make a small lcm lattice whose complexes have facets on nearly every
     variable, which the lattice search ranks slowly, while a large strand
     is slow for Taylor.  Other ideals are split before the lattice search:
     disjoint-variable summands add their projective dimensions, and k
     factors of a product in disjoint variables add theirs less k - 1 (the
-    Mayer-Vietoris sequence of the intersection splits).  These routes
-    compute the whole projective dimension; only the lattice search starts
-    from the floor, and it skips the complexes that cannot raise pd above
-    it.  The field is that of the ideal's ring.
+    Mayer-Vietoris sequence of the intersection splits).  The splits
+    compute the whole projective dimension; the Taylor and lattice walks
+    start from the floor, and skip what cannot raise pd above it.  The
+    field is that of the ideal's ring.
     """
     require_proper(a)
     n = a.context.n
-    betti = None
+    walked = None
     if a.mu <= TAYLOR_DISPATCH_BOUND:
-        betti = homology.taylor_homology(a)
+        walked = homology.taylor_proj_dim(a, floor)
     elif a.mu <= n and n << a.mu <= PAIR_CELL_BOUND:
-        betti = homology.taylor_homology(
-            a, strand_bound=1 << TAYLOR_DISPATCH_BOUND)
-    if betti is not None:
-        pd = max(betti)
-    elif len(components := _support_components(a)) > 1:
-        pd = sum(
-            proj_dim(MonomialIdeal(a.context, tuple(a.rows[k] for k in comp)))
-            for comp in components
-        )
-    elif (factors := _product_split(a)) is not None:
-        pd = sum(proj_dim(f) for f in factors) - (len(factors) - 1)
-    else:
-        pd = homology.koszul_proj_dim(a, floor)
-        if pd == floor:
+        walked = homology.taylor_proj_dim(
+            a, floor, strand_bound=1 << TAYLOR_DISPATCH_BOUND)
+    if walked is None:
+        if len(components := _support_components(a)) > 1:
+            pd = sum(
+                proj_dim(MonomialIdeal(a.context, tuple(a.rows[k] for k in comp)))
+                for comp in components
+            )
+        elif (factors := _product_split(a)) is not None:
+            pd = sum(proj_dim(f) for f in factors) - (len(factors) - 1)
+        else:
+            walked = homology.koszul_proj_dim(a, floor)
+    if walked is not None:
+        if walked == floor:
             # pd R/a <= floor, and the walk did not compute it; the floor
             # can exceed mu, which drops from some powers to the next
-            return pd
+            return walked
+        pd = walked
     # Hilbert's syzygy theorem, and the length of the Taylor resolution
     _check(1 <= pd <= min(n, a.mu), "1 <= pd <= min(n, mu)")
     return max(pd, floor)
@@ -381,7 +381,8 @@ def _maximal_cliques(adj: list[int], vertices: int) -> list[int]:
 
 
 def _sv_exact(mu: int, pair_div: dict[tuple[int, int], int]) -> list[int]:
-    """Breadth-first search over placed-generator masks; returns level masks.
+    """Breadth-first search over placed-generator masks, one layer of equal
+    level count at a time; returns level masks.
 
     Only maximal levels are added.  A level stays valid when more is placed
     before it, and every subset of a valid level is valid.  So in a shortest
@@ -389,28 +390,37 @@ def _sv_exact(mu: int, pair_div: dict[tuple[int, int], int]) -> list[int]:
     unplaced generators, and its new members deleted from later levels,
     without adding a level.  The maximal levels after ``placed`` are the
     maximal cliques of the graph on the unplaced generators that joins
-    ``x`` and ``y`` when an earlier generator divides their product.  The
-    search ends with the expansion that first reaches the full mask; a
-    mask's parent is set once, so a later expansion could not change the
-    partition.
+    ``x`` and ``y`` when an earlier generator divides their product.  For
+    the same reason a mask inside another mask of its layer is dropped
+    before the layer is expanded: the levels that complete the smaller
+    mask, less the generators the larger one has placed, complete the
+    larger one, so it needs no more levels.  The search ends with the
+    expansion that first reaches the full mask; a mask's parent is set
+    once, so a later expansion could not change the partition.
     """
     full = (1 << mu) - 1
-    # the singleton levels reach the full mask, so the queue never runs dry
+    # the singleton levels reach the full mask, so the layers never run dry
     parent = {1 << i: (0, 1 << i) for i in range(mu)}
-    queue = deque(parent)
+    layer = list(parent)
     while full not in parent:
-        placed = queue.popleft()
-        comp = full ^ placed
-        adj = [0] * mu
-        for x, y in combinations([i for i in range(mu) if comp >> i & 1], 2):
-            if pair_div[(x, y)] & placed:
-                adj[x] |= 1 << y
-                adj[y] |= 1 << x
-        for level in _maximal_cliques(adj, comp):
-            new = placed | level
-            if new not in parent:
-                parent[new] = (placed, level)
-                queue.append(new)
+        # masks of a layer are distinct, so p & q == p != q is p inside q
+        layer = [p for p in layer if not any(p & q == p != q for q in layer)]
+        expanded = []
+        for placed in layer:
+            comp = full ^ placed
+            adj = [0] * mu
+            for x, y in combinations([i for i in range(mu) if comp >> i & 1], 2):
+                if pair_div[(x, y)] & placed:
+                    adj[x] |= 1 << y
+                    adj[y] |= 1 << x
+            for level in _maximal_cliques(adj, comp):
+                new = placed | level
+                if new not in parent:
+                    parent[new] = (placed, level)
+                    expanded.append(new)
+            if full in parent:
+                break
+        layer = expanded
     levels = []
     cur = full
     while cur:

@@ -6,11 +6,11 @@ import copy
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stci import homology, invariants
 from stci.core import FieldSpec, MonomialIdeal, ResourceLimitError, RingContext
@@ -21,6 +21,7 @@ from stci.homology import (
     local_cohomology_nonvanishing,
     rank,
     taylor_homology,
+    taylor_proj_dim,
 )
 
 from oracles import (
@@ -167,6 +168,104 @@ def test_rank_matches_oracles_over_q_f2_and_a_large_prime():
             assert homology._eliminate(rows, None, bound) == q_rank, m
         assert homology._eliminate(rows, 2, f2_rank) == f2_rank, m
     assert below >= 30
+
+
+FP = FieldSpec.parse("fp:32003")
+
+
+def seeded_unit_matrices(seed, count):
+    """The boundary maps D_0, D_1, D_2 of the real projective plane, whose
+    D_2 has rank 10 over the rationals and 9 over F_2, then sparse matrices up to 12 x 12
+    with entries in {-1, 0, 1}."""
+    cc = boundary_chain_complex(SimplicialComplex.from_facets(6, RP2_FACETS))
+    out = [[[d.get(i, {}).get(j, 0) for j in range(cc.dims[k])]
+            for i in range(cc.dims[k - 1])] for k, d in sorted(cc.diffs.items())]
+    rng = random.Random(seed)
+    while len(out) < count:
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.random()
+        out.append([[rng.choice((-1, 1)) if rng.random() < density else 0
+                     for _ in range(ncols)] for _ in range(nrows)])
+    return out
+
+
+def sparse_rows(m):
+    return {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(m)}
+
+
+def test_unit_rank_matches_dense_oracles_over_every_field():
+    # while no entry leaves {-1, 0, 1} the unit elimination is the one rank
+    # over Q, F_2, F_3 and F_32003; RP^2's D_2 has two ranks, so it must
+    # overflow
+    rp2_d2 = seeded_unit_matrices(0, 0)[2]
+    assert dense_rank_fraction(rp2_d2) == 10 and dense_rank_mod(rp2_d2, 2) == 9
+    finished = overflowed = 0
+    for m in seeded_unit_matrices(13, 300):
+        expected = {None: dense_rank_fraction(m), 2: dense_rank_mod(m, 2),
+                    3: dense_rank_mod(m, 3), 32003: dense_rank_mod(m, 32003)}
+        for q, want in expected.items():
+            field = Q if q is None else FieldSpec.prime(q)
+            assert rank(m, field) == want, (m, q)
+        rows = sparse_rows(m)
+        for q in expected:
+            assert homology._unit_masks(rows, q) is not None
+        got = homology._unit_rank(homology._unit_masks(rows, None), len(rows))
+        if got is None:
+            overflowed += 1
+        else:
+            assert set(expected.values()) == {got}, m
+            finished += 1
+        if m is rp2_d2:
+            assert got is None
+    assert finished >= 100 and overflowed >= 20
+    # a row whose leading entry has the pivot's opposite sign takes the
+    # negated pivot, so these finish; [[1, 1], [-1, 1]] has two ranks
+    for m, want in (([[1, 1], [-1, -1]], 1), ([[1, -1, 0], [-1, 0, 1], [0, 1, -1]], 2),
+                    ([[1, 1], [-1, 1]], None)):
+        assert homology._unit_rank(homology._unit_masks(sparse_rows(m), None), 3) == want
+    # entries are +-1 mod q: q - 1 is -1 over F_q
+    assert homology._unit_masks({0: {0: 32002, 2: 1}, 1: {1: -32004}}, 32003) == [
+        (0b100, 0b1), (0, 0b10)]
+    assert homology._unit_masks({0: {0: 2, 1: 1}}, None) is None
+
+
+def test_markowitz_runs_only_after_an_overflow(monkeypatch):
+    outcomes, loops = [], []
+    real_unit_rank, real_markowitz = homology._unit_rank, homology._markowitz
+
+    def recording_unit_rank(rows, cap):
+        found = real_unit_rank(rows, cap)
+        outcomes.append(found)
+        return found
+
+    def counting_markowitz(rows, q):
+        loops.append(q)
+        return real_markowitz(rows, q)
+
+    monkeypatch.setattr(homology, "_unit_rank", recording_unit_rank)
+    monkeypatch.setattr(homology, "_markowitz", counting_markowitz)
+    overflows = {None: 0, 3: 0, 32003: 0}
+    for m in seeded_unit_matrices(14, 200):
+        rows = sparse_rows(m)
+        for q in overflows:
+            outcomes.clear()
+            loops.clear()
+            expected = dense_rank_fraction(m) if q is None else dense_rank_mod(m, q)
+            assert homology._eliminate(rows, q) == expected, (m, q)
+            # over Q the F_2 certificate can settle the rank before either
+            assert len(outcomes) <= 1
+            assert loops == [q] * outcomes.count(None), (m, q)
+            overflows[q] += outcomes.count(None)
+        outcomes.clear()
+        loops.clear()
+        homology._eliminate(rows, 2)
+        assert outcomes == [] and loops == []
+    assert min(overflows.values()) >= 10
+    # an entry that is not +-1 goes to the loop without the unit elimination
+    outcomes.clear()
+    loops.clear()
+    assert homology._eliminate({0: {0: 2, 1: 1}, 1: {0: 1}}, 32003) == 2
+    assert outcomes == [] and loops == [32003]
 
 
 def test_rp2_runs_the_exact_loop_over_q_and_never_over_f2(monkeypatch):
@@ -509,9 +608,9 @@ def test_taylor_strand_bound(monkeypatch):
     # the triangle's strand at xyz has the 4 subsets of two or more generators
     betti, sizes = strand_sizes(monkeypatch, triangle())
     assert sizes == [4]
-    assert taylor_homology(triangle(), strand_bound=4) == betti
+    assert taylor_proj_dim(triangle(), strand_bound=4) == max(betti) == 2
     monkeypatch.setattr(homology, "_boundary_complex", None)
-    assert taylor_homology(triangle(), strand_bound=3) is None
+    assert taylor_proj_dim(triangle(), strand_bound=3) is None
 
 
 def test_taylor_counts_singleton_strands_without_a_complex(monkeypatch):
@@ -541,6 +640,9 @@ def test_taylor_matches_koszul_on_large_strands(monkeypatch):
         betti, sizes = strand_sizes(monkeypatch, a)
         largest = max([largest] + sizes)
         assert betti == koszul_betti_totals(a)
+        n = a.context.n
+        assert [taylor_proj_dim(a, f) for f in range(1, n + 1)] == [
+            max(f, max(betti)) for f in range(1, n + 1)]
     assert largest >= 32
 
 
@@ -570,7 +672,7 @@ WALK_ROUTES = ("grid", "lattice")
 @contextmanager
 def walk_route(monkeypatch, route):
     """Send the pd walk through the grid enumeration wherever its grid has
-    at most 2^mu points ("grid"), or always through the lcm lattice
+    at most 2^22 face bits ("grid"), or always through the lcm lattice
     ("lattice"); the block must reach the grid enumeration on the grid
     route and only there."""
     grids = []
@@ -702,12 +804,12 @@ def grid_route_ideals(seed, count, n, used, top, mus, power=1):
         points = 1
         for col in gens.T:
             points *= len(set(col.tolist()) | {0})
-        if points <= 1 << a.mu and points << used <= homology.GRID_CELL_BOUND:
+        if points << used <= homology.GRID_CELL_BOUND:
             out.append(a)
     return out
 
 
-@pytest.mark.parametrize("field", [Q, F2, FieldSpec.parse("fp:32003")], ids=str)
+@pytest.mark.parametrize("field", [Q, F2, FP], ids=str)
 def test_grid_route_matches_lattice_route_and_oracle(monkeypatch, field):
     # n = 7 and 8 give face sets of 128 and 256 bits, several 64-bit words;
     # an ideal with used < n has variables in no generator
@@ -733,7 +835,7 @@ def test_grid_route_matches_lattice_route_and_oracle(monkeypatch, field):
         assert grid == lattice == len(betti_numbers_oracle(a)) - 1
 
 
-@pytest.mark.parametrize("field", [Q, F2, FieldSpec.parse("fp:32003")], ids=str)
+@pytest.mark.parametrize("field", [Q, F2, FP], ids=str)
 def test_pd_walk_from_a_floor_is_the_floor_or_pd(monkeypatch, field):
     # koszul_proj_dim(a, f) = max(f, pd) for every floor f in 1..n on both
     # routes; with n = 7 and 8 the faces of at least f vertices span two
@@ -759,24 +861,138 @@ def test_pd_walk_from_a_floor_is_the_floor_or_pd(monkeypatch, field):
 
 def test_pd_walk_dispatch_between_grid_and_lattice(monkeypatch):
     # mu 9 in 5 variables with exponents <= 4: the grid has 2500 points,
-    # more than the 2^9 - 1 that the lcm lattice can have
+    # more than the 2^9 - 1 that the lcm lattice can have, and 2500 * 2^5
+    # face bits, so it takes the grid
     larger_grid = ideal(
         RingContext(tuple("abcde")),
         (4, 2, 3, 0, 0), (4, 0, 0, 1, 1), (3, 3, 4, 4, 1), (2, 2, 2, 0, 4),
         (1, 4, 4, 1, 0), (1, 2, 4, 1, 3), (0, 4, 4, 0, 3), (0, 2, 0, 3, 2),
         (0, 0, 1, 2, 4),
     )
-    assert larger_grid.mu == 9
+    assert larger_grid.mu == 9 and 5 ** 4 * 4 > 1 << 9
     # C8^2: 3^8 grid points of 2^8 faces each pass GRID_CELL_BOUND; C7^2
     # has 3^7 points of 2^7 faces and takes the grid
     assert 3 ** 8 << 8 > homology.GRID_CELL_BOUND >= 3 ** 7 << 7
     lattices = lattice_calls(monkeypatch)
-    for a, lattice in ((larger_grid, True), (cycle(8) ** 2, True),
+    for a, lattice in ((larger_grid, False), (cycle(8) ** 2, True),
                        (cycle(7) ** 2, False)):
         lattices.clear()
         pd = koszul_proj_dim(a)
         assert lattices == ([a] if lattice else [])
         assert pd == len(betti_numbers_oracle(a)) - 1
+
+
+def record_nerves(monkeypatch):
+    """Record, for each nerve the walk builds, its number of facets r and
+    the size of its largest face."""
+    nerves = []
+    real_nerve = homology._nerve
+
+    def recording(facets):
+        faces = real_nerve(facets)
+        nerves.append((len(facets), max(f.bit_count() for f in faces)))
+        return faces
+
+    monkeypatch.setattr(homology, "_nerve", recording)
+    return nerves
+
+
+def k4_nerve_ideal():
+    """A squarefree ideal in 10 variables whose upper-Koszul complex at
+    (1, ..., 1) has the complements of its 4 generator supports as facets:
+    4 vertices each, every two sharing one vertex and no three.  So its
+    nerve is the complete graph on 4 vertices, with top face of dimension 1,
+    below r - 2 = 2, and H_1 of rank 3 gives beta_3."""
+    pairs = list(combinations(range(4), 2))
+    facets = [[k for k, p in enumerate(pairs) if i in p] + [6 + i]
+              for i in range(4)]
+    ctx = RingContext(tuple(f"x{i}" for i in range(10)))
+    return MonomialIdeal.from_exponents(
+        ctx, [tuple(int(j not in f) for j in range(10)) for f in facets])
+
+
+@pytest.mark.parametrize("field", [Q, F2, FP], ids=str)
+def test_pd_walk_ranks_the_nerve_of_few_facets(monkeypatch, field):
+    # a complex whose r facets are fewer than the vertices of its largest
+    # face, s > r - 1, is ranked through its nerve, on both routes
+    for route in WALK_ROUTES:
+        with walk_route(monkeypatch, route), monkeypatch.context() as patch:
+            nerves = record_nerves(patch)
+            assert_pd_matches_betti_oracle(k4_nerve_ideal(), field)
+            assert (4, 2) in nerves
+    # squares of few generators in many variables
+    rng = random.Random(3)
+    ran = 0
+    with monkeypatch.context() as patch:
+        nerves = record_nerves(patch)
+        for _ in range(12):
+            n = rng.randint(6, 8)
+            ctx = RingContext(tuple(f"x{i}" for i in range(n)))
+            rows = [tuple(rng.randint(0, 2) for _ in range(n))
+                    for _ in range(rng.randint(2, 4))]
+            a = MonomialIdeal.from_exponents(ctx, [r for r in rows if any(r)])
+            nerves.clear()
+            assert_pd_matches_betti_oracle(a ** 2, field)
+            ran += bool(nerves)
+            assert all(top <= r - 1 for r, top in nerves)
+    assert ran >= 8
+
+
+def test_pd_walk_without_a_nerve_when_facets_outnumber_vertices(monkeypatch):
+    # every complex the walk ranks on these edge-ideal squares has r - 1 >= s
+    nerves = record_nerves(monkeypatch)
+    for a in (cycle(5) ** 2, cycle(6) ** 2, path(6) ** 2):
+        assert koszul_proj_dim(a) == len(betti_numbers_oracle(a)) - 1
+    assert nerves == []
+
+
+def test_taylor_walk_builds_no_strand_when_all_generators_form_one(monkeypatch):
+    # when the lcm of all mu generators is above the lcm of every mu - 1 of
+    # them, pd = mu without a strand; otherwise the strands are built
+    strands = []
+    real_strands = homology._taylor_strands
+
+    def recording(a, strand_bound=None):
+        strands.append(a)
+        return real_strands(a, strand_bound)
+
+    rng = random.Random(27)
+    shortcut = walked = 0
+    for _ in range(150):
+        rows = [tuple(rng.randint(0, 3) for _ in range(4))
+                for _ in range(rng.randint(1, 8))]
+        a = MonomialIdeal.from_exponents(CTX4, [r for r in rows if any(r)])
+        if a.is_unit:
+            continue
+        gens = [g.exponents for g in a.generators]
+
+        def lcm(rows):
+            return tuple(max(col) for col in zip((0,) * 4, *rows))
+
+        apart = all(lcm(gens[:i] + gens[i + 1:]) != lcm(gens)
+                    for i in range(len(gens)))
+        pd = max(taylor_homology(a))
+        with monkeypatch.context() as patch:
+            patch.setattr(homology, "_taylor_strands", recording)
+            strands.clear()
+            assert taylor_proj_dim(a) == pd
+        assert (strands == []) == apart, a
+        if apart:
+            assert pd == a.mu
+        shortcut += apart
+        walked += not apart
+    assert shortcut >= 30 and walked >= 30
+
+
+@settings(max_examples=40)
+@given(rows_strategy(4, 2, 7), st.sampled_from([Q, F2, F3]))
+def test_taylor_walk_from_every_floor_matches_the_betti_table(rows, field):
+    # strands are visited largest subset first, and a strand whose largest
+    # subset has at most best generators is skipped
+    a = over_field(MonomialIdeal.from_exponents(CTX4, rows), field)
+    pd = max(taylor_homology(a))
+    assert [taylor_proj_dim(a, f) for f in range(1, 6)] == [
+        max(f, pd) for f in range(1, 6)]
 
 
 # ---------------------------------------------------------------------------

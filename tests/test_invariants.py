@@ -313,8 +313,9 @@ def test_proj_dim_takes_taylor_for_few_generators_in_many_variables(monkeypatch)
 
 
 def test_proj_dim_check_survives_python_optimize():
-    # a Taylor table patched one degree past n breaks Hilbert's syzygy
-    # theorem; the explicit check must raise under -O too
+    # a Taylor strand patched to one subset of n + 1 generators, whose face
+    # the walk reads as beta_{n+1}, breaks Hilbert's syzygy theorem; the
+    # explicit check must raise under -O too
     out = run_python("""
         import sys
         import stci.homology as homology
@@ -322,7 +323,8 @@ def test_proj_dim_check_survives_python_optimize():
         from stci.parser import evaluate_program
         if __debug__:
             sys.exit("not running under -O")
-        homology.taylor_homology = lambda a: {0: 1, a.context.n + 1: 1}
+        homology._taylor_strands = lambda a, strand_bound=None: [
+            (a.context.n + 1, [(1 << a.context.n + 1) - 1])]
         try:
             inv.proj_dim(evaluate_program("ring x,y,z; (x*y, x*z, y*z)"))
         except AssertionError as exc:
@@ -443,6 +445,7 @@ GUARDED = {
     "symbolic_power": lambda a: decomposition.symbolic_power(a, 2),
     "taylor_homology": homology.taylor_homology,
     "koszul_proj_dim": homology.koszul_proj_dim,
+    "taylor_proj_dim": homology.taylor_proj_dim,
     "local_cohomology_nonvanishing": local_cohomology_nonvanishing,
 }
 
@@ -579,6 +582,23 @@ def run_python(script: str, *flags: str) -> str:
         timeout=10, check=True,
     )
     return done.stdout.strip()
+
+
+def test_fuzz_draw_cubes_within_budget():
+    # the cubes of the seed-0 fuzz draws in 12 and 20 variables have mu 20
+    # and go to the pd walk, which ranks the nerves of their complexes; the
+    # n = 12 cube took about 0.8 s without them and the n = 20 cube ran past
+    # 60 s, while Taylor gives pd 6 for it in about 6 s
+    out = run_python("""
+        import random
+        from stci.invariants import proj_dim
+        from stci.verification import RandomIdealSpec, random_ideal
+        for n in (12, 20):
+            spec = RandomIdealSpec(n=n)
+            cube = random_ideal(spec, random.Random(spec.seed)) ** 3
+            print(cube.mu, proj_dim(cube))
+    """)
+    assert out.splitlines() == ["20 6", "20 6"]
 
 
 def test_squarefree_n16_draw_within_budget():
@@ -964,16 +984,25 @@ def test_sv_exact_matches_submask_oracle_drawn(rows):
         assert_sv_matches_oracle(a)
 
 
-def test_sv_exact_early_goal_keeps_the_level_bfs_partition():
-    # the search stops at the expansion that first reaches the full mask;
-    # the level-by-level search it replaced returns the same level masks
+def test_sv_exact_pruned_layers_keep_the_level_bfs_length():
+    # the search drops each mask inside another of its layer and stops at
+    # the expansion that first reaches the full mask; the level-by-level
+    # search it replaced finds as many levels, and the witness stays valid.
+    # Dropped masks change the witness on some inputs
     ideals = (seeded_mixed_degree_ideals(150, seed=21)
               + seeded_squarefree_ideals(150, seed=21))
     assert sum(a.mu >= 8 for a in ideals) >= 10
+    changed = 0
     for a in ideals:
         pair_div = invariants._pair_divisors(a.rows)
-        assert invariants._sv_exact(a.mu, pair_div) == (
-            sv_exact_level_bfs(a.mu, pair_div)), a
+        levels = invariants._sv_exact(a.mu, pair_div)
+        unpruned = sv_exact_level_bfs(a.mu, pair_div)
+        assert len(levels) == len(unpruned), a
+        witness = tuple(tuple(g for i, g in enumerate(a.generators)
+                              if block >> i & 1) for block in levels)
+        assert is_valid_sv_partition(a, witness), a
+        changed += levels != unpruned
+    assert changed >= 1
 
 
 def brute_maximal_cliques(adj, vertices):

@@ -539,16 +539,30 @@ def test_cli_report_on_the_9_cycle_within_budget():
     assert json.loads(done.stdout)["invariants"]["proj_dim"] == 6
 
 
+def fuzz_one_draw(n):
+    """``stci fuzz --n n --count 1`` in a fresh interpreter, stopped after 10 s."""
+    src = str(Path(stci.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "stci.cli", "fuzz", "--n", str(n), "--count", "1"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=10,
+    )
+
+
 def test_cli_fuzz_n12_within_budget():
     # the seed-0 draw's cube goes to the pd walk through the dg check; its
     # 437 rational ranks took about 9.5 s of exact elimination when no rank
     # was certified over F_2 first
-    src = str(Path(stci.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "stci.cli", "fuzz", "--n", "12", "--count", "1"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-        timeout=10,
-    )
+    done = fuzz_one_draw(12)
+    assert done.returncode == EXIT_OK, done.stderr
+
+
+def test_cli_fuzz_n20_within_budget():
+    # the seed-0 draw's cube, 20 generators in 20 variables, goes to the pd
+    # walk through the dg check; its upper-Koszul complexes have a handful
+    # of facets on many variables, and the walk ran past 60 s before it
+    # ranked their nerves
+    done = fuzz_one_draw(20)
     assert done.returncode == EXIT_OK, done.stderr
 
 
