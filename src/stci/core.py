@@ -32,7 +32,8 @@ MAX_EXPONENT = 2**31 - 1
 BLOCK_CELLS = 1 << 12
 # Largest mu_a * mu_b * n array a product or an intersection may broadcast.
 # Repeated squaring in a power doubles the generator count each step, so a
-# huge exponent trips this long before MAX_EXPONENT does.
+# huge exponent trips this long before MAX_EXPONENT does.  It also bounds
+# the mu^3 steps of the greedy Schmitt-Vogel search.
 PAIR_CELL_BOUND = 1 << 22
 # Entries each memo keeps, least recently used out.
 MEMO_SIZE = 1 << 12

@@ -335,16 +335,14 @@ def _subset_lcms(exponents: np.ndarray) -> np.ndarray:
     return table
 
 
-def _taylor_strands(a: MonomialIdeal, strand_bound: int | None = None
-                    ) -> list[tuple[int, list[int]]] | None:
+def _taylor_strands(a: MonomialIdeal) -> list[tuple[int, list[int]]]:
     """The strands of the Taylor complex of R/a, as (s, members): the masks
     of the generator subsets with one lcm, in increasing order, and the size
     s of the largest, s descending.
 
     Raises ResourceLimitError when mu exceeds ``TAYLOR_GENERATOR_BOUND``;
     :func:`koszul_proj_dim` gives the projective dimension of larger
-    ideals, in particular powers.  With ``strand_bound``, returns None when
-    a strand has more subsets than that.
+    ideals, in particular powers.
     """
     require_proper(a)
     mu = a.mu
@@ -360,8 +358,6 @@ def _taylor_strands(a: MonomialIdeal, strand_bound: int | None = None
     keys = keys[order]
     starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
     stops = np.append(starts[1:], 1 << mu)
-    if strand_bound is not None and (stops - starts).max() > strand_bound:
-        return None
     size = np.zeros(1 << mu, dtype=np.int64)  # subset sizes, by doubling too
     for i in range(mu):
         size[1 << i:2 << i] = size[:1 << i] + 1
@@ -396,8 +392,7 @@ def taylor_homology(a: MonomialIdeal) -> dict[int, int]:
     return dict(sorted(betti.items()))
 
 
-def taylor_proj_dim(a: MonomialIdeal, floor: int = 1,
-                    strand_bound: int | None = None) -> int | None:
+def taylor_proj_dim(a: MonomialIdeal, floor: int = 1) -> int:
     """max(floor, pd R/a) from the Taylor strands (:func:`taylor_homology`)
     by the pruned walk (:func:`_walk`), largest subset first; homology in
     degree j of a strand is beta_{j+1}.  A strand of one subset S is its
@@ -405,9 +400,7 @@ def taylor_proj_dim(a: MonomialIdeal, floor: int = 1,
     before the walk.  When each generator alone takes the top exponent of
     some variable, the lcm of all mu generators is above that of any
     mu - 1, so all mu form a strand of their own, and pd = mu, the length of
-    the Taylor resolution, with no strand built.  With ``strand_bound``,
-    returns None, having ranked nothing, when a strand has more subsets
-    than that.
+    the Taylor resolution, with no strand built.
     """
     require_proper(a)
     alone = set()  # the generators alone at the top of some variable
@@ -416,9 +409,7 @@ def taylor_proj_dim(a: MonomialIdeal, floor: int = 1,
             alone.add(col.index(top))
     if len(alone) == a.mu:
         return max(floor, a.mu)
-    strands = _taylor_strands(a, strand_bound)
-    if strands is None:
-        return None
+    strands = _taylor_strands(a)
     best = max([floor] + [s for s, members in strands if len(members) == 1])
     return _walk(((s, 1, partial(_at_least, members))
                   for s, members in strands if len(members) > 1),

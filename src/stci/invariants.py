@@ -32,7 +32,7 @@ import numpy as np
 from . import homology
 from .core import (MEMOS, PAIR_CELL_BOUND, Monomial, MonomialIdeal,
                    ResourceLimitError, memo, require_proper)
-from .decomposition import dim_quotient, height, minimal_primes
+from .decomposition import dim_quotient, height
 from .linfeas import _bits, newton_facets
 
 TAYLOR_DISPATCH_BOUND = 8
@@ -60,10 +60,10 @@ def _check(ok: bool, relation: str) -> None:
 # projective dimension: dispatcher over Taylor / lattice with splittings
 
 
-def _connected_blocks(sets: list) -> list:
-    """Unions of the nonempty ``sets``, frozensets or bitmasks, that are
-    connected through shared elements, in no fixed order."""
-    blocks: list = []
+def _connected_blocks(sets: list[int]) -> list[int]:
+    """Unions of the nonempty ``sets``, as bitmasks, that are connected
+    through shared elements, in no fixed order."""
+    blocks: list[int] = []
     for block in sets:
         apart = []
         for b in blocks:
@@ -94,21 +94,27 @@ def _restrict(a: MonomialIdeal, variables: set[int]) -> MonomialIdeal:
 def _product_split(a: MonomialIdeal) -> list[MonomialIdeal] | None:
     """Factor ``a`` as a product of ideals in disjoint variables, if it is one.
 
-    Candidate variable blocks come from the minimal primes of the radical;
+    The minimal generators of such a product are the products of one
+    generator from each factor, so the rows take every pair of an exponent
+    of u and one of v that occur, for u and v in different factors.
+    Candidate variable blocks join u and v when the rows miss such a pair;
     the factorization is verified by multiplying back, so a wrong candidate
     can only cost time, never correctness.
     """
-    rad = a.radical()
+    cols = list(zip(*a.rows))
+    support = [j for j, col in enumerate(cols) if any(col)]
+    values = [len(set(col)) for col in cols]
     blocks = _connected_blocks(
-        [p.support() for p in minimal_primes(rad)]
-        + [frozenset([v]) for v in rad.support()]
+        [1 << u | 1 << v for u, v in combinations(support, 2)
+         if len(set(zip(cols[u], cols[v]))) < values[u] * values[v]]
+        + [1 << j for j in support]
     )
     if len(blocks) <= 1:
         return None
-    factors = [_restrict(a, block) for block in blocks]
-    if any(f.is_unit or f.is_zero for f in factors):
+    factors = [_restrict(a, {j for j in support if b >> j & 1})
+               for b in sorted(blocks, key=lambda b: b & -b)]
+    if any(f.is_unit for f in factors):
         return None
-    factors.sort(key=lambda f: min(f.support()))
     product = factors[0]
     for f in factors[1:]:
         product = product * f
@@ -123,13 +129,7 @@ def proj_dim(a: MonomialIdeal, floor: int = 1) -> int:
     R/a, and the memo is keyed by ``(a, floor)``.
 
     Ideals with at most ``TAYLOR_DISPATCH_BOUND`` generators take the
-    Taylor strands.  So do ideals with at most n generators whose 2^mu x n
-    table of subset lcms fits ``PAIR_CELL_BOUND`` cells, as long as no
-    strand has more subsets than the whole Taylor complex at
-    mu = ``TAYLOR_DISPATCH_BOUND``: few generators in many variables can
-    make a small lcm lattice whose complexes have facets on nearly every
-    variable, which the lattice search ranks slowly, while a large strand
-    is slow for Taylor.  Other ideals are split before the lattice search:
+    Taylor strands.  Other ideals are split before the lattice search:
     disjoint-variable summands add their projective dimensions, and k
     factors of a product in disjoint variables add theirs less k - 1 (the
     Mayer-Vietoris sequence of the intersection splits).  The splits
@@ -138,31 +138,22 @@ def proj_dim(a: MonomialIdeal, floor: int = 1) -> int:
     field is that of the ideal's ring.
     """
     require_proper(a)
-    n = a.context.n
-    walked = None
     if a.mu <= TAYLOR_DISPATCH_BOUND:
-        walked = homology.taylor_proj_dim(a, floor)
-    elif a.mu <= n and n << a.mu <= PAIR_CELL_BOUND:
-        walked = homology.taylor_proj_dim(
-            a, floor, strand_bound=1 << TAYLOR_DISPATCH_BOUND)
-    if walked is None:
-        if len(components := _support_components(a)) > 1:
-            pd = sum(
-                proj_dim(MonomialIdeal(a.context, tuple(a.rows[k] for k in comp)))
-                for comp in components
-            )
-        elif (factors := _product_split(a)) is not None:
-            pd = sum(proj_dim(f) for f in factors) - (len(factors) - 1)
-        else:
-            walked = homology.koszul_proj_dim(a, floor)
-    if walked is not None:
-        if walked == floor:
-            # pd R/a <= floor, and the walk did not compute it; the floor
-            # can exceed mu, which drops from some powers to the next
-            return walked
-        pd = walked
-    # Hilbert's syzygy theorem, and the length of the Taylor resolution
-    _check(1 <= pd <= min(n, a.mu), "1 <= pd <= min(n, mu)")
+        pd = homology.taylor_proj_dim(a, floor)
+    elif len(components := _support_components(a)) > 1:
+        pd = sum(
+            proj_dim(MonomialIdeal(a.context, tuple(a.rows[k] for k in comp)))
+            for comp in components
+        )
+    elif (factors := _product_split(a)) is not None:
+        pd = sum(proj_dim(f) for f in factors) - (len(factors) - 1)
+    else:
+        pd = homology.koszul_proj_dim(a, floor)
+    # Hilbert's syzygy theorem, and the length of the Taylor resolution; a
+    # walk that did not raise the floor did not compute pd R/a <= floor,
+    # and the floor can exceed mu, which drops from some powers to the next
+    _check(pd == floor or 1 <= pd <= min(a.context.n, a.mu),
+           "1 <= pd <= min(n, mu)")
     return max(pd, floor)
 
 
@@ -461,11 +452,18 @@ def schmitt_vogel_upper(a: MonomialIdeal) -> tuple[tuple[Monomial, ...], ...]:
     earlier member; then r + 1 elements (the level sums) generate ``a`` up
     to radical, so cd(a) <= ara(a) <= the number of levels.  Exhaustive for
     mu <= ``SV_EXACT_BOUND``, greedy beyond; the singleton partition is
-    always valid, so there are at most mu levels.
+    always valid, so there are at most mu levels.  The greedy search costs
+    about mu^3 pair lookups, and raises ResourceLimitError, before the pair
+    table is built, when mu^3 exceeds ``PAIR_CELL_BOUND``.
     """
     require_proper(a)
     gens = a.generators
     mu = len(gens)
+    if mu > SV_EXACT_BOUND and mu ** 3 > PAIR_CELL_BOUND:
+        raise ResourceLimitError(
+            f"mu(a) = {mu} makes {mu ** 3} greedy Schmitt-Vogel steps, past "
+            f"the bound of {PAIR_CELL_BOUND}"
+        )
     pair_div = _pair_divisors(a.rows)
     search = _sv_exact if mu <= SV_EXACT_BOUND else _sv_greedy
     partition = tuple(

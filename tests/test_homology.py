@@ -604,13 +604,11 @@ def strand_sizes(monkeypatch, a):
     return betti, sizes
 
 
-def test_taylor_strand_bound(monkeypatch):
+def test_taylor_strand_sizes(monkeypatch):
     # the triangle's strand at xyz has the 4 subsets of two or more generators
     betti, sizes = strand_sizes(monkeypatch, triangle())
     assert sizes == [4]
-    assert taylor_proj_dim(triangle(), strand_bound=4) == max(betti) == 2
-    monkeypatch.setattr(homology, "_boundary_complex", None)
-    assert taylor_proj_dim(triangle(), strand_bound=3) is None
+    assert taylor_proj_dim(triangle()) == max(betti) == 2
 
 
 def test_taylor_counts_singleton_strands_without_a_complex(monkeypatch):
@@ -952,9 +950,9 @@ def test_taylor_walk_builds_no_strand_when_all_generators_form_one(monkeypatch):
     strands = []
     real_strands = homology._taylor_strands
 
-    def recording(a, strand_bound=None):
+    def recording(a):
         strands.append(a)
-        return real_strands(a, strand_bound)
+        return real_strands(a)
 
     rng = random.Random(27)
     shortcut = walked = 0

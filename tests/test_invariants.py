@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -253,6 +253,43 @@ def test_proj_dim_matches_betti_oracle_past_64_variables():
         assert proj_dim(over_field(a, field)) == 6
 
 
+CTX6 = RingContext(tuple(f"x{i}" for i in range(6)))
+
+
+def antichain_strategy(n, max_exp, max_gens):
+    """At least 3 distinct rows of one degree, so no row divides another."""
+    def of_degree(d):
+        rows = [r for r in product(range(max_exp + 1), repeat=n) if sum(r) == d]
+        return st.lists(st.sampled_from(rows), min_size=3, max_size=max_gens,
+                        unique=True)
+    return st.integers(2, max_exp * n - 2).flatmap(of_degree)
+
+
+@settings(max_examples=30)
+@given(antichain_strategy(3, 3, 6), antichain_strategy(3, 3, 6))
+def test_product_split_finds_the_factors_from_the_rows(rows_a, rows_b):
+    # ideals in disjoint triples of variables whose product passes the
+    # Taylor dispatch bound; a side may split further (x0 x1^2, x0 x1 x2,
+    # x0 x2^2 is x0 times (x1, x2)^2), so its blocks multiply back to it
+    a = MonomialIdeal.from_exponents(CTX6, _pad_rows(rows_a, 0, 6))
+    b = MonomialIdeal.from_exponents(CTX6, _pad_rows(rows_b, 3, 6))
+    c = a * b
+    assert c.mu > invariants.TAYLOR_DISPATCH_BOUND
+    split = invariants._product_split(c)
+    assert split is not None
+    for side, block in ((a, {0, 1, 2}), (b, {3, 4, 5})):
+        parts = [f for f in split if f.support() <= block]
+        whole = parts[0]
+        for f in parts[1:]:
+            whole = whole * f
+        assert whole == side
+    assert sum(len(f.support()) for f in split) == len(c.support())
+    pd = proj_dim(c)
+    assert pd == homology.koszul_proj_dim(c)
+    if c.mu <= 12:
+        assert pd == max(homology.taylor_homology(c))
+
+
 @pytest.mark.parametrize("expression, pd", [
     # mu 1225: without the product split the lattice passes its bound
     ("[(x1,x2,x3,x4)*(x5,x6,x7,x8)]^4", 7),
@@ -279,37 +316,26 @@ def test_proj_dim_matches_betti_oracle_drawn_squarefree(rows):
         assert_pd_matches_oracle(a, F32003)
 
 
-def test_proj_dim_takes_taylor_for_few_generators_in_many_variables(monkeypatch):
-    # the square of the seed-0 RandomIdealSpec(n=25, max_exponent=1) draw:
-    # mu 10 <= n = 25, an lcm lattice of 96 points with carriers of up to
-    # 19 variables, on which the lattice walk ran for minutes
-    spec = RandomIdealSpec(n=25, max_exponent=1)
-    a = random_ideal(spec, random.Random(spec.seed)) ** 2
-    assert a.mu == 10
+def test_proj_dim_on_few_generators_in_many_variables_needs_no_minimal_primes(
+        monkeypatch):
+    # the squares of the seed-0 and seed-5 RandomIdealSpec(n=25,
+    # max_exponent=1) draws, mu 10 and 15 in 25 variables, take the walk
+    # and the product split.  The seed-5 square is x18^2 times an ideal in
+    # the other variables; the split found that factor through the minimal
+    # primes of the radical, about 0.7 s, where it now reads the rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimal primes reached")
 
-    def refuse(b, floor=1):
-        raise AssertionError("lattice walk reached")
-
-    monkeypatch.setattr(homology, "koszul_proj_dim", refuse)
-    invariants.clear_caches()
-    assert proj_dim(a) == max(homology.taylor_homology(a)) == 4
-    # the 12 products of 11 of 12 variables: every set of two or more
-    # generators has the same lcm, one strand of 4083 subsets, which took
-    # Taylor 0.8 s; it goes to the walk
-    ctx = RingContext(tuple(f"x{i}" for i in range(12)))
-    hat = MonomialIdeal.from_exponents(
-        ctx, [tuple(int(i != j) for i in range(12)) for j in range(12)])
-    invariants.clear_caches()
-    with pytest.raises(AssertionError, match="lattice walk reached"):
-        proj_dim(hat)
-    # a 2^mu x n table of subset lcms past PAIR_CELL_BOUND goes to the walk
-    monkeypatch.setattr(invariants, "PAIR_CELL_BOUND", (25 << 10) - 1)
-    invariants.clear_caches()
-    with pytest.raises(AssertionError, match="lattice walk reached"):
-        proj_dim(a)
-    monkeypatch.undo()
-    invariants.clear_caches()
-    assert proj_dim(hat) == 2
+    monkeypatch.setattr(decomposition, "minimal_primes", refuse)
+    assert not hasattr(invariants, "minimal_primes")
+    for seed, mu, factors in ((0, 10, None), (5, 15, [15, 1])):
+        spec = RandomIdealSpec(n=25, max_exponent=1, seed=seed)
+        a = random_ideal(spec, random.Random(spec.seed)) ** 2
+        assert a.mu == mu
+        split = invariants._product_split(a)
+        assert (split and [f.mu for f in split]) == factors
+        invariants.clear_caches()
+        assert proj_dim(a) == max(homology.taylor_homology(a))
 
 
 def test_proj_dim_check_survives_python_optimize():
@@ -323,7 +349,7 @@ def test_proj_dim_check_survives_python_optimize():
         from stci.parser import evaluate_program
         if __debug__:
             sys.exit("not running under -O")
-        homology._taylor_strands = lambda a, strand_bound=None: [
+        homology._taylor_strands = lambda a: [
             (a.context.n + 1, [(1 << a.context.n + 1) - 1])]
         try:
             inv.proj_dim(evaluate_program("ring x,y,z; (x*y, x*z, y*z)"))
@@ -337,9 +363,8 @@ def test_proj_dim_returns_a_floor_above_mu_unchecked(monkeypatch):
     # 1 <= pd <= min(n, mu) binds a computed pd, not a floor: mu can drop
     # from one power to the next (Eliahou, Herzog and Saem 2018), so the
     # horizon can pass a floor above mu.  The products of 9 of 10 of 12
-    # variables have mu 10 and one Taylor strand of 1013 subsets, so they go
-    # to the walk, which has no complex with a face of 11 vertices; a
-    # principal ideal goes to Taylor
+    # variables have mu 10 > 8, so they go to the walk, which has no complex
+    # with a face of 11 vertices; a principal ideal goes to Taylor
     ctx = RingContext(tuple(f"x{i}" for i in range(12)))
     hat = MonomialIdeal.from_exponents(
         ctx, [tuple(int(i != j and i < 10) for i in range(12)) for j in range(10)])
@@ -895,6 +920,25 @@ def test_sv_greedy_fallback_still_valid(monkeypatch):
     sv = schmitt_vogel_upper.__wrapped__(a)
     assert len(sv) <= a.mu
     assert is_valid_sv_partition(a, sv)
+
+
+def test_sv_greedy_stops_at_its_work_bound(monkeypatch):
+    # the greedy search makes about mu^3 steps; past PAIR_CELL_BOUND it
+    # raises before the pair table is built, and the exact search has no
+    # such bound
+    ctx = RingContext(tuple(f"x{i}" for i in range(11)))
+    a = MonomialIdeal.from_exponents(
+        ctx, [tuple(int(i != j) for i in range(11)) for j in range(11)])
+    monkeypatch.setattr(invariants, "_pair_divisors", None)
+    monkeypatch.setattr(invariants, "PAIR_CELL_BOUND", 11 ** 3 - 1)
+    with pytest.raises(ResourceLimitError, match="greedy Schmitt-Vogel"):
+        schmitt_vogel_upper.__wrapped__(a)
+    monkeypatch.undo()
+    monkeypatch.setattr(invariants, "PAIR_CELL_BOUND", 11 ** 3)
+    assert is_valid_sv_partition(a, schmitt_vogel_upper.__wrapped__(a))
+    monkeypatch.setattr(invariants, "PAIR_CELL_BOUND", 0)
+    monkeypatch.setattr(invariants, "SV_EXACT_BOUND", 11)
+    assert is_valid_sv_partition(a, schmitt_vogel_upper.__wrapped__(a))
 
 
 def test_sv_search_computes_no_projective_dimension():

@@ -539,6 +539,21 @@ def test_cli_report_on_the_9_cycle_within_budget():
     assert json.loads(done.stdout)["invariants"]["proj_dim"] == 6
 
 
+def test_cli_report_on_the_readme_product_exits_within_budget():
+    # mu 1225: the split gives pd at once, but the greedy Schmitt-Vogel
+    # search grows as mu^3 and ran past 60 s; it now stops at its bound
+    src = str(Path(stci.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "stci.cli", "report", "--json", "--horizon", "1",
+         "ring x1,x2,x3,x4,x5,x6,x7,x8; [(x1,x2,x3,x4)*(x5,x6,x7,x8)]^4"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=10,
+    )
+    assert done.returncode == EXIT_RESOURCE
+    assert "greedy Schmitt-Vogel" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def fuzz_one_draw(n):
     """``stci fuzz --n n --count 1`` in a fresh interpreter, stopped after 10 s."""
     src = str(Path(stci.__file__).resolve().parents[1])
