@@ -64,6 +64,14 @@ def memo(fn):
     return memoized
 
 
+def _bits(x: int):
+    """The indices of the set bits of x, in increasing order."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def require_proper(a: MonomialIdeal) -> None:
     """Raise ValueError unless ``a`` is a proper, nonzero ideal."""
     if a.is_zero or a.is_unit:

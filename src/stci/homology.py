@@ -16,16 +16,18 @@ have no ring, take the field as an argument.
 Chain complexes, the Taylor strands included, have one builder,
 :func:`_boundary_complex`, which takes faces as vertex bitmasks (bit v set
 when v is in the face).  Every matrix is one form, sparse integer rows, and
-every rank comes from one entry point, :func:`_eliminate`.  Over the
-rationals it first takes the rank over F_2 of the rows as bitmasks, a lower
-bound on the rational rank, and accepts it when it meets an upper bound
-that the caller knows: for the boundary map D_i of a chain complex, ranked
-from the top degree down, D_i . D_{i+1} = 0 gives
-rank D_i <= dim C_i - rank D_{i+1}.  When the two bounds do not meet, and
-over odd primes, rows of +-1 entries, as in every boundary map, are
-eliminated with +-1 pivots, which is exact over every field at once while
-no entry leaves {-1, 0, 1}.  Only when one does, as it must at 2-torsion,
-does the general elimination loop run."""
+every rank comes from one entry point, :func:`_eliminate`, whose loops share
+one pivot rule: each row, in the order given, is reduced by the pivot row of
+its leading column until it is empty or becomes that column's pivot, up to
+a cap on the rank.  Over the rationals the rank over F_2 of the rows as
+bitmasks comes first, a lower bound, and is the rank when it meets an upper
+bound that the caller knows: for the boundary maps of a chain complex,
+ranked from the top degree down (:func:`_descending_homology`),
+D_i . D_{i+1} = 0 gives rank D_i <= dim C_i - rank D_{i+1}.  Otherwise, and
+over odd primes, rows of +-1 entries, as in every boundary map, are reduced
+with +-1 pivots, exact over every field at once while no entry leaves
+{-1, 0, 1}.  When one would, as it must at 2-torsion, the loop on sparse
+rows goes on from the pivots found so far."""
 
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ from .core import (
     FieldSpec,
     MonomialIdeal,
     ResourceLimitError,
+    _bits,
     require_proper,
 )
 from .decomposition import minimal_primes
@@ -83,8 +86,8 @@ def _combine(row: dict[int, int], pivot_row: dict[int, int], pj: int,
 
     The field-specific part: over F_q the entries are reduced mod q, over
     the rationals the row is divided by the gcd of its entries.  Either way
-    the new row is a nonzero multiple of the textbook update, so its zero
-    pattern, and with it the pivot order, is the same.
+    the new row is a nonzero multiple of the textbook update, so it has the
+    same zero pattern, and with it the same leading column.
     """
     pval, v = pivot_row[pj], row[pj]
     new_row: dict[int, int] = {}
@@ -138,80 +141,56 @@ def _unit_masks(rows: dict[int, dict[int, int]],
     return out
 
 
-def _unit_rank(rows: list[tuple[int, int]], cap: int) -> int | None:
-    """Rank of (pos, neg) rows by elimination with +-1 pivots, the same over
-    the rationals and every F_p; None once an entry would leave
-    {-1, 0, 1}.
+def _unit_rank(rows: list[tuple[int, int]],
+               cap: int) -> tuple[dict[int, tuple[int, int]], int]:
+    """(pivots, k) of the elimination of (pos, neg) rows with +-1 pivots,
+    keyed by leading column: k is the row in which an entry would leave
+    {-1, 0, 1}, or len(rows) once all are reduced or the rank is ``cap``.
 
     Each row is reduced by the pivot row with its leading column: the
     pivot, negated when the signs there differ, is subtracted.  While every
     entry stays in {-1, 0, 1} the integer rows are the rows over every
     field, nonzero entries included, so the pivots found are the rank over
-    each; an entry 1 - (-1) = 2 would vanish over F_2 alone.  Stops once
-    the rank reaches ``cap``.
+    each; an entry 1 - (-1) = 2 would vanish over F_2 alone.
     """
     pivots: dict[int, tuple[int, int]] = {}  # leading bit -> reduced row
-    for pos, neg in rows:
+    for k, (pos, neg) in enumerate(rows):
         while pos | neg:
             top = (pos | neg).bit_length() - 1
             pivot = pivots.get(top)
             if pivot is None:
                 pivots[top] = (pos, neg)
                 if len(pivots) == cap:
-                    return cap
+                    return pivots, len(rows)
                 break
             p, m = pivot if (pos ^ pivot[0]) >> top & 1 == 0 else pivot[::-1]
             if pos & m or neg & p:
-                return None
+                return pivots, k
             pos, neg = pos & ~p | m & ~neg, neg & ~m | p & ~pos
-    return len(pivots)
+    return pivots, len(rows)
 
 
-def _markowitz(rows: dict[int, dict[int, int]], q: int | None) -> int:
-    """Rank of sparse integer rows over the rationals (q None) or F_q, by
-    sparse elimination with Markowitz pivots.
-
-    Entries are reduced mod q and empty rows dropped on entry; the rows
-    passed in, the dict and each row, are left unchanged.
-    """
-    if q:
-        rows = {i: {j: w for j, v in row.items() if (w := v % q)}
-                for i, row in rows.items()}
-    rows = {i: row for i, row in rows.items() if row}
-    cols: dict[int, set[int]] = {}
-    for i, row in rows.items():
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-    rank = 0
-    while rows:
-        # Markowitz-style pivot: minimize projected fill, break ties by index
-        best = None
-        for i in sorted(rows):
-            rlen = len(rows[i])
-            for j in sorted(rows[i]):
-                cost = (rlen - 1) * (len(cols[j]) - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, i, j)
-            if best is not None and best[0] == 0:
+def _row_rank(rows, q: int | None, cap: int,
+              pivots: dict[int, dict[int, int]]) -> int:
+    """Rank over the rationals (q None) or F_q of the reduced ``pivots``,
+    keyed by leading column, and the sparse ``rows`` after them, in the
+    order given; stops once it reaches ``cap``.  Each row, reduced mod q on
+    entry, is reduced by the pivot of its leading column (:func:`_combine`)
+    until it is empty or becomes the pivot there.  ``pivots`` grows; the
+    rows passed in are left unchanged."""
+    for row in rows:
+        if q:
+            row = {j: w for j, v in row.items() if (w := v % q)}
+        while row:
+            top = max(row)
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                if len(pivots) == cap:
+                    return cap
                 break
-        _, pi, pj = best
-        pivot_row = rows.pop(pi)
-        for j in pivot_row:
-            cols[j].discard(pi)
-        for ri in sorted(cols.get(pj, ())):
-            row = rows[ri]
-            new_row = _combine(row, pivot_row, pj, q)
-            for j in row:
-                cols[j].discard(ri)
-            if new_row:
-                rows[ri] = new_row
-                for j in new_row:
-                    cols.setdefault(j, set()).add(ri)
-            else:
-                del rows[ri]
-        cols.pop(pj, None)
-        rank += 1
-    return rank
+            row = _combine(row, pivot, top, q)
+    return len(pivots)
 
 
 def _eliminate(rows: dict[int, dict[int, int]], q: int | None,
@@ -220,14 +199,16 @@ def _eliminate(rows: dict[int, dict[int, int]], q: int | None,
 
     ``bound`` is an upper bound on the rank that the caller knows, such as
     dim C_i - rank D_{i+1} for a boundary map D_i; the number of rows
-    bounds it too.  Over F_2 the rank is that of the rows' odd entries as
-    bitmasks (:func:`_bit_rank`).  Over the rationals that F_2 rank comes
-    first: it is a lower bound, since a minor that is odd is nonzero, so
-    when it reaches the upper bound it is the rank.  Otherwise, and over
-    odd primes, rows whose entries are all +-1, as in every boundary map,
-    go to :func:`_unit_rank`, and only when an entry leaves {-1, 0, 1}
-    there, or some entry is not +-1 to begin with, does :func:`_markowitz`
-    run.  The rows passed in are left unchanged.
+    bounds it too, and each loop stops once the rank reaches it.  Over F_2
+    the rank is that of the rows' odd entries as bitmasks
+    (:func:`_bit_rank`).  Over the rationals that F_2 rank comes first: it
+    is a lower bound, since a minor that is odd is nonzero, so when it
+    reaches the upper bound it is the rank.  Otherwise, and over odd
+    primes, rows whose entries are all +-1, as in every boundary map, go to
+    :func:`_unit_rank`.  If an entry there would leave {-1, 0, 1} at row k,
+    :func:`_row_rank` goes on from the +-1 pivots, as sparse rows under the
+    same leading columns, with the rows from k on, row k as given.  Rows
+    with an entry not +-1 go to :func:`_row_rank` alone.
     """
     cap = len(rows) if bound is None else min(len(rows), bound)
     units = _unit_masks(rows, q)
@@ -240,9 +221,12 @@ def _eliminate(rows: dict[int, dict[int, int]], q: int | None,
         low = _bit_rank(bits, cap)
         if q == 2 or low == cap:
             return low
-    if units is not None and (found := _unit_rank(units, cap)) is not None:
-        return found
-    return _markowitz(rows, q)
+    found, k = _unit_rank(units, cap) if units is not None else ({}, 0)
+    if k == len(rows):
+        return len(found)
+    pivots = {top: dict.fromkeys(_bits(pos), 1) | dict.fromkeys(_bits(neg), -1)
+              for top, (pos, neg) in found.items()}
+    return _row_rank(list(rows.values())[k:], q, cap, pivots)
 
 
 def rank(matrix, field: FieldSpec = FieldSpec.rationals()) -> int:
@@ -273,17 +257,26 @@ class ChainComplex:
     diffs: dict[int, dict[int, dict[int, int]]] = dc_field(default_factory=dict)
 
     def homology_ranks(self, field: FieldSpec = FieldSpec.rationals()) -> dict[int, int]:
-        """dim C_i - rank D_i - rank D_{i+1} in each degree; every
-        differential is ranked once, from the top degree down, so that
-        dim C_i - rank D_{i+1} bounds rank D_i."""
-        ranks: dict[int, int] = {}
-        for i in sorted(self.diffs, reverse=True):
-            ranks[i] = _eliminate(self.diffs[i], field.modulus,
-                                  self.dims[i] - ranks.get(i + 1, 0))
-        return {
-            i: dim - ranks.get(i, 0) - ranks.get(i + 1, 0)
-            for i, dim in sorted(self.dims.items())
-        }
+        """dim C_i - rank D_i - rank D_{i+1} in each degree i."""
+        dims = self.dims
+        h = dict(_descending_homology(self, field.modulus, max(dims, default=0),
+                                      min(dims, default=1)))
+        return {i: h[i] for i in sorted(dims)}
+
+
+def _descending_homology(chain: ChainComplex, q: int | None, top: int,
+                         least: int):
+    """(j, dim C_j - rank D_j - rank D_{j+1}) for j from ``top``, at or
+    above the chain's top degree, down to ``least``: each map is ranked
+    once, with the bound dim C_j - rank D_{j+1}, and a degree with no faces
+    or no map ranks 0."""
+    above = 0  # rank of D_{j+1}
+    for j in range(top, least - 1, -1):
+        dim = chain.dims.get(j, 0)
+        here = (_eliminate(chain.diffs[j], q, dim - above)
+                if j in chain.diffs else 0)
+        yield j, dim - here - above
+        above = here
 
 
 def _boundary_complex(faces) -> ChainComplex:
@@ -432,24 +425,19 @@ def _walk(complexes, q: int | None, best: int) -> int:
     most s - 1.  A complex can raise best only by homology in a degree
     j >= least = best - shift + 1, so the walk ends at the first complex
     with s <= least, builds only the faces of dimension least - 1 and up,
-    and ranks only the boundary maps of those degrees, from the top down,
-    each with the bound dim C_j - rank D_{j+1}; a degree with no faces or no
-    map ranks 0.  The first nonzero homology ends the complex.
+    and ranks only the boundary maps of those degrees, from the top down
+    (:func:`_descending_homology`).  The first nonzero homology ends the
+    complex.
     """
     for s, shift, faces in complexes:
         least = best - shift + 1
         if s <= least:
             break
         chain = _boundary_complex(faces(least))
-        above = 0  # rank of D_{j+1}
-        for j in range(s - 1, least - 1, -1):
-            dim = chain.dims.get(j, 0)
-            here = (_eliminate(chain.diffs[j], q, dim - above)
-                    if j in chain.diffs else 0)
-            if dim - here - above:
+        for j, h in _descending_homology(chain, q, s - 1, least):
+            if h:
                 best = j + shift
                 break
-            above = here
     return best
 
 

@@ -31,9 +31,9 @@ import numpy as np
 
 from . import homology
 from .core import (MEMOS, PAIR_CELL_BOUND, Monomial, MonomialIdeal,
-                   ResourceLimitError, memo, require_proper)
+                   ResourceLimitError, _bits, memo, require_proper)
 from .decomposition import dim_quotient, height
-from .linfeas import _bits, newton_facets
+from .linfeas import newton_facets
 
 TAYLOR_DISPATCH_BOUND = 8
 # Largest mu for the exact Schmitt-Vogel search; the greedy search runs above.

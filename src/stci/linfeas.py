@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import gcd
 from operator import mul
 
-from .core import ResourceLimitError
+from .core import ResourceLimitError, _bits
 
 
 def newton_facets(
@@ -76,11 +76,3 @@ def newton_facets(
                     )
         rays, zs, cons = new_rays, new_zs, new_cons
     return [(r[:n], r[n], z >> n) for r, z in zip(rays, zs) if any(r[:n])]
-
-
-def _bits(x: int):
-    """The indices of the set bits of x, in increasing order."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low

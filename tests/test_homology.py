@@ -193,6 +193,13 @@ def sparse_rows(m):
     return {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(m)}
 
 
+def unit_rank(units, cap):
+    """The rank that the +-1 elimination finds, or None when an entry would
+    leave {-1, 0, 1} first."""
+    pivots, k = homology._unit_rank(units, cap)
+    return len(pivots) if k == len(units) else None
+
+
 def test_unit_rank_matches_dense_oracles_over_every_field():
     # while no entry leaves {-1, 0, 1} the unit elimination is the one rank
     # over Q, F_2, F_3 and F_32003; RP^2's D_2 has two ranks, so it must
@@ -209,7 +216,7 @@ def test_unit_rank_matches_dense_oracles_over_every_field():
         rows = sparse_rows(m)
         for q in expected:
             assert homology._unit_masks(rows, q) is not None
-        got = homology._unit_rank(homology._unit_masks(rows, None), len(rows))
+        got = unit_rank(homology._unit_masks(rows, None), len(rows))
         if got is None:
             overflowed += 1
         else:
@@ -222,28 +229,28 @@ def test_unit_rank_matches_dense_oracles_over_every_field():
     # negated pivot, so these finish; [[1, 1], [-1, 1]] has two ranks
     for m, want in (([[1, 1], [-1, -1]], 1), ([[1, -1, 0], [-1, 0, 1], [0, 1, -1]], 2),
                     ([[1, 1], [-1, 1]], None)):
-        assert homology._unit_rank(homology._unit_masks(sparse_rows(m), None), 3) == want
+        assert unit_rank(homology._unit_masks(sparse_rows(m), None), 3) == want
     # entries are +-1 mod q: q - 1 is -1 over F_q
     assert homology._unit_masks({0: {0: 32002, 2: 1}, 1: {1: -32004}}, 32003) == [
         (0b100, 0b1), (0, 0b10)]
     assert homology._unit_masks({0: {0: 2, 1: 1}}, None) is None
 
 
-def test_markowitz_runs_only_after_an_overflow(monkeypatch):
+def test_row_rank_runs_only_after_an_overflow(monkeypatch):
     outcomes, loops = [], []
-    real_unit_rank, real_markowitz = homology._unit_rank, homology._markowitz
+    real_unit_rank, real_row_rank = homology._unit_rank, homology._row_rank
 
     def recording_unit_rank(rows, cap):
-        found = real_unit_rank(rows, cap)
-        outcomes.append(found)
-        return found
+        found, k = real_unit_rank(rows, cap)
+        outcomes.append(len(found) if k == len(rows) else None)
+        return found, k
 
-    def counting_markowitz(rows, q):
+    def counting_row_rank(rows, q, cap, pivots):
         loops.append(q)
-        return real_markowitz(rows, q)
+        return real_row_rank(rows, q, cap, pivots)
 
     monkeypatch.setattr(homology, "_unit_rank", recording_unit_rank)
-    monkeypatch.setattr(homology, "_markowitz", counting_markowitz)
+    monkeypatch.setattr(homology, "_row_rank", counting_row_rank)
     overflows = {None: 0, 3: 0, 32003: 0}
     for m in seeded_unit_matrices(14, 200):
         rows = sparse_rows(m)
@@ -268,18 +275,96 @@ def test_markowitz_runs_only_after_an_overflow(monkeypatch):
     assert outcomes == [] and loops == [32003]
 
 
+def test_row_rank_resumes_from_the_unit_pivots(monkeypatch):
+    # after an overflow at row k the sparse loop starts from the +-1 pivots
+    # found in rows 0..k-1 and takes exactly the rows from k on, row k as
+    # given; the rank is still that of the dense oracles
+    calls = []
+    real_unit_rank, real_row_rank = homology._unit_rank, homology._row_rank
+
+    def recording_unit_rank(rows, cap):
+        found, k = real_unit_rank(rows, cap)
+        calls.append((dict(found), k))
+        return found, k
+
+    def recording_row_rank(rows, q, cap, pivots):
+        rows = list(rows)
+        calls.append((rows, copy.deepcopy(pivots)))
+        return real_row_rank(rows, q, cap, pivots)
+
+    monkeypatch.setattr(homology, "_unit_rank", recording_unit_rank)
+    monkeypatch.setattr(homology, "_row_rank", recording_row_rank)
+    resumed = {None: 0, 3: 0, 32003: 0}
+    carried = 0
+    for m in seeded_unit_matrices(15, 200):
+        rows = sparse_rows(m)
+        for q in resumed:
+            calls.clear()
+            expected = dense_rank_fraction(m) if q is None else dense_rank_mod(m, q)
+            assert homology._eliminate(rows, q) == expected, (m, q)
+            if len(calls) < 2:
+                continue
+            (found, k), (given, pivots) = calls
+            assert k < len(rows)
+            assert [id(r) for r in given] == [id(r) for r in list(rows.values())[k:]]
+            # the +-1 pivots as they were found, one per leading column
+            assert pivots.keys() == found.keys()
+            for top, row in pivots.items():
+                pos, neg = found[top]
+                assert max(row) == top and set(row.values()) <= {1, -1}
+                assert sum(1 << j for j, v in row.items() if v == 1) == pos
+                assert sum(1 << j for j, v in row.items() if v == -1) == neg
+            assert len(pivots) == dense_rank_fraction(m[:k])
+            resumed[q] += 1
+            carried += bool(pivots)
+    assert min(resumed.values()) >= 50 and carried >= 100
+
+
+def random_boundary_maps(seed):
+    """D_2 of seeded random 2-complexes and D_3 of seeded random
+    3-complexes, up to 120 x 300, as built for the pd walk, then RP^2's
+    D_2, whose rank is 10 over every field but F_2."""
+    rng = random.Random(seed)
+    out = []
+    for n, k, count in ((8, 3, 20), (10, 4, 40), (12, 3, 110), (16, 3, 420),
+                        (10, 4, 120), (10, 4, 200)):
+        tops = {sum(1 << v for v in rng.sample(range(n), k)) for _ in range(count)}
+        out.append(homology._boundary_complex(homology._down_closure(tops)).diffs[k - 1])
+    cc = boundary_chain_complex(SimplicialComplex.from_facets(6, RP2_FACETS))
+    out.append(cc.diffs[2])
+    return out
+
+
+def test_row_rank_on_boundary_maps_of_random_complexes():
+    sizes = []
+    for rows in random_boundary_maps(16):
+        ncols = 1 + max(j for row in rows.values() for j in row)
+        dense = [[rows[i].get(j, 0) for j in range(ncols)] for i in sorted(rows)]
+        sizes.append((len(dense), ncols))
+        for q in (3, 32003):
+            got = homology._row_rank(rows.values(), q, len(rows), {})
+            assert got == dense_rank_mod(dense, q), (len(dense), ncols, q)
+        if len(dense) * ncols <= 6000:
+            assert homology._row_rank(rows.values(), None, len(rows), {}) == \
+                dense_rank_fraction(dense)
+    assert any(r >= 100 and c >= 250 for r, c in sizes) and sizes[-1] == (15, 10)
+    rp2_d2 = random_boundary_maps(16)[-1]
+    assert homology._row_rank(rp2_d2.values(), None, 15, {}) == 10
+    assert homology._row_rank(rp2_d2.values(), 2, 15, {}) == 9
+
+
 def test_rp2_runs_the_exact_loop_over_q_and_never_over_f2(monkeypatch):
     # H_1(RP^2; Z) = Z/2: over F_2 the reduced homology is F_2 in degrees 1
     # and 2, over Q it is zero.  So over Q the F_2 rank of D_2 misses its
     # bound and only the exact loop can give the rank
     loops = []
-    real_markowitz = homology._markowitz
+    real_row_rank = homology._row_rank
 
-    def counting_markowitz(rows, q):
+    def counting_row_rank(rows, q, cap, pivots):
         loops.append(q)
-        return real_markowitz(rows, q)
+        return real_row_rank(rows, q, cap, pivots)
 
-    monkeypatch.setattr(homology, "_markowitz", counting_markowitz)
+    monkeypatch.setattr(homology, "_row_rank", counting_row_rank)
     cc = boundary_chain_complex(SimplicialComplex.from_facets(6, RP2_FACETS))
     assert cc.homology_ranks(F2) == {-1: 0, 0: 0, 1: 1, 2: 1}
     assert loops == []
