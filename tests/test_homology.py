@@ -337,7 +337,8 @@ def random_boundary_maps(seed):
 
 def test_row_rank_on_boundary_maps_of_random_complexes():
     sizes = []
-    for rows in random_boundary_maps(16):
+    maps = random_boundary_maps(16)
+    for rows in maps:
         ncols = 1 + max(j for row in rows.values() for j in row)
         dense = [[rows[i].get(j, 0) for j in range(ncols)] for i in sorted(rows)]
         sizes.append((len(dense), ncols))
@@ -348,7 +349,7 @@ def test_row_rank_on_boundary_maps_of_random_complexes():
             assert homology._row_rank(rows.values(), None, len(rows), {}) == \
                 dense_rank_fraction(dense)
     assert any(r >= 100 and c >= 250 for r, c in sizes) and sizes[-1] == (15, 10)
-    rp2_d2 = random_boundary_maps(16)[-1]
+    rp2_d2 = maps[-1]
     assert homology._row_rank(rp2_d2.values(), None, 15, {}) == 10
     assert homology._row_rank(rp2_d2.values(), 2, 15, {}) == 9
 
