@@ -6,7 +6,9 @@ numbers: the strands of the Taylor complex on the minimal generators
 (:func:`taylor_proj_dim`), or the upper-Koszul simplicial complexes,
 enumerated either at the points of the exponent grid, when the grid is
 small, or at the points of the lcm lattice (:func:`koszul_proj_dim`), each
-ranked through the nerve of its facets when that has fewer vertices.  Also
+ranked through the nerve of its facets when that has fewer vertices; and
+decides pd = k, the number of variables that occur, by a socle test on the
+exponent grid (:func:`socle_proj_dim`) with no complex built.  Also
 computes the Taylor Betti table and the nonvanishing degrees of local
 cohomology of squarefree quotients through links in the Stanley-Reisner
 complex.  Every computation on an ideal works over the field of the
@@ -393,7 +395,11 @@ def taylor_proj_dim(a: MonomialIdeal, floor: int = 1) -> int:
     before the walk.  When each generator alone takes the top exponent of
     some variable, the lcm of all mu generators is above that of any
     mu - 1, so all mu form a strand of their own, and pd = mu, the length of
-    the Taylor resolution, with no strand built.
+    the Taylor resolution, with no strand built.  Otherwise some mu - 1
+    generators have the lcm of all mu, so the one subset of mu generators
+    has a boundary face in its strand, is no cycle, and beta_mu = 0; then
+    pd <= mu - 1, and a floor of at least mu - 1 is returned with no strand
+    built either.
     """
     require_proper(a)
     alone = set()  # the generators alone at the top of some variable
@@ -402,6 +408,8 @@ def taylor_proj_dim(a: MonomialIdeal, floor: int = 1) -> int:
             alone.add(col.index(top))
     if len(alone) == a.mu:
         return max(floor, a.mu)
+    if floor >= a.mu - 1:
+        return floor
     strands = _taylor_strands(a)
     best = max([floor] + [s for s, members in strands if len(members) == 1])
     return _walk(((s, 1, partial(_at_least, members))
@@ -587,6 +595,54 @@ def _lattice_complexes(a: MonomialIdeal):
             yield s, _facets(row)
 
 
+def _exponent_grid(a: MonomialIdeal) -> tuple[list[np.ndarray], np.ndarray]:
+    """(axes, gens): the generator exponents of ``a`` in the k variables
+    that occur in it, as columns, and each one's distinct exponents with 0.
+    The exponent grid is the product of the axes."""
+    gens = a.exponent_matrix()
+    gens = gens[:, gens.any(axis=0)]
+    return [np.unique(np.append(col, 0)) for col in gens.T], gens
+
+
+def _membership(axes: list[np.ndarray], gens: np.ndarray) -> np.ndarray:
+    """1 at each point of the exponent grid whose monomial is in a, 0
+    elsewhere, as a uint64 array with one axis per variable: each generator
+    at its own point, then the prefix-OR along every axis."""
+    member = np.zeros([len(v) for v in axes], dtype=np.uint64)
+    member[tuple(np.searchsorted(v, col) for v, col in zip(axes, gens.T))] = 1
+    for j in range(len(axes)):
+        np.bitwise_or.accumulate(member, axis=j, out=member)
+    return member
+
+
+def socle_proj_dim(a: MonomialIdeal, floor: int) -> int | None:
+    """max(floor, pd R/a) for floor >= k - 1, k the number of variables in
+    the support of a, from the membership grid (:func:`_membership`); None
+    when the grid has more than ``GRID_CELL_BOUND`` points.
+
+    pd R/a <= k by Hilbert's syzygy theorem over those k variables, and by
+    Auslander-Buchsbaum pd R/a = k when depth is 0 there: when some
+    monomial u outside a has x_j u in a for every variable j of the
+    support.  A generator g dividing x_j u but not u has g_j = u_j + 1, a
+    grid value, so u lies at a grid point c below the last value on every
+    axis, with c outside a and c + e_j in a for every j; conversely such a
+    point gives u_j = (the grid value after c_j) - 1.
+    """
+    require_proper(a)
+    axes, gens = _exponent_grid(a)
+    k = len(axes)
+    if floor < k - 1:
+        raise ValueError(f"floor {floor} is below k - 1 = {k - 1}")
+    if prod(len(v) for v in axes) > GRID_CELL_BOUND:
+        return None
+    member = _membership(axes, gens)
+    below = (slice(0, -1),) * k
+    socle = ~member[below]
+    for j in range(k):
+        socle &= member[below[:j] + (slice(1, None),) + below[j + 1:]]
+    return max(floor, k) if socle.any() else floor
+
+
 def _grid_complexes(axes: list[np.ndarray], gens: np.ndarray, floor: int):
     """(s, facets) of every distinct upper-Koszul complex on the exponent
     grid that is neither void nor a cone and has a face of at least
@@ -596,19 +652,15 @@ def _grid_complexes(axes: list[np.ndarray], gens: np.ndarray, floor: int):
     variables that occur in ``gens``, whose columns they are; face bit j is
     variable j of them.  The complex at each grid point is a set of faces,
     kept as 2^k bits in 64-bit words, bit T set when face T is in it.
-    Membership in a at every grid point is the prefix-OR of the generators
-    along every axis: bit 0, the empty face.  At grid point c with
-    multidegree b, face T is in the complex when x^(b - T) is in a; every
-    generator exponent is a grid value, so e_j <= b_j - 1 holds exactly
-    when e_j is at most the grid value before b_j, and face T is membership
-    at the point c - 1_T.  So each axis j in turn adds the faces with j at
+    Membership in a at every grid point (:func:`_membership`) is bit 0, the
+    empty face.  At grid point c with multidegree b, face T is in the
+    complex when x^(b - T) is in a; every generator exponent is a grid
+    value, so e_j <= b_j - 1 holds exactly when e_j is at most the grid
+    value before b_j, and face T is membership at the point c - 1_T.  So each axis j in turn adds the faces with j at
     c as the faces without j at c - e_j, and none at c_j = 0.
     """
     k = len(axes)
-    faces = np.zeros([len(v) for v in axes] + [1], dtype=np.uint64)
-    faces[tuple(np.searchsorted(v, col) for v, col in zip(axes, gens.T))] = 1
-    for j in range(k):
-        np.bitwise_or.accumulate(faces, axis=j, out=faces)
+    faces = _membership(axes, gens)[..., None]
     for j in range(k):
         if j < 6:
             down = np.moveaxis(faces, j, 0)
@@ -709,9 +761,7 @@ def koszul_proj_dim(a: MonomialIdeal, floor: int = 1) -> int:
     through its nerve.
     """
     require_proper(a)
-    gens = a.exponent_matrix()
-    gens = gens[:, gens.any(axis=0)]
-    axes = [np.unique(np.append(col, 0)) for col in gens.T]
+    axes, gens = _exponent_grid(a)
     if prod(len(v) for v in axes) << len(axes) <= GRID_CELL_BOUND:
         complexes = _grid_complexes(axes, gens, floor)
     else:

@@ -128,16 +128,26 @@ def proj_dim(a: MonomialIdeal, floor: int = 1) -> int:
     """max(floor, pd R/a); ``floor = 1`` gives the projective dimension of
     R/a, and the memo is keyed by ``(a, floor)``.
 
-    Ideals with at most ``TAYLOR_DISPATCH_BOUND`` generators take the
-    Taylor strands.  Other ideals are split before the lattice search:
-    disjoint-variable summands add their projective dimensions, and k
-    factors of a product in disjoint variables add theirs less k - 1 (the
-    Mayer-Vietoris sequence of the intersection splits).  The splits
-    compute the whole projective dimension; the Taylor and lattice walks
-    start from the floor, and skip what cannot raise pd above it.  The
-    field is that of the ideal's ring.
+    pd R/a <= top = min(k, mu), k the number of variables in the support
+    of a, by Hilbert's syzygy theorem over those k variables and by the
+    length of the Taylor resolution; so a floor of at least top is
+    returned at once.  At floor = k - 1 < mu, pd = k is a socle test on the
+    exponent grid (:func:`homology.socle_proj_dim`) when the grid has at
+    most ``GRID_CELL_BOUND`` points.  Otherwise ideals with at most
+    ``TAYLOR_DISPATCH_BOUND`` generators take the Taylor strands.  Other
+    ideals are split before the lattice search: disjoint-variable summands
+    add their projective dimensions, and j factors of a product in
+    disjoint variables add theirs less j - 1 (the Mayer-Vietoris sequence
+    of the intersection splits).  The splits compute the whole projective
+    dimension; the Taylor and lattice walks start from the floor, and skip
+    what cannot raise pd above it.  The field is that of the ideal's ring.
     """
     require_proper(a)
+    k = sum(map(any, zip(*a.rows)))
+    if floor >= min(k, a.mu):
+        return floor
+    if floor == k - 1 and (pd := homology.socle_proj_dim(a, floor)) is not None:
+        return pd
     if a.mu <= TAYLOR_DISPATCH_BOUND:
         pd = homology.taylor_proj_dim(a, floor)
     elif len(components := _support_components(a)) > 1:
@@ -149,11 +159,10 @@ def proj_dim(a: MonomialIdeal, floor: int = 1) -> int:
         pd = sum(proj_dim(f) for f in factors) - (len(factors) - 1)
     else:
         pd = homology.koszul_proj_dim(a, floor)
-    # Hilbert's syzygy theorem, and the length of the Taylor resolution; a
-    # walk that did not raise the floor did not compute pd R/a <= floor,
-    # and the floor can exceed mu, which drops from some powers to the next
-    _check(pd == floor or 1 <= pd <= min(a.context.n, a.mu),
-           "1 <= pd <= min(n, mu)")
+    # Hilbert's syzygy theorem, and the length of the Taylor resolution,
+    # which the early return of the floor relies on; a walk that did not
+    # raise the floor did not compute pd R/a <= floor
+    _check(pd == floor or 1 <= pd <= min(k, a.mu), "1 <= pd <= min(k, mu)")
     return max(pd, floor)
 
 

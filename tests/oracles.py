@@ -113,6 +113,22 @@ def _add(m, d):
     return tuple(a + b for a, b in zip(m, d))
 
 
+def socle_oracle(a: MonomialIdeal) -> bool:
+    """Whether some monomial u outside ``a`` has x_j u in ``a`` for every
+    variable j in the support of ``a``, by a search of the box
+    0 <= u <= lcm of the generators, which holds every such u."""
+    rows = exponent_rows(a)
+    n = a.context.n
+    support = sorted(a.support())
+    lcm = [max(col) for col in zip(*rows)]
+    for u in product(*(range(e + 1) for e in lcm)):
+        if not in_ideal(rows, u) and all(
+                in_ideal(rows, _add(u, tuple(int(i == j) for i in range(n))))
+                for j in support):
+            return True
+    return False
+
+
 class MembershipOracle:
     """First-principles membership tests for the results of ideal operations.
 

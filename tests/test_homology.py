@@ -14,12 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from stci import homology, invariants
 from stci.core import FieldSpec, MonomialIdeal, ResourceLimitError, RingContext
+from stci.decomposition import irreducible_decomposition
 from stci.homology import (
     ChainComplex,
     koszul_proj_dim,
     lcm_lattice,
     local_cohomology_nonvanishing,
     rank,
+    socle_proj_dim,
     taylor_homology,
     taylor_proj_dim,
 )
@@ -41,6 +43,7 @@ from oracles import (
     over_field,
     reduced_homology_ranks,
     rp2_ideal,
+    socle_oracle,
     sparse_matmul,
     stanley_reisner_complex,
     taylor_chain_complex,
@@ -1077,6 +1080,43 @@ def test_taylor_walk_from_every_floor_matches_the_betti_table(rows, field):
     pd = max(taylor_homology(a))
     assert [taylor_proj_dim(a, f) for f in range(1, 6)] == [
         max(f, pd) for f in range(1, 6)]
+
+
+def rows_in_some_variables(max_n, max_exp, max_gens):
+    """(n, rows) for 1 <= n <= max_n."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(st.just(n), rows_strategy(n, max_exp, max_gens)))
+
+
+@settings(max_examples=120)
+@given(rows_in_some_variables(5, 3, 8))
+def test_socle_proj_dim_matches_box_search_and_irreducible_components(drawn):
+    # pd R/a = k, the size of the support, exactly when some monomial outside
+    # a goes into a times each support variable (a box search), and exactly
+    # when some irreducible component of a is primary to the maximal ideal
+    # of those k variables
+    n, rows = drawn
+    a = MonomialIdeal.from_exponents(
+        RingContext(tuple(f"x{i}" for i in range(n))), rows)
+    k = len(a.support())
+    socle = socle_oracle(a)
+    assert socle == any(c.support() == a.support()
+                        for c in irreducible_decomposition(a))
+    assert [socle_proj_dim(a, f) for f in (k - 1, k, k + 1)] == [
+        k if socle else k - 1, k, k + 1]
+
+
+def test_socle_proj_dim_refuses_low_floors_and_large_grids(monkeypatch):
+    # the triangle has k = 3, pd 2 and a 2^3-point grid; (x, y)^2 has k = 2,
+    # pd 2 and a 3^2-point grid
+    square = ideal(CTX2, (2, 0), (1, 1), (0, 2))
+    assert socle_proj_dim(triangle(), 2) == 2
+    assert socle_proj_dim(square, 1) == 2
+    with pytest.raises(ValueError, match="below k - 1"):
+        socle_proj_dim(triangle(), 1)
+    monkeypatch.setattr(homology, "GRID_CELL_BOUND", 8)
+    assert socle_proj_dim(triangle(), 2) == 2
+    assert socle_proj_dim(square, 1) is None
 
 
 # ---------------------------------------------------------------------------

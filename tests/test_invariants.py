@@ -340,8 +340,9 @@ def test_proj_dim_on_few_generators_in_many_variables_needs_no_minimal_primes(
 
 def test_proj_dim_check_survives_python_optimize():
     # a Taylor strand patched to one subset of n + 1 generators, whose face
-    # the walk reads as beta_{n+1}, breaks Hilbert's syzygy theorem; the
-    # explicit check must raise under -O too
+    # the walk reads as beta_{n+1}, breaks Hilbert's syzygy theorem in the
+    # k = n variables of the support; the explicit check must raise under
+    # -O too
     out = run_python("""
         import sys
         import stci.homology as homology
@@ -356,18 +357,25 @@ def test_proj_dim_check_survives_python_optimize():
         except AssertionError as exc:
             print(exc)
     """, "-O")
-    assert out == "invariant violated: 1 <= pd <= min(n, mu)"
+    assert out == "invariant violated: 1 <= pd <= min(k, mu)"
+
+
+def hat_ideal():
+    """The products of 9 of the first 10 of 12 variables: mu = k = 10."""
+    ctx = RingContext(tuple(f"x{i}" for i in range(12)))
+    return MonomialIdeal.from_exponents(
+        ctx, [tuple(int(i != j and i < 10) for i in range(12)) for j in range(10)])
 
 
 def test_proj_dim_returns_a_floor_above_mu_unchecked(monkeypatch):
-    # 1 <= pd <= min(n, mu) binds a computed pd, not a floor: mu can drop
+    # 1 <= pd <= min(k, mu) binds a computed pd, not a floor: mu can drop
     # from one power to the next (Eliahou, Herzog and Saem 2018), so the
     # horizon can pass a floor above mu.  The products of 9 of 10 of 12
-    # variables have mu 10 > 8, so they go to the walk, which has no complex
-    # with a face of 11 vertices; a principal ideal goes to Taylor
-    ctx = RingContext(tuple(f"x{i}" for i in range(12)))
-    hat = MonomialIdeal.from_exponents(
-        ctx, [tuple(int(i != j and i < 10) for i in range(12)) for j in range(10)])
+    # variables have mu 10 > 8, so they go to the walk from floors 1 and 3;
+    # the support has k = mu = 10 variables, so floors 11 and 12 are at or
+    # above min(k, mu) and are returned before the walk, as is floor 3 for
+    # a principal ideal
+    hat = hat_ideal()
     walks = []
     real_walk = homology.koszul_proj_dim
 
@@ -381,10 +389,97 @@ def test_proj_dim_returns_a_floor_above_mu_unchecked(monkeypatch):
     for floor in (3, 11, 12):
         assert proj_dim(hat, floor) == floor
         assert depth(hat, floor) == 12 - floor
-    assert walks == [1, 3, 11, 12]
+    assert walks == [1, 3]
     x = ideal(CTX3, (1, 0, 0))
     assert proj_dim(x, 3) == 3 and depth(x, 3) == 0 and proj_dim(x) == 1
-    assert walks == [1, 3, 11, 12]
+    assert walks == [1, 3]
+
+
+F2 = FieldSpec.prime(2)
+
+
+def top_rule_ideals(seed, count):
+    """``count`` seeded ideals in 2-6 variables, some with variables in no
+    generator, exponents <= 3 and mu <= 12, half of them with at most 4
+    generators drawn, a quarter of them squared."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, used, top = rng.randint(2, 6), rng.randint(1, 6), rng.randint(1, 3)
+        rows = [tuple(rng.randint(0, top) if j < used else 0 for j in range(n))
+                for _ in range(rng.randint(1, rng.choice([4, 12])))]
+        rows = [r for r in rows if any(r)]
+        if rows:
+            a = MonomialIdeal.from_exponents(
+                RingContext(tuple(f"x{i}" for i in range(n))), rows)
+            out.append(a * a if rng.random() < 0.25 else a)
+    return out
+
+
+@pytest.mark.parametrize("grid", [True, False], ids=["grid", "fallback"])
+@pytest.mark.parametrize("field", [Q, F2, F32003], ids=str)
+def test_proj_dim_from_every_floor_reaches_each_top_rule(monkeypatch, field,
+                                                          grid):
+    # proj_dim(a, f) = max(f, pd) for f in 1..n + 1.  With k the support
+    # size and top = min(k, mu): a floor >= top is returned at once; at
+    # f = k - 1 < mu the socle test decides pd = k on the grid, and with
+    # GRID_CELL_BOUND at 0 the call falls back to the Taylor strands or the
+    # walk; at f = mu - 1 < k - 1 the Taylor rule decides pd = mu
+    if not grid:
+        monkeypatch.setattr(homology, "GRID_CELL_BOUND", 0)
+    invariants.clear_caches()
+    reached = dict.fromkeys(["top", "k, pd = k", "k, pd < k",
+                             "mu, pd = mu", "mu, pd < mu"], 0)
+    for a in top_rule_ideals(28, 200):
+        a = over_field(a, field)
+        n, k, mu = a.context.n, len(a.support()), a.mu
+        pd = len(betti_numbers_oracle(a)) - 1
+        for f in range(1, n + 2):
+            assert proj_dim(a, f) == max(f, pd), (a, f)
+            if f >= min(k, mu):
+                reached["top"] += 1
+            elif f == k - 1:
+                reached["k, pd = k" if pd == k else "k, pd < k"] += 1
+            elif f == mu - 1 and mu <= invariants.TAYLOR_DISPATCH_BOUND:
+                reached["mu, pd = mu" if pd == mu else "mu, pd < mu"] += 1
+    assert min(reached.values()) >= 8, reached
+
+
+def test_proj_dim_builds_nothing_at_the_top_and_no_complex_at_k_minus_1(
+        monkeypatch):
+    # at floors >= min(k, mu) no Taylor strand, grid or lattice is built; at
+    # floor k - 1 < mu only the membership grid is, and at mu - 1 < k - 1
+    # nothing.  C8^2 passes GRID_CELL_BOUND in face bits, so its walk takes
+    # the lattice, but its 3^8 grid points are few enough for the socle test
+    built = []
+
+    def recording(name):
+        real = getattr(homology, name)
+        return lambda *args: built.append(name) or real(*args)
+
+    for name in ("_taylor_strands", "_membership", "_grid_complexes",
+                 "lcm_lattice"):
+        monkeypatch.setattr(homology, name, recording(name))
+    path = ideal(CTX4, (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1))
+    xy_cube = ideal(CTX3, (3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0))
+    c8 = cycle_ideal(8) ** 2
+    assert 3 ** 8 << 8 > homology.GRID_CELL_BOUND >= 3 ** 8
+    for a, floors, socle_floor, pd in ((hat_ideal(), (10, 11, 12), 9, 2),
+                                       (path, (3, 4, 5), None, 2),
+                                       (xy_cube, (2, 3, 4), 1, 2),
+                                       (c8, (8, 9), 7, 6)):
+        invariants.clear_caches()
+        for f in floors:
+            assert proj_dim(a, f) == f
+        assert built == []
+        if socle_floor is not None:
+            assert proj_dim(a, socle_floor) == max(socle_floor, pd)
+            assert built == ["_membership"]
+            built.clear()
+    invariants.clear_caches()
+    # x2 x3 is alone at no variable's top exponent, so beta_3 = 0
+    assert proj_dim(path, 2) == 2 and built == []
+    assert proj_dim(path) == 2 and built == ["_taylor_strands"]
 
 
 # ---------------------------------------------------------------------------
