@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import invariants
 from .core import FieldSpec, MonomialIdeal, ResourceLimitError
@@ -64,6 +64,47 @@ REPORT_SCHEMA = _object(
 )
 
 
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2)`` for payloads of dicts with string
+    keys, lists, tuples, strings, ints, bools and None; any other type
+    raises TypeError.  The standard encoder takes its pure-Python path
+    whenever it indents, which costs more than this walk."""
+    out: list[str] = []
+    _encode(value, "\n", out)
+    return "".join(out)
+
+
+def _encode(value, newline: str, out: list[str]) -> None:
+    """Append the indented JSON text of ``value``, whose lines start with
+    ``newline``, to ``out``."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)):
+        is_dict = isinstance(value, dict)
+        opening, closing = "{}" if is_dict else "[]"
+        if not value:
+            out.append(opening + closing)
+            return
+        inner = newline + "  "
+        out.append(opening)
+        for k, item in enumerate(value.items() if is_dict else value):
+            out.append("," + inner if k else inner)
+            if is_dict:
+                key, item = item
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                out.append(encode_basestring_ascii(key) + ": ")
+            _encode(item, inner, out)
+        out.append(newline + closing)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+
+
 def _read_program(arg: str) -> str:
     if os.path.isfile(arg):
         try:
@@ -104,7 +145,7 @@ def _cmd_report(args) -> int:
     ctx, _, ideal = _parse_ideal(args)
     rep = invariants.report(ideal, horizon=args.horizon)
     if args.json:
-        print(json.dumps(_header(ctx, ideal) | rep, indent=2))
+        print(_dumps(_header(ctx, ideal) | rep))
         return EXIT_OK
     print(str(ctx))
     print(f"ideal {ideal}")
@@ -119,7 +160,7 @@ def _cmd_eval(args) -> int:
     ctx, node, ideal = _parse_ideal(args)
     if args.json:
         payload = _header(ctx, ideal) | {"canonical": format_program(ctx, node)}
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         print(f"ring {', '.join(ctx.variables)}; {ideal}")
     return EXIT_OK
@@ -134,7 +175,7 @@ def _cmd_decompose(args) -> int:
             "components": [c.generator_strings() for c in components],
             "minimal_primes": [p.generator_strings() for p in primes],
         }
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
         return EXIT_OK
     print(str(ctx))
     print(f"ideal {ideal}")
@@ -155,7 +196,7 @@ def _print_checks(args, payload: dict, results) -> int:
             "checks": [vars(r) for r in results],
             "all_pass": not failed,
         }
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         width = max((len(r.name) for r in results), default=0)
         for r in results:

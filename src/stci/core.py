@@ -404,11 +404,15 @@ class MonomialIdeal:
         return any(all(a <= b for a, b in zip(r, m.exponents)) for r in self.rows)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        """Whether every generator of ``other`` has a divisor among ours,
-        compared in blocks of at most about ``BLOCK_CELLS`` cells."""
+        """Whether every generator of ``other`` has a divisor among ours."""
         _check_same_context(self, other)
+        return self.contains_rows(other.exponent_matrix())
+
+    def contains_rows(self, b: np.ndarray) -> bool:
+        """Whether every row of the exponent array ``b`` has a divisor
+        among our generators, compared in blocks of at most about
+        ``BLOCK_CELLS`` cells."""
         a = self.exponent_matrix()
-        b = other.exponent_matrix()
         step = max(1, BLOCK_CELLS // max(a.size, 1))
         return all(
             (a[None, :, :] <= b[start:start + step, None, :]).all(axis=2).any(axis=1).all()
@@ -424,8 +428,11 @@ class MonomialIdeal:
         _check_same_context(self, other)
         return MonomialIdeal._from_rows(self.context, self.rows + other.rows)
 
+    @memo
     def _pairwise(self, other: "MonomialIdeal", combine) -> "MonomialIdeal":
-        """The ideal generated by ``combine`` of every pair of generators."""
+        """The ideal generated by ``combine`` of every pair of generators,
+        kept in a memo: a power's squares are the products other callers
+        ask for too."""
         _check_same_context(self, other)
         if self.is_zero or other.is_zero:
             return self.context.zero_ideal()

@@ -8,7 +8,11 @@ enumerated either at the points of the exponent grid, when the grid is
 small, or at the points of the lcm lattice (:func:`koszul_proj_dim`), each
 ranked through the nerve of its facets when that has fewer vertices; and
 decides pd = k, the number of variables that occur, by a socle test on the
-exponent grid (:func:`socle_proj_dim`) with no complex built.  Also
+exponent grid (:func:`socle_proj_dim`) with no complex built.  Membership
+in the ideal at the grid points has one builder, :func:`_membership`, which
+keeps it as a Python int with one bit per point: the socle test reads it
+with k shifted ANDs, and the grid enumeration unpacks it once into numpy
+face words.  Also
 computes the Taylor Betti table and the nonvanishing degrees of local
 cohomology of squarefree quotients through links in the Stanley-Reisner
 complex.  Every computation on an ideal works over the field of the
@@ -595,24 +599,49 @@ def _lattice_complexes(a: MonomialIdeal):
             yield s, _facets(row)
 
 
-def _exponent_grid(a: MonomialIdeal) -> tuple[list[np.ndarray], np.ndarray]:
-    """(axes, gens): the generator exponents of ``a`` in the k variables
-    that occur in it, as columns, and each one's distinct exponents with 0.
-    The exponent grid is the product of the axes."""
-    gens = a.exponent_matrix()
-    gens = gens[:, gens.any(axis=0)]
-    return [np.unique(np.append(col, 0)) for col in gens.T], gens
+def _exponent_grid(a: MonomialIdeal) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """(axes, cols): the generator exponents of ``a`` in the k variables
+    that occur in it, as columns, and each one's distinct exponents with 0,
+    increasing.  The exponent grid is the product of the axes."""
+    cols = [col for col in zip(*a.rows) if any(col)]
+    return [sorted({0, *col}) for col in cols], cols
 
 
-def _membership(axes: list[np.ndarray], gens: np.ndarray) -> np.ndarray:
-    """1 at each point of the exponent grid whose monomial is in a, 0
-    elsewhere, as a uint64 array with one axis per variable: each generator
-    at its own point, then the prefix-OR along every axis."""
-    member = np.zeros([len(v) for v in axes], dtype=np.uint64)
-    member[tuple(np.searchsorted(v, col) for v, col in zip(axes, gens.T))] = 1
-    for j in range(len(axes)):
-        np.bitwise_or.accumulate(member, axis=j, out=member)
-    return member
+def _membership(axes: list[list[int]],
+                cols: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, int]]]:
+    """(member, steps): bit i of ``member`` is set when the point of the
+    exponent grid with C-order index i (last axis fastest) is in a; steps
+    holds each axis's (stride, up), up the mask of the points off the
+    axis's first value.
+
+    Each generator sets the bit of its own point, from per-axis
+    {value: index * stride} dicts; then the prefix-OR along each axis, by
+    doubling, spreads it to the points above: after the shift by t steps,
+    each point holds the OR of the 2t points up to it on its line.  The
+    masks repeat with the period of their axis, and are built by doubling
+    shifts too, never by big-int division.
+    """
+    size = prod(map(len, axes))
+    strides = [prod(map(len, axes[j + 1:])) for j in range(len(axes))]
+    places = [{e: i * s for i, e in enumerate(v)} for v, s in zip(axes, strides)]
+    member = 0
+    for g in zip(*cols):
+        member |= 1 << sum(p[e] for p, e in zip(places, g))
+    steps = []
+    for v, s in zip(axes, strides):
+        line = period = s * len(v)
+        up = (1 << period) - (1 << s)  # one period, off its first s points
+        while period < size:
+            up |= up << period
+            period *= 2
+        up &= (1 << size) - 1
+        steps.append((s, up))
+        shift, reach = s, up  # reach: the points at least shift / s up
+        while shift < line:
+            member |= member << shift & reach
+            reach &= reach << shift
+            shift *= 2
+    return member, steps
 
 
 def socle_proj_dim(a: MonomialIdeal, floor: int) -> int | None:
@@ -626,41 +655,49 @@ def socle_proj_dim(a: MonomialIdeal, floor: int) -> int | None:
     support.  A generator g dividing x_j u but not u has g_j = u_j + 1, a
     grid value, so u lies at a grid point c below the last value on every
     axis, with c outside a and c + e_j in a for every j; conversely such a
-    point gives u_j = (the grid value after c_j) - 1.
+    point gives u_j = (the grid value after c_j) - 1.  On the bit grid
+    that is k shifted ANDs: the membership of c + e_j, off the first value
+    of axis j, shifted down by the stride of j.
     """
     require_proper(a)
-    axes, gens = _exponent_grid(a)
+    axes, cols = _exponent_grid(a)
     k = len(axes)
     if floor < k - 1:
         raise ValueError(f"floor {floor} is below k - 1 = {k - 1}")
-    if prod(len(v) for v in axes) > GRID_CELL_BOUND:
+    if prod(map(len, axes)) > GRID_CELL_BOUND:
         return None
-    member = _membership(axes, gens)
-    below = (slice(0, -1),) * k
-    socle = ~member[below]
-    for j in range(k):
-        socle &= member[below[:j] + (slice(1, None),) + below[j + 1:]]
-    return max(floor, k) if socle.any() else floor
+    member, steps = _membership(axes, cols)
+    socle = ~member
+    for s, up in steps:
+        socle &= (member & up) >> s
+    return max(floor, k) if socle else floor
 
 
-def _grid_complexes(axes: list[np.ndarray], gens: np.ndarray, floor: int):
+def _grid_complexes(axes: list[list[int]], cols: list[tuple[int, ...]],
+                    floor: int):
     """(s, facets) of every distinct upper-Koszul complex on the exponent
     grid that is neither void nor a cone and has a face of at least
     ``floor`` vertices, s descending.
 
     ``axes`` holds each variable's distinct exponents with 0, for the k
-    variables that occur in ``gens``, whose columns they are; face bit j is
-    variable j of them.  The complex at each grid point is a set of faces,
-    kept as 2^k bits in 64-bit words, bit T set when face T is in it.
-    Membership in a at every grid point (:func:`_membership`) is bit 0, the
-    empty face.  At grid point c with multidegree b, face T is in the
-    complex when x^(b - T) is in a; every generator exponent is a grid
-    value, so e_j <= b_j - 1 holds exactly when e_j is at most the grid
-    value before b_j, and face T is membership at the point c - 1_T.  So each axis j in turn adds the faces with j at
-    c as the faces without j at c - e_j, and none at c_j = 0.
+    variables that occur in ``cols``, the generator exponent columns; face
+    bit j is variable j of them.  The complex at each grid point is a set
+    of faces, kept as 2^k bits in 64-bit words, bit T set when face T is in
+    it.  Membership in a at every grid point (:func:`_membership`),
+    unpacked once from its bits, is bit 0, the empty face.  At grid point c
+    with multidegree b, face T is in the complex when x^(b - T) is in a;
+    every generator exponent is a grid value, so e_j <= b_j - 1 holds
+    exactly when e_j is at most the grid value before b_j, and face T is
+    membership at the point c - 1_T.  So each axis j in turn adds the faces
+    with j at c as the faces without j at c - e_j, and none at c_j = 0.
     """
     k = len(axes)
-    faces = _membership(axes, gens)[..., None]
+    shape = [len(v) for v in axes]
+    size = prod(shape)
+    member = np.frombuffer(_membership(axes, cols)[0].to_bytes(
+        (size + 7) // 8, "little"), dtype=np.uint8)
+    faces = np.unpackbits(member, count=size, bitorder="little").reshape(
+        shape + [1]).astype(np.uint64)
     for j in range(k):
         if j < 6:
             down = np.moveaxis(faces, j, 0)
@@ -761,9 +798,9 @@ def koszul_proj_dim(a: MonomialIdeal, floor: int = 1) -> int:
     through its nerve.
     """
     require_proper(a)
-    axes, gens = _exponent_grid(a)
-    if prod(len(v) for v in axes) << len(axes) <= GRID_CELL_BOUND:
-        complexes = _grid_complexes(axes, gens, floor)
+    axes, cols = _exponent_grid(a)
+    if prod(map(len, axes)) << len(axes) <= GRID_CELL_BOUND:
+        complexes = _grid_complexes(axes, cols, floor)
     else:
         complexes = _lattice_complexes(a)
     seen: set[frozenset[int]] = set()

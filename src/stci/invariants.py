@@ -277,7 +277,9 @@ def analytic_spread(a: MonomialIdeal) -> int:
     exponent matrix.
 
     Variables in no generator only add a free orthant factor, so they are
-    dropped.
+    dropped.  The points go to :func:`_compact_faces` in increasing degree,
+    which builds fewer double-description rays; the spread is a maximum
+    over the compact faces, so the order does not change it.
     """
     require_proper(a)
     points = a.rows
@@ -285,7 +287,7 @@ def analytic_spread(a: MonomialIdeal) -> int:
     if len(degrees) == 1:
         return homology.rank(points)
     used = [j for j in range(a.context.n) if any(p[j] for p in points)]
-    points = [tuple(p[j] for j in used) for p in points]
+    points = sorted((tuple(p[j] for j in used) for p in points), key=sum)
     return 1 + max(
         _affine_dim([p for k, p in enumerate(points) if mask >> k & 1])
         for mask in _compact_faces(points)

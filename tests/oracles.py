@@ -20,7 +20,9 @@ lcm-lattice closure, the per-point lcm-lattice Betti composition, and the full l
 (``koszul_points``) with the multigraded Betti numbers it gives
 (``koszul_betti``), which :func:`stci.homology.koszul_proj_dim` replaced
 by a walk over the points that can still raise pd, and the Betti table
-that :func:`stci.invariants.proj_dim` no longer builds; the loop over
+that :func:`stci.invariants.proj_dim` no longer builds; the numpy
+membership grid (``membership_grid``) that the bit grid of
+:mod:`stci.homology` replaced; the loop over
 powers with the full projective dimension of each that
 :func:`stci.invariants.min_depth_powers` replaced with walks from the
 running floor; Fourier-Motzkin
@@ -111,6 +113,20 @@ def _sub(m, d):
 
 def _add(m, d):
     return tuple(a + b for a, b in zip(m, d))
+
+
+def membership_grid(axes, cols) -> np.ndarray:
+    """1 at each point of the exponent grid whose monomial is in the ideal,
+    0 elsewhere, as a uint64 array with one axis per variable: each
+    generator at its own point, then the prefix-OR along every axis.  The
+    numpy grid that the bit grid of :func:`stci.homology._membership`
+    replaced; ``axes`` and ``cols`` are as :func:`homology._exponent_grid`
+    gives them."""
+    member = np.zeros([len(v) for v in axes], dtype=np.uint64)
+    member[tuple(np.searchsorted(v, col) for v, col in zip(axes, cols))] = 1
+    for j in range(len(axes)):
+        np.bitwise_or.accumulate(member, axis=j, out=member)
+    return member
 
 
 def socle_oracle(a: MonomialIdeal) -> bool:

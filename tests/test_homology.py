@@ -3,10 +3,15 @@ search, against the oracles and the multigraded Betti numbers of the
 lattice walk."""
 
 import copy
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +45,7 @@ from oracles import (
     lcm_lattice_oracle,
     local_cohomology_oracle,
     maximal_ideal,
+    membership_grid,
     over_field,
     reduced_homology_ranks,
     rp2_ideal,
@@ -1104,6 +1110,62 @@ def test_socle_proj_dim_matches_box_search_and_irreducible_components(drawn):
                         for c in irreducible_decomposition(a))
     assert [socle_proj_dim(a, f) for f in (k - 1, k, k + 1)] == [
         k if socle else k - 1, k, k + 1]
+
+
+def grid_draws():
+    """(field, n, rows) with 1 <= n <= 6 variables, exponents up to 3 (2 past
+    four variables, to keep the box search small) and many repeats."""
+    return st.tuples(st.sampled_from([Q, F2, FieldSpec.prime(32003)]),
+                     st.integers(1, 6)).flatmap(
+        lambda fn: st.tuples(st.just(fn[0]), st.just(fn[1]),
+                             rows_strategy(fn[1], 3 if fn[1] <= 4 else 2, 8)))
+
+
+@settings(max_examples=150)
+@given(grid_draws())
+def test_bit_grid_matches_the_numpy_grid_and_the_socle_search(drawn):
+    # every bit of the membership int, in C order, is the numpy grid's
+    # entry, and no bit is set past the grid; each axis mask is the points
+    # off the axis's first value; the socle test agrees with the box search
+    field, n, rows = drawn
+    a = MonomialIdeal.from_exponents(
+        RingContext(tuple(f"x{i}" for i in range(n)), field), rows)
+    axes, cols = homology._exponent_grid(a)
+    k = len(axes)
+    member, steps = homology._membership(axes, cols)
+    grid = membership_grid(axes, cols)
+    assert [member >> i & 1 for i in range(grid.size)] == grid.ravel().tolist()
+    assert member >> grid.size == 0
+    for j, (stride, up) in enumerate(steps):
+        off_first = np.indices(grid.shape)[j] > 0
+        assert stride == grid.strides[j] // grid.itemsize
+        assert [up >> i & 1 for i in range(grid.size)] == off_first.ravel().tolist()
+        assert up >> grid.size == 0
+    assert socle_proj_dim(a, k - 1) == (k if socle_oracle(a) else k - 1)
+
+
+def test_socle_proj_dim_on_a_staircase_at_the_grid_bound():
+    # 31 generators x1^i x2^(32-i) x3^p(i) x4^q(i), with p and q permutations
+    # of 1..31, put 32 values on each axis: 32^4 = 2^20 grid points, the
+    # most the socle test takes.  The bit grid holds them in 128 KB
+    src = str(Path(homology.__file__).resolve().parents[1])
+    script = textwrap.dedent("""
+        from time import perf_counter
+        from stci.core import MonomialIdeal, RingContext
+        from stci.homology import GRID_CELL_BOUND, socle_proj_dim
+        ctx = RingContext(("x1", "x2", "x3", "x4"))
+        a = MonomialIdeal.from_exponents(ctx, [
+            (i, 32 - i, 5 * i % 31 + 1, 7 * i % 31 + 1) for i in range(1, 32)])
+        assert a.mu == 31 and 32 ** 4 == GRID_CELL_BOUND
+        start = perf_counter()
+        pd = socle_proj_dim(a, 3)
+        print(pd, perf_counter() - start)
+    """)
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=30, check=True)
+    pd, seconds = done.stdout.split()
+    assert pd == "4" and float(seconds) < 1.0
 
 
 def test_socle_proj_dim_refuses_low_floors_and_large_grids(monkeypatch):

@@ -35,6 +35,7 @@ from stci.verification import (
     RandomIdealSpec,
     check_chain,
     check_dg_dichotomy,
+    check_frobenius,
     random_ideal,
 )
 
@@ -487,6 +488,7 @@ def test_proj_dim_builds_nothing_at_the_top_and_no_complex_at_k_minus_1(
 
 
 MEMOIZED = {
+    "stci.core.MonomialIdeal._pairwise",
     "stci.core.MonomialIdeal.radical",
     "stci.decomposition.minimal_primes",
     "stci.invariants.proj_dim",
@@ -537,15 +539,30 @@ def test_proj_dim_memo_is_keyed_by_ideal_and_floor():
 def test_each_invariant_of_one_ideal_is_computed_once():
     # (x1,x3)(x2,x4) has mu 4 and goes to the Taylor complex, so proj_dim
     # asks for neither the radical nor the minimal primes; horizon 1 keeps
-    # powers out.  check_dg_dichotomy asks for min_depth_powers itself and
-    # again through dg
+    # powers, and with them every product, out.  check_dg_dichotomy asks
+    # for min_depth_powers itself and again through dg
     invariants.clear_caches()
     check_chain(two_planes())
     check_dg_dichotomy(two_planes(), 1)
     memos = memos_by_name()
-    for name in MEMOIZED - {"stci.invariants.proj_dim"}:
+    for name in MEMOIZED - {"stci.invariants.proj_dim",
+                            "stci.core.MonomialIdeal._pairwise"}:
         info = memos[name].cache_info()
         assert info.misses == 1 and info.hits >= 1, (name, info)
+
+
+def test_frobenius_square_reuses_the_square_of_the_powers():
+    # min_depth_powers squares a; the a ** 2 of check_frobenius, and of a
+    # second horizon, is the same product, taken from the memo
+    a = two_planes()
+    invariants.clear_caches()
+    min_depth_powers(a, 2)
+    pairwise = memos_by_name()["stci.core.MonomialIdeal._pairwise"]
+    misses = pairwise.cache_info().misses
+    assert misses >= 1 and pairwise.cache_info().hits == 0
+    assert check_frobenius(a, 2).verdict == "pass"
+    info = pairwise.cache_info()
+    assert info.misses == misses and info.hits == 1
 
 
 # every public entry that takes an ideal, with its other arguments fixed

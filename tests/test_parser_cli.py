@@ -20,6 +20,7 @@ from stci.cli import (
     EXIT_RESOURCE,
     EXIT_USAGE,
     REPORT_SCHEMA,
+    _dumps,
     main,
 )
 from stci.core import MAX_EXPONENT, MODULUS_BOUND, RingContext
@@ -763,3 +764,27 @@ def test_cli_fuzz_count_zero():
     code, out, _ = run_cli(["fuzz", "--count", "0", "--json"])
     assert code == EXIT_OK
     assert json.loads(out)["checks"] == []
+
+
+JSON_SCALARS = (st.none() | st.booleans()
+                | st.integers(-(1 << 80), 1 << 80) | st.text())
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(JSON_PAYLOADS)
+def test_dumps_is_json_dumps_with_indent_2(payload):
+    # nested empties, non-ASCII and control characters, bools, ints past
+    # 64 bits and tuples, byte for byte
+    assert _dumps(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("bad", [1.5, float("nan"), {"a": [0.0]}, {1: 2},
+                                 (None, {"k": b"bytes"}), {"s": {1, 2}}])
+def test_dumps_raises_on_other_types(bad):
+    with pytest.raises(TypeError):
+        _dumps(bad)

@@ -20,6 +20,7 @@ from stci.verification import (
     check_one_dimensional_prime,
     check_squarefree_cm,
     fuzz,
+    _products_in,
     _random_squarefree,
     random_ideal,
     replay,
@@ -263,3 +264,39 @@ def test_replay_of_reference_fixture():
 def test_replay_reruns_the_reference_suite_at_the_recorded_horizon(horizon):
     for r in run_reference_suite(horizon):
         assert replay(r) == r, r.name
+
+
+def test_multiset_products_agree_with_the_minimalized_power():
+    # the products of count generators, one multiset at a time, generate
+    # a^count, so the two inclusions agree at every count, into the bracket
+    # power, into one with a generator raised, and into the bracket power
+    # at top + 1, which no product of top generators reaches (g^top misses
+    # it, as the generators are minimal)
+    rng = random.Random(29)
+    agreed = {True: 0, False: 0}
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        ctx = RingContext(tuple(f"x{i}" for i in range(n)))
+        rows = [tuple(rng.randint(0, 3) for _ in range(n))
+                for _ in range(rng.randint(1, 4))]
+        a = ideal(ctx, *[r for r in rows if any(r)] or [(1,) * n])
+        q = rng.randint(2, 3)
+        bracket = a.bracket_power(q)
+        raised = [list(r) for r in bracket.rows]
+        raised[0][raised[0].index(max(raised[0]))] += 1
+        top = a.mu * (q - 1) + 1
+        past = a.bracket_power(top + 1)
+        assert _products_in(a, top, bracket)
+        assert not _products_in(a, top, past)
+        for b in (bracket, MonomialIdeal.from_exponents(ctx, raised), past):
+            for count in range(1, top + 1):
+                got = _products_in(a, count, b)
+                assert got == b.contains_ideal(a ** count), (a, q, count)
+                agreed[got] += 1
+    assert min(agreed.values()) >= 50, agreed
+
+
+def test_multiset_products_refuse_past_the_cell_bound():
+    a = ideal(CTX4, *[(i, 4 - i, j, 4 - j) for i in range(5) for j in range(5)])
+    with pytest.raises(ResourceLimitError, match="products of"):
+        _products_in(a, a.mu + 1, a.bracket_power(2))
