@@ -39,7 +39,7 @@ TAYLOR_DISPATCH_BOUND = 8
 # Largest mu for the exact Schmitt-Vogel search; the greedy search runs above.
 SV_EXACT_BOUND = 9
 # Double-description rays, and faces the compact-face walk visits, for one
-# Newton polyhedron; the benchmark ideals have at most 69 facets.
+# Newton polyhedron; only one with no compact facet has its facets all listed.
 NEWTON_FACET_BOUND = 1 << 12
 
 
@@ -224,8 +224,8 @@ def _compact_faces(points) -> dict[int, tuple[int, ...]]:
     variable that its own facets miss; a compact face inside it lies on one
     of those, so every compact face lies in a compact face the walk reaches.
     It stops at the first compact face on each path, which leaves out no
-    maximal one, and it returns just a compact facet when there is one, as
-    no compact face is larger.
+    maximal one.  When there is a compact facet, :func:`newton_facets`
+    returns just that one, and so does this: no compact face is larger.
     """
     facets = newton_facets(points, NEWTON_FACET_BOUND)
     least, on = _exposed_all([w for w, _, _ in facets], points)
@@ -235,7 +235,7 @@ def _compact_faces(points) -> dict[int, tuple[int, ...]]:
            "a facet is valid and tight exactly on its points")
     compact = [(mask, w) for w, _, mask in facets if min(w) > 0]
     if compact:
-        return dict(compact[:1])
+        return dict(compact)
     # facet sets as bitmasks: through each point, and with w_j > 0 for each j
     through = [sum(1 << i for i, f in enumerate(facets) if f[2] >> k & 1)
                for k in range(len(points))]
@@ -279,7 +279,10 @@ def analytic_spread(a: MonomialIdeal) -> int:
     Variables in no generator only add a free orthant factor, so they are
     dropped.  The points go to :func:`_compact_faces` in increasing degree,
     which builds fewer double-description rays; the spread is a maximum
-    over the compact faces, so the order does not change it.
+    over the compact faces, so the order does not change it.  A face of m
+    points has dimension at most m - 1, and every face at most n' - 1 for
+    the n' variables left, so the faces are taken by decreasing point count
+    until neither bound can raise the best dimension found.
     """
     require_proper(a)
     points = a.rows
@@ -288,10 +291,13 @@ def analytic_spread(a: MonomialIdeal) -> int:
         return homology.rank(points)
     used = [j for j in range(a.context.n) if any(p[j] for p in points)]
     points = sorted((tuple(p[j] for j in used) for p in points), key=sum)
-    return 1 + max(
-        _affine_dim([p for k, p in enumerate(points) if mask >> k & 1])
-        for mask in _compact_faces(points)
-    )
+    best = 0
+    for mask in sorted(_compact_faces(points), key=int.bit_count, reverse=True):
+        if mask.bit_count() - 1 <= best or best == len(used) - 1:
+            break
+        face = [p for k, p in enumerate(points) if mask >> k & 1]
+        best = max(best, _affine_dim(face))
+    return 1 + best
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +402,26 @@ def _sv_exact(mu: int, pair_div: dict[tuple[int, int], int]) -> list[int]:
     the same reason a mask inside another mask of its layer is dropped
     before the layer is expanded: the levels that complete the smaller
     mask, less the generators the larger one has placed, complete the
-    larger one, so it needs no more levels.  The search ends with the
-    expansion that first reaches the full mask; a mask's parent is set
-    once, so a later expansion could not change the partition.
+    larger one, so it needs no more levels.  Each mask is tested against
+    the maximal masks alone, and the masks kept stay in the layer's order.
+    The search ends with the expansion that first reaches the full mask; a
+    mask's parent is set once, so a later expansion could not change the
+    partition.
     """
     full = (1 << mu) - 1
     # the singleton levels reach the full mask, so the layers never run dry
     parent = {1 << i: (0, 1 << i) for i in range(mu)}
     layer = list(parent)
     while full not in parent:
-        # masks of a layer are distinct, so p & q == p != q is p inside q
-        layer = [p for p in layer if not any(p & q == p != q for q in layer)]
+        # a mask inside another lies inside a maximal one, which has more
+        # bits; masks of a layer are distinct, so those of equal count are
+        # not nested
+        maximal: list[int] = []
+        for p in sorted(layer, key=int.bit_count, reverse=True):
+            if not any(p & q == p for q in maximal):
+                maximal.append(p)
+        kept = set(maximal)
+        layer = [p for p in layer if p in kept]
         expanded = []
         for placed in layer:
             comp = full ^ placed

@@ -8,6 +8,12 @@ cone of w >= 0 and w.p_1 >= c by one point at a time, joining each positive
 ray to each negative ray adjacent to it: no third ray is tight on every
 constraint both are tight on.  That test ANDs, over those constraints, the
 bitmask of the rays tight on each.
+
+A facet whose normal w is strictly positive is compact, and callers that
+find one need no other facet.  An extreme ray of the cone after k cuts that
+every later cut keeps is an extreme ray of the final cone, which lies inside
+the one after k cuts.  So a join that makes such a ray ends the
+enumeration, and the facets are all listed only when none is compact.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ def newton_facets(
 ) -> list[tuple[tuple[int, ...], int, int]]:
     """The facets w.x >= c of the Newton polyhedron of ``points`` as
     ``(w, c, mask)``, w primitive, with bit k of ``mask`` set when points[k]
-    lies on the facet.  Past ``bound`` rays it raises ResourceLimitError."""
+    lies on the facet: every facet when none is compact, and otherwise one
+    compact facet (every w_j > 0), the first join that every point not yet
+    cut in keeps.  Past ``bound`` rays it raises ResourceLimitError."""
     n = len(points[0])
     # a ray is (w_1..w_n, c); its zero set has bit j when w_j = 0 and bit
     # n + k when w.p_k = c, over the constraints cut in so far
@@ -66,7 +74,17 @@ def newton_facets(
                     continue
                 ray = [vals[i] * y - vals[m] * x for x, y in zip(rays[i], rays[m])]
                 g = gcd(*ray)
-                new_rays.append(tuple(x // g for x in ray))
+                ray = tuple(x // g for x in ray)
+                if min(ray[:n]) > 0:
+                    # an extreme ray that every later cut keeps is extreme in
+                    # the final cone: a compact facet
+                    later = [sum(map(mul, ray, p)) - ray[n] for p in points[k + 1:]]
+                    if min(later, default=0) >= 0:
+                        mask = (zs[i] & zm | tight_k) >> n
+                        for t, v in enumerate(later, k + 1):
+                            mask |= (v == 0) << t
+                        return [(ray[:n], ray[n], mask)]
+                new_rays.append(ray)
                 new_zs.append(zs[i] & zm | tight_k)
                 new_cons.append(common + [n + k])
                 if len(new_rays) > bound:

@@ -28,8 +28,8 @@ chain of any length costs no Python frames; only brackets nest, at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, and_, mul
+from typing import NamedTuple
 
 from .core import FieldSpec, Monomial, MonomialIdeal, RingContext, _exponent_text
 from .decomposition import symbolic_power
@@ -75,8 +75,7 @@ _POWER = {
 _PUNCT = {",", ";", "&", "+", "*", "^", "(", ")", "[", "]"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "nat" | punctuation | "eof"
     text: str
     line: int

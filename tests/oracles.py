@@ -1088,6 +1088,39 @@ def sv_exact_level_bfs(mu: int, pair_div: dict[tuple[int, int], int]) -> list[in
     raise AssertionError("singleton levels always reach the full mask")
 
 
+def sv_exact_pairwise_filter(mu: int, pair_div: dict[tuple[int, int], int]) -> list[int]:
+    """:func:`stci.invariants._sv_exact` with the layer filter it had before
+    the maximal-mask test: each mask is compared with every other mask of
+    its layer, and dropped when it lies inside one."""
+    full = (1 << mu) - 1
+    parent = {1 << i: (0, 1 << i) for i in range(mu)}
+    layer = list(parent)
+    while full not in parent:
+        layer = [p for p in layer if not any(p & q == p != q for q in layer)]
+        expanded = []
+        for placed in layer:
+            comp = full ^ placed
+            adj = [0] * mu
+            for x, y in combinations([i for i in range(mu) if comp >> i & 1], 2):
+                if pair_div[(x, y)] & placed:
+                    adj[x] |= 1 << y
+                    adj[y] |= 1 << x
+            for level in _maximal_cliques(adj, comp):
+                new = placed | level
+                if new not in parent:
+                    parent[new] = (placed, level)
+                    expanded.append(new)
+            if full in parent:
+                break
+        layer = expanded
+    levels = []
+    cur = full
+    while cur:
+        cur, block = parent[cur]
+        levels.append(block)
+    return levels[::-1]
+
+
 def _sorted_by_generators(ideals) -> list[MonomialIdeal]:
     return sorted(
         ideals, key=lambda c: [tuple(-e for e in g.exponents) for g in c.generators]

@@ -50,6 +50,7 @@ from oracles import (
     pair_divisors_oracle,
     rp2_ideal,
     sv_exact_level_bfs,
+    sv_exact_pairwise_filter,
     sv_levels_oracle,
 )
 
@@ -1159,6 +1160,20 @@ def test_sv_exact_pruned_layers_keep_the_level_bfs_length():
         assert is_valid_sv_partition(a, witness), a
         changed += levels != unpruned
     assert changed >= 1
+
+
+def test_sv_exact_maximal_mask_filter_keeps_every_partition():
+    # each mask is tested against the layer's maximal masks alone, and the
+    # kept masks stay in layer order, so every partition is the one the
+    # pairwise filter gave, not only its length
+    ideals = (seeded_mixed_degree_ideals(150, seed=33)
+              + seeded_squarefree_ideals(150, seed=33))
+    assert sum(a.mu >= 8 for a in ideals) >= 10
+    for a in ideals:
+        assert a.mu <= invariants.SV_EXACT_BOUND
+        pair_div = invariants._pair_divisors(a.rows)
+        assert invariants._sv_exact(a.mu, pair_div) == (
+            sv_exact_pairwise_filter(a.mu, pair_div)), a
 
 
 def brute_maximal_cliques(adj, vertices):

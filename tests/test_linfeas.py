@@ -152,30 +152,65 @@ def brute_facets(points):
     return out
 
 
+def assert_facets_match(points, brute):
+    """Where the facets ``brute`` of the Newton polyhedron of ``points``
+    include a compact one, newton_facets returns one compact facet among
+    them alone; otherwise it returns each of them once."""
+    facets = newton_facets(points, 10_000)
+    if any(min(w) > 0 for w, _, _ in brute):
+        assert len(facets) == 1, points
+        assert facets[0] in brute and min(facets[0][0]) > 0, points
+    else:
+        assert len(facets) == len(set(facets))
+        assert set(facets) == brute, points
+
+
 def test_newton_facets_match_brute_force():
     # small exponents give many points on one hyperplane, where rays that
-    # share n - 1 tight constraints need not be adjacent
+    # share n - 1 tight constraints need not be adjacent.  Each point times
+    # a new variable z gives the polyhedron P x [1, oo), whose facets are
+    # those of P, with w_z = 0, and z >= 1 on every point: none is compact,
+    # so every draw also checks the full enumeration and its adjacency test
     rng = random.Random(29)
+    compact = 0
     for _ in range(150):
         n = rng.randint(1, 5)
         points = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
                   for _ in range(rng.randint(1, 9))]
-        facets = newton_facets(points, 10_000)
-        assert len(facets) == len(set(facets))
-        assert set(facets) == brute_facets(points), points
+        brute = brute_facets(points)
+        assert_facets_match(points, brute)
+        compact += any(min(w) > 0 for w, _, _ in brute)
+        lifted = {(w + (0,), c, mask) for w, c, mask in brute}
+        lifted.add(((0,) * n + (1,), 1, (1 << len(points)) - 1))
+        assert_facets_match([p + (1,) for p in points], lifted)
+    # both branches are reached: 48 draws have a compact facet
+    assert compact == 48
 
 
 def test_newton_facets_of_a_triangle():
-    # x^2, x*y, y^3: the two compact edges and the two coordinate facets
-    assert sorted(newton_facets([(2, 0), (1, 1), (0, 3)], 10)) == [
-        ((0, 1), 0, 0b001), ((1, 0), 0, 0b100), ((1, 1), 2, 0b011), ((2, 1), 3, 0b110),
+    # x^2, x*y, y^3: the compact edge through x^2 and x*y is found before
+    # y^3 is cut in, and y^3 lies above it
+    assert newton_facets([(2, 0), (1, 1), (0, 3)], 10) == [((1, 1), 2, 0b011)]
+    # times z, no facet is compact: the two edges times z, the two coordinate
+    # facets and z >= 1
+    assert sorted(newton_facets([(2, 0, 1), (1, 1, 1), (0, 3, 1)], 10)) == [
+        ((0, 0, 1), 1, 0b111), ((0, 1, 0), 0, 0b001), ((1, 0, 0), 0, 0b100),
+        ((1, 1, 0), 2, 0b011), ((2, 1, 0), 3, 0b110),
     ]
 
 
+def test_newton_facets_mask_holds_later_tight_points():
+    # the compact facet x + 2y + 4z >= 4 appears when (2, 1, 0) is cut in,
+    # and (4, 0, 0), not yet cut in, lies on it too
+    assert newton_facets([(0, 0, 1), (0, 2, 0), (2, 1, 0), (4, 0, 0)], 100) == [
+        ((1, 2, 4), 4, 0b1111)]
+
+
 def test_newton_facets_bound():
-    # a convex staircase of 12 points in the plane has 13 facets, and the
-    # ray list holds them with the ray (0, 0, -1)
-    points = [(i, (11 - i) * (12 - i) // 2) for i in range(12)]
-    assert len(newton_facets(points, 14)) == 13
-    with pytest.raises(ResourceLimitError, match="more than 13"):
-        newton_facets(points, 13)
+    # a convex staircase of 12 points in the plane, times a third variable,
+    # has 14 facets and none compact, so every one is listed; the ray list
+    # holds them with the ray (0, 0, 0, -1)
+    points = [(i, (11 - i) * (12 - i) // 2, 1) for i in range(12)]
+    assert len(newton_facets(points, 15)) == 14
+    with pytest.raises(ResourceLimitError, match="more than 14"):
+        newton_facets(points, 14)

@@ -28,6 +28,8 @@ from stci.parser import (
     BRACKET_DEPTH_BOUND,
     EvaluationError,
     ParseError,
+    _Token,
+    _tokenize,
     evaluate,
     evaluate_program,
     format_program,
@@ -88,6 +90,10 @@ def test_parse_error_positions():
     # a digit that is not a decimal digit is no number
     ("ring x; (x^²)", 1, 12, "unexpected character '²'"),
     ("ring x; (x)^²", 1, 13, "unexpected character '²'"),
+    # but '²' is alphanumeric, so it continues an identifier
+    ("ring x; (x²)", 1, 10, "undeclared variable 'x²'"),
+    ("ring x; (x^½)", 1, 12, "unexpected character '½'"),
+    ("½", 1, 1, "unexpected character '½'"),
     ("(x,y)", 1, 1, "program must start with a ring declaration"),
     ("ring ; (x)", 1, 6, "expected a variable name, found ';'"),
     ("ring x, ; (x)", 1, 9, "expected a variable name, found ';'"),
@@ -116,6 +122,15 @@ def test_parse_error_message_and_column(text, line, column, message):
         parse(text)
     assert (exc.value.line, exc.value.column) == (line, column)
     assert str(exc.value) == f"line {line}, column {column}: {message}"
+
+
+def test_tokens_of_digits_outside_ascii():
+    # '²' is alphanumeric but no decimal digit, so it continues an
+    # identifier; the Arabic-Indic '٣' is a decimal digit, so a number
+    assert _tokenize("x² ٣") == [
+        _Token("ident", "x²", 1, 1), _Token("nat", "٣", 1, 4), _Token("eof", "", 1, 5)]
+    assert evaluate_program("ring x; (x^٣)") == evaluate_program("ring x; (x^3)")
+    assert str(evaluate_program("ring x²; (x²)^٣")) == "(x²^3)"
 
 
 def test_precedence_product_sum_left_associative():
