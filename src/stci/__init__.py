@@ -33,7 +33,6 @@ from .homology import (
     lcm_lattice,
     local_cohomology_nonvanishing,
     rank,
-    taylor_homology,
     taylor_proj_dim,
 )
 from .invariants import (
@@ -52,10 +51,8 @@ from .parser import (
     EvaluationError,
     ParseError,
     evaluate,
-    evaluate_program,
     format_program,
     parse,
-    parse_monomial,
 )
 from .verification import (
     CheckResult,
@@ -67,7 +64,6 @@ from .verification import (
     check_one_dimensional_prime,
     check_squarefree_cm,
     fuzz,
-    replay,
     run_reference_suite,
     triangle_edge_ideal,
     two_planes_ideal,

@@ -211,13 +211,15 @@ def _cmd_verify_paper(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    # the bounds shape only the general draws; one left unset takes the
+    # spec's default, which the payload echoes
+    bounds = {name: value for name in ("max_exponent", "max_generators")
+              if (value := getattr(args, name)) is not None}
+    if args.squarefree and bounds:
+        raise ValueError("--max-exponent and --max-generators do not apply "
+                         "to --squarefree draws")
     spec = RandomIdealSpec(
-        n=args.n,
-        squarefree=args.squarefree,
-        max_exponent=args.max_exponent,
-        max_generators=args.max_generators,
-        seed=args.seed,
-    )
+        n=args.n, squarefree=args.squarefree, seed=args.seed, **bounds)
     results = fuzz(spec, args.count, horizon=args.horizon)
     payload = {
         "spec": vars(spec),
@@ -269,8 +271,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     add_common(p_fuzz, expr=False)
     p_fuzz.add_argument("--n", type=int, default=4, help="number of variables")
     p_fuzz.add_argument("--squarefree", action="store_true")
-    p_fuzz.add_argument("--max-exponent", type=int, default=3)
-    p_fuzz.add_argument("--max-generators", type=int, default=5)
+    p_fuzz.add_argument("--max-exponent", type=int,
+                        help="largest exponent (default 3; not with --squarefree)")
+    p_fuzz.add_argument("--max-generators", type=int,
+                        help="most generators drawn (default 5; not with --squarefree)")
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--count", type=int, default=20)
     p_fuzz.set_defaults(func=_cmd_fuzz)

@@ -219,33 +219,9 @@ class Monomial:
                 f"exponent {max(self.exponents)} exceeds the bound {MAX_EXPONENT}"
             )
 
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
     def support(self) -> frozenset[int]:
         """Indices of variables with positive exponent."""
         return frozenset(i for i, e in enumerate(self.exponents) if e > 0)
-
-    def divides(self, other: "Monomial") -> bool:
-        _check_same_context(self, other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        _check_same_context(self, other)
-        return Monomial(
-            self.context,
-            tuple(a + b for a, b in zip(self.exponents, other.exponents)),
-        )
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        """Exact quotient; requires ``other`` to divide ``self``."""
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(
-            self.context,
-            tuple(a - b for a, b in zip(self.exponents, other.exponents)),
-        )
 
     def __str__(self) -> str:
         return _exponent_text(self.context.variables, self.exponents) or "1"
@@ -418,9 +394,6 @@ class MonomialIdeal:
             (a[None, :, :] <= b[start:start + step, None, :]).all(axis=2).any(axis=1).all()
             for start in range(0, len(b), step)
         )
-
-    def __le__(self, other: "MonomialIdeal") -> bool:
-        return other.contains_ideal(self)
 
     # -- arithmetic ------------------------------------------------------
 

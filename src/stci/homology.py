@@ -12,12 +12,11 @@ exponent grid (:func:`socle_proj_dim`) with no complex built.  Membership
 in the ideal at the grid points has one builder, :func:`_membership`, which
 keeps it as a Python int with one bit per point: the socle test reads it
 with k shifted ANDs, and the grid enumeration unpacks it once into numpy
-face words.  Also
-computes the Taylor Betti table and the nonvanishing degrees of local
-cohomology of squarefree quotients through links in the Stanley-Reisner
-complex.  Every computation on an ideal works over the field of the
-ideal's ring; :func:`rank` and :meth:`ChainComplex.homology_ranks`, which
-have no ring, take the field as an argument.
+face words.  Also computes the nonvanishing degrees of local cohomology of
+squarefree quotients through links in the Stanley-Reisner complex.  Every
+computation on an ideal works over the field of the ideal's ring;
+:func:`rank` and :meth:`ChainComplex.homology_ranks`, which have no ring,
+take the field as an argument.
 
 Chain complexes, the Taylor strands included, have one builder,
 :func:`_boundary_complex`, which takes faces as vertex bitmasks (bit v set
@@ -367,32 +366,8 @@ def _taylor_strands(a: MonomialIdeal) -> list[tuple[int, list[int]]]:
         key=itemgetter(0), reverse=True)]
 
 
-def taylor_homology(a: MonomialIdeal) -> dict[int, int]:
-    """Betti numbers of R/a from the Taylor complex on the minimal generators.
-
-    The tensored differential only connects subsets with equal lcm, so the
-    computation is blocked by lcm multidegree (:func:`_taylor_strands`).
-    The strand at one lcm L is the quotient complex that
-    :func:`_boundary_complex` builds from the subsets with lcm L as faces,
-    a subset of i generators in dimension i - 1: the subsets with smaller
-    lcm are closed under taking subsets.  A strand of one subset S has its
-    one face as homology, so it adds 1 to beta_|S| without a complex being
-    built.
-    """
-    field = a.context.field
-    betti: dict[int, int] = {}
-    for s, members in _taylor_strands(a):
-        if len(members) == 1:
-            betti[s] = betti.get(s, 0) + 1
-            continue
-        for j, h in _boundary_complex(members).homology_ranks(field).items():
-            if h:
-                betti[j + 1] = betti.get(j + 1, 0) + h
-    return dict(sorted(betti.items()))
-
-
 def taylor_proj_dim(a: MonomialIdeal, floor: int = 1) -> int:
-    """max(floor, pd R/a) from the Taylor strands (:func:`taylor_homology`)
+    """max(floor, pd R/a) from the Taylor strands (:func:`_taylor_strands`)
     by the pruned walk (:func:`_walk`), largest subset first; homology in
     degree j of a strand is beta_{j+1}.  A strand of one subset S is its
     one face, with homology in degree |S| - 1, so these raise the floor

@@ -31,7 +31,7 @@ from __future__ import annotations
 from operator import add, and_, mul
 from typing import NamedTuple
 
-from .core import FieldSpec, Monomial, MonomialIdeal, RingContext, _exponent_text
+from .core import FieldSpec, MonomialIdeal, RingContext, _exponent_text
 from .decomposition import symbolic_power
 
 
@@ -309,13 +309,6 @@ def evaluate(ctx: RingContext, steps: tuple) -> MonomialIdeal:
     return ideal
 
 
-def evaluate_program(
-    text: str, field: FieldSpec = FieldSpec.rationals()
-) -> MonomialIdeal:
-    ctx, steps = parse(text, field)
-    return evaluate(ctx, steps)
-
-
 # ---------------------------------------------------------------------------
 # canonical printing
 
@@ -350,11 +343,3 @@ def format_program(ctx: RingContext, steps: tuple) -> str:
             stack.append((f"({rows})", _LITERAL))
     ((body, _),) = stack
     return f"ring {', '.join(ctx.variables)}; {body}"
-
-
-def parse_monomial(ctx: RingContext, text: str) -> Monomial:
-    """Parse a bare monomial like ``x^2*y`` inside an existing context."""
-    parser = _Parser(text, ctx.variables)
-    row = parser.monomial()
-    parser.end()
-    return Monomial(ctx, row)

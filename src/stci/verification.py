@@ -20,8 +20,7 @@ from math import comb
 import numpy as np
 
 from . import invariants
-from .core import (PAIR_CELL_BOUND, FieldSpec, MonomialIdeal,
-                   ResourceLimitError, RingContext)
+from .core import PAIR_CELL_BOUND, MonomialIdeal, ResourceLimitError, RingContext
 from .decomposition import _variable_prime, dim_quotient, height, symbolic_power
 from .homology import STANLEY_REISNER_BOUND, local_cohomology_nonvanishing
 
@@ -49,11 +48,6 @@ def _ideal_witness(a: MonomialIdeal) -> dict:
         "generators": [list(r) for r in a.rows],
         "generator_strings": a.generator_strings(),
     }
-
-
-def _rebuild(witness: dict) -> MonomialIdeal:
-    ctx = RingContext(tuple(witness["ring"]), FieldSpec.parse(witness["field"]))
-    return MonomialIdeal.from_exponents(ctx, witness["generators"])
 
 
 # ---------------------------------------------------------------------------
@@ -524,47 +518,3 @@ def fuzz(spec: RandomIdealSpec, count: int, horizon: int = 3) -> list[CheckResul
     rng = random.Random(spec.seed)
     ideals = [random_ideal(spec, rng) for _ in range(count)]
     return [r for i, a in enumerate(ideals) for r in _fuzz_one(i, a, horizon)]
-
-
-# ---------------------------------------------------------------------------
-# replay
-
-
-_CHECKER_REGISTRY = {
-    "chain": lambda w, name: check_chain(_rebuild(w), name=name),
-    "dg-dichotomy": lambda w, name: check_dg_dichotomy(
-        _rebuild(w), w.get("horizon", 3), name=name
-    ),
-    "one-dimensional-prime": lambda w, name: check_one_dimensional_prime(
-        _rebuild(w), w.get("horizon", 3), name=name
-    ),
-    "squarefree-cm": lambda w, name: check_squarefree_cm(_rebuild(w), name=name),
-    "disjoint-primes": lambda w, name: check_disjoint_prime_intersection(
-        RingContext(tuple(w["ring"]), FieldSpec.parse(w["field"])),
-        w["prime_sets"],
-        w.get("horizon", 3),
-        name=name,
-    ),
-    "frobenius": lambda w, name: check_frobenius(_rebuild(w), w["q"], name=name),
-}
-
-
-def replay(result: CheckResult) -> CheckResult:
-    """Re-run the checker recorded in a result's witness.
-
-    A reference check, and a checker whose verdict the suite compares with
-    an ``expected_verdict``, is found by name in the reference suite rerun
-    at the horizon its witness records, or at 3 when it records none.
-    """
-    w = result.witness
-    checker = w.get("checker")
-    if checker in _CHECKER_REGISTRY and "expected_verdict" not in w:
-        return _CHECKER_REGISTRY[checker](w, result.name)
-    if "invariants" in w:
-        horizon = w["invariants"]["dg"]["horizon"]
-    else:
-        horizon = w.get("horizon", 3)
-    for r in run_reference_suite(horizon):
-        if r.name == result.name:
-            return r
-    raise ValueError(f"cannot replay check {result.name!r}")

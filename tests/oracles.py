@@ -8,8 +8,12 @@ transversal search, and matrix ranks from dense Gaussian elimination over
 ``Fraction`` or mod a prime.  Code that only the tests use lives here too: ``over_field``,
 which moves an ideal to another coefficient field, since the library takes
 the field from the ring; ``maximal_ideal``, the ideal of every variable, which
-no library code needs; the real projective plane, whose homology has
-2-torsion; the full Taylor complex, a boundary-squared check
+no library code needs; ``evaluate_program``, which parses and evaluates a
+program text in one call; the real projective plane, whose homology has
+2-torsion; the full Taylor complex; the Taylor Betti table
+(``taylor_homology``), the Betti-number reference of the tests, built from
+the strands that :func:`stci.homology.taylor_proj_dim` walks without a
+table; a boundary-squared check
 for chain complexes with the product of sparse rows behind it; simplicial complexes
 as face sets with their reduced homology, upper-Koszul and Stanley-Reisner
 complexes, the Stanley-Reisner faces from a scan of all vertex subsets and
@@ -60,7 +64,7 @@ from stci.core import (
     ResourceLimitError,
     RingContext,
 )
-from stci.homology import ChainComplex, _subset_lcms, taylor_homology
+from stci.homology import ChainComplex, _subset_lcms
 from stci.invariants import (
     TAYLOR_DISPATCH_BOUND,
     _affine_dim,
@@ -69,6 +73,7 @@ from stci.invariants import (
     _support_components,
     proj_dim,
 )
+from stci.parser import evaluate, parse
 
 
 def over_field(a: MonomialIdeal, field: FieldSpec) -> MonomialIdeal:
@@ -76,6 +81,11 @@ def over_field(a: MonomialIdeal, field: FieldSpec) -> MonomialIdeal:
     over ``field``."""
     ctx = RingContext(a.context.variables, field)
     return MonomialIdeal.from_exponents(ctx, [g.exponents for g in a.generators])
+
+
+def evaluate_program(text: str, field: FieldSpec = FieldSpec.rationals()) -> MonomialIdeal:
+    """The ideal that the program ``text`` evaluates to."""
+    return evaluate(*parse(text, field))
 
 
 def maximal_ideal(ctx: RingContext) -> MonomialIdeal:
@@ -375,7 +385,7 @@ def taylor_chain_complex(a: MonomialIdeal, max_generators: int = 12) -> ChainCom
     """The full Taylor complex of the minimal generators, tensored to the field.
 
     Exponential in mu; meant for small ideals and for validating the blocked
-    computation in :func:`stci.homology.taylor_homology`.  Degree i holds
+    computation in :func:`taylor_homology`.  Degree i holds
     the subsets of i generators, in increasing mask order.
     """
     if a.is_unit or a.is_zero:
@@ -405,6 +415,30 @@ def taylor_chain_complex(a: MonomialIdeal, max_generators: int = 12) -> ChainCom
                     rows.setdefault(index[i - 1][sub], {})[col] = -1 if pos % 2 else 1
         diffs[i] = rows
     return ChainComplex(dims=dims, diffs=diffs)
+
+
+def taylor_homology(a: MonomialIdeal) -> dict[int, int]:
+    """Betti numbers of R/a from the Taylor complex on the minimal generators.
+
+    The tensored differential only connects subsets with equal lcm, so the
+    computation is blocked by lcm multidegree
+    (:func:`stci.homology._taylor_strands`).  The strand at one lcm L is the
+    quotient complex that :func:`stci.homology._boundary_complex` builds
+    from the subsets with lcm L as faces, a subset of i generators in
+    dimension i - 1: the subsets with smaller lcm are closed under taking
+    subsets.  A strand of one subset S has its one face as homology, so it
+    adds 1 to beta_|S| without a complex being built.
+    """
+    field = a.context.field
+    betti: dict[int, int] = {}
+    for s, members in homology._taylor_strands(a):
+        if len(members) == 1:
+            betti[s] = betti.get(s, 0) + 1
+            continue
+        for j, h in homology._boundary_complex(members).homology_ranks(field).items():
+            if h:
+                betti[j + 1] = betti.get(j + 1, 0) + h
+    return dict(sorted(betti.items()))
 
 
 class SimplicialComplex:
@@ -999,18 +1033,10 @@ def sv_levels_oracle(a: MonomialIdeal) -> list[int]:
     """Level masks of a shortest Schmitt-Vogel partition of the generators of
     ``a``, by breadth-first search over placed-generator masks that tries
     every submask of the unplaced generators as the next level.  The pair
-    table comes from ``Monomial`` products and divisibility."""
-    gens = list(a.generators)
-    mu = len(gens)
-    pair_div: dict[tuple[int, int], int] = {}
-    for i in range(mu):
-        for j in range(i + 1, mu):
-            prod = gens[i] * gens[j]
-            mask = 0
-            for k, g in enumerate(gens):
-                if g.divides(prod):
-                    mask |= 1 << k
-            pair_div[(i, j)] = mask
+    table compares exponent rows with their pair sums
+    (:func:`pair_divisors_oracle`)."""
+    mu = a.mu
+    pair_div = pair_divisors_oracle(a.rows)
     full = (1 << mu) - 1
     parent: dict[int, tuple[int, int]] = {}
     frontier = []
@@ -1147,9 +1173,10 @@ def irreducible_decomposition_oracle(a: MonomialIdeal) -> list[MonomialIdeal]:
             continue
         g = mixed[0]
         j = min(g.support())
-        u = Monomial(ctx, tuple(e if i == j else 0 for i, e in enumerate(g.exponents)))
-        for part in (u, g / u):
-            stack.append(b + MonomialIdeal.from_generators(ctx, [part]))
+        u = tuple(e if i == j else 0 for i, e in enumerate(g.exponents))
+        v = tuple(0 if i == j else e for i, e in enumerate(g.exponents))
+        for part in (u, v):
+            stack.append(b + MonomialIdeal.from_exponents(ctx, [part]))
     kept = _sorted_by_generators(components)
     changed = True
     while changed:

@@ -13,7 +13,6 @@ import time
 from stci.cli import main
 from stci.core import Monomial, MonomialIdeal, RingContext
 from stci.decomposition import dim_quotient, height, symbolic_power
-from stci.homology import taylor_homology
 from stci.invariants import (
     analytic_spread,
     depth,
@@ -21,14 +20,19 @@ from stci.invariants import (
     formal_grade,
     report,
 )
-from stci.parser import evaluate_program
 from stci.verification import (
     RandomIdealSpec,
     check_disjoint_prime_intersection,
     random_ideal,
 )
 
-from oracles import brute_betti, fiber_growth_oracle, koszul_betti_totals
+from oracles import (
+    brute_betti,
+    evaluate_program,
+    fiber_growth_oracle,
+    koszul_betti_totals,
+    taylor_homology,
+)
 
 
 def _announce(number: int, ok: bool, message: str) -> None:

@@ -27,7 +27,6 @@ from stci.homology import (
     local_cohomology_nonvanishing,
     rank,
     socle_proj_dim,
-    taylor_homology,
     taylor_proj_dim,
 )
 
@@ -53,6 +52,7 @@ from oracles import (
     sparse_matmul,
     stanley_reisner_complex,
     taylor_chain_complex,
+    taylor_homology,
     upper_koszul_complex,
     validate_chain_complex,
 )

@@ -18,7 +18,6 @@ import stci.invariants as invariants
 from stci.core import MEMOS, FieldSpec, MonomialIdeal, ResourceLimitError, RingContext
 from stci.decomposition import dim_quotient
 from stci.homology import local_cohomology_nonvanishing
-from stci.parser import evaluate_program
 from stci.invariants import (
     analytic_spread,
     cohomological_dimension,
@@ -43,6 +42,7 @@ from oracles import (
     analytic_spread_oracle,
     betti_numbers_oracle,
     compact_faces_oracle,
+    evaluate_program,
     exposed,
     fiber_growth_oracle,
     min_depth_powers_oracle,
@@ -52,6 +52,7 @@ from oracles import (
     sv_exact_level_bfs,
     sv_exact_pairwise_filter,
     sv_levels_oracle,
+    taylor_homology,
 )
 
 CTX2 = RingContext(("x", "y"))
@@ -115,7 +116,6 @@ def test_fgrade_examples():
 def test_betti_splits_match_direct_paths():
     # disjoint-variable sum: tensor convolution
     a = ideal(CTX4, (2, 0, 0, 0), (0, 0, 1, 1))
-    from stci.homology import taylor_homology
     assert dict(enumerate(betti_numbers_oracle(a))) == taylor_homology(a)
     assert proj_dim(a) == max(taylor_homology(a))
     # disjoint-variable product: intersection convolution
@@ -137,7 +137,6 @@ def test_sum_split_matches_taylor(rows_a, rows_b):
     c = a + b
     if c.is_unit:
         return
-    from stci.homology import taylor_homology
     assert dict(enumerate(betti_numbers_oracle(c))) == taylor_homology(c)
     # mu <= 6 goes to Taylor, so check the identity the sum split relies on
     assert proj_dim(c) == max(taylor_homology(c)) == proj_dim(a) + proj_dim(b)
@@ -150,7 +149,6 @@ def test_product_split_matches_taylor(rows_a, rows_b):
     b = MonomialIdeal.from_exponents(CTX4, _pad_rows(rows_b, 2, 4))
     c = a * b
     assert c == (a & b)
-    from stci.homology import taylor_homology
     assert dict(enumerate(betti_numbers_oracle(c))) == taylor_homology(c)
     # mu <= 8 goes to Taylor, so check the identity the product split relies on
     assert proj_dim(c) == max(taylor_homology(c)) == proj_dim(a) + proj_dim(b) - 1
@@ -289,7 +287,7 @@ def test_product_split_finds_the_factors_from_the_rows(rows_a, rows_b):
     pd = proj_dim(c)
     assert pd == homology.koszul_proj_dim(c)
     if c.mu <= 12:
-        assert pd == max(homology.taylor_homology(c))
+        assert pd == max(taylor_homology(c))
 
 
 @pytest.mark.parametrize("expression, pd", [
@@ -337,7 +335,7 @@ def test_proj_dim_on_few_generators_in_many_variables_needs_no_minimal_primes(
         split = invariants._product_split(a)
         assert (split and [f.mu for f in split]) == factors
         invariants.clear_caches()
-        assert proj_dim(a) == max(homology.taylor_homology(a))
+        assert proj_dim(a) == max(taylor_homology(a))
 
 
 def test_proj_dim_check_survives_python_optimize():
@@ -349,13 +347,13 @@ def test_proj_dim_check_survives_python_optimize():
         import sys
         import stci.homology as homology
         import stci.invariants as inv
-        from stci.parser import evaluate_program
+        from stci.parser import evaluate, parse
         if __debug__:
             sys.exit("not running under -O")
         homology._taylor_strands = lambda a: [
             (a.context.n + 1, [(1 << a.context.n + 1) - 1])]
         try:
-            inv.proj_dim(evaluate_program("ring x,y,z; (x*y, x*z, y*z)"))
+            inv.proj_dim(evaluate(*parse("ring x,y,z; (x*y, x*z, y*z)")))
         except AssertionError as exc:
             print(exc)
     """, "-O")
@@ -520,7 +518,7 @@ def test_memo_keys_carry_the_field():
     # the homology of RP^2 has 2-torsion, so pd over F_2 exceeds pd over Q;
     # a memo key is the ideal alone, and its ring carries the field
     a = rp2_ideal()
-    assert a.mu == 10 and {g.degree for g in a.generators} == {3}
+    assert a.mu == 10 and {sum(row) for row in a.rows} == {3}
     invariants.clear_caches()
     assert proj_dim(a) == 3
     assert proj_dim(over_field(a, FieldSpec.prime(2))) == 4
@@ -566,7 +564,8 @@ def test_frobenius_square_reuses_the_square_of_the_powers():
     assert info.misses == misses and info.hits == 1
 
 
-# every public entry that takes an ideal, with its other arguments fixed
+# every public entry that takes an ideal, with its other arguments fixed, and
+# the oracles' Taylor Betti table, which reaches the guard of the Taylor strands
 GUARDED = {
     "proj_dim": proj_dim,
     "depth": depth,
@@ -581,7 +580,7 @@ GUARDED = {
     "height": decomposition.height,
     "irreducible_decomposition": decomposition.irreducible_decomposition,
     "symbolic_power": lambda a: decomposition.symbolic_power(a, 2),
-    "taylor_homology": homology.taylor_homology,
+    "taylor_homology": taylor_homology,
     "koszul_proj_dim": homology.koszul_proj_dim,
     "taylor_proj_dim": homology.taylor_proj_dim,
     "local_cohomology_nonvanishing": local_cohomology_nonvanishing,
@@ -668,7 +667,7 @@ def seeded_mixed_degree_ideals(count: int, seed: int, max_gens: int = 9):
         if not rows:
             continue
         a = MonomialIdeal.from_exponents(ctx, rows)
-        if a.mu <= max_gens and len({g.degree for g in a.generators}) > 1:
+        if a.mu <= max_gens and len({sum(row) for row in a.rows}) > 1:
             out.append(a)
     return out
 
@@ -707,7 +706,7 @@ def test_analytic_spread_mu_18_in_five_variables():
         a = MonomialIdeal.from_exponents(ctx, [r for r in rows if any(r)])
         if a.mu == 18:
             break
-    assert len({g.degree for g in a.generators}) > 1
+    assert len({sum(row) for row in a.rows}) > 1
     assert 1 <= analytic_spread(a) <= 5
 
 
@@ -846,7 +845,7 @@ def test_facet_checks_survive_python_optimize():
     out = run_python("""
         import sys
         import stci.invariants as inv
-        from stci.parser import evaluate_program
+        from stci.parser import evaluate, parse
         if __debug__:
             sys.exit("not running under -O")
         facets = inv.newton_facets
@@ -862,7 +861,7 @@ def test_facet_checks_survive_python_optimize():
             inv.newton_facets = patched
             inv.clear_caches()
             try:
-                inv.analytic_spread(evaluate_program("ring x,y; (x^2, x*y, y^3)"))
+                inv.analytic_spread(evaluate(*parse("ring x,y; (x^2, x*y, y^3)")))
             except AssertionError as exc:
                 print(exc)
     """, "-O")
@@ -877,7 +876,7 @@ def test_weight_check_survives_python_optimize():
     out = run_python("""
         import sys
         import stci.invariants as inv
-        from stci.parser import evaluate_program
+        from stci.parser import evaluate, parse
         if __debug__:
             sys.exit("not running under -O")
         exposed_all = inv._exposed_all
@@ -892,7 +891,7 @@ def test_weight_check_survives_python_optimize():
 
         inv._exposed_all = dropped
         try:
-            inv.analytic_spread(evaluate_program("ring x,y,z; (x*z, y^2*z)"))
+            inv.analytic_spread(evaluate(*parse("ring x,y,z; (x*z, y^2*z)")))
         except AssertionError as exc:
             print(exc)
         print(len(calls))
@@ -1212,17 +1211,17 @@ def test_sv_partition_check_survives_python_optimize():
     script = textwrap.dedent("""
         import sys
         import stci.invariants as inv
-        from stci.parser import evaluate_program
+        from stci.parser import evaluate, parse
         if __debug__:
             sys.exit("not running under -O")
         exact = inv._sv_exact
         inv._sv_exact = lambda mu, pair_div: exact(mu, pair_div)[:-1]
-        a = evaluate_program("ring x,y,z; (x*y, x*z, y*z)")
+        a = evaluate(*parse("ring x,y,z; (x*y, x*z, y*z)"))
         try:
             inv.schmitt_vogel_upper(a)
         except AssertionError as exc:
             print(exc)
-        a = evaluate_program("ring x,y,z; (x, y, z)")
+        a = evaluate(*parse("ring x,y,z; (x, y, z)"))
         index = a.generator_strings().index
         levels = [1 << index("x"), 1 << index("y") | 1 << index("z")]
         inv._sv_exact = lambda mu, pair_div: levels
@@ -1342,11 +1341,11 @@ def test_report_checks_survive_python_optimize():
     script = textwrap.dedent("""
         import sys
         import stci.invariants as inv
-        from stci.parser import evaluate_program
+        from stci.parser import evaluate, parse
         if __debug__:
             sys.exit("not running under -O")
         inv.analytic_spread = lambda a: a.mu + 1
-        a = evaluate_program("ring x,y,z; (x*y, x*z, y*z)")
+        a = evaluate(*parse("ring x,y,z; (x*y, x*z, y*z)"))
         try:
             inv.report(a, horizon=1)
         except AssertionError as exc:
@@ -1366,11 +1365,11 @@ def test_report_depth_check_survives_python_optimize():
     out = run_python("""
         import sys
         import stci.invariants as inv
-        from stci.parser import evaluate_program
+        from stci.parser import evaluate, parse
         if __debug__:
             sys.exit("not running under -O")
         inv.depth = lambda a: a.context.n
-        a = evaluate_program("ring x,y,z; (x^2*y, x*z, y*z)")
+        a = evaluate(*parse("ring x,y,z; (x^2*y, x*z, y*z)"))
         try:
             inv.report(a, horizon=1)
         except AssertionError as exc:

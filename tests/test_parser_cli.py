@@ -31,11 +31,11 @@ from stci.parser import (
     _Token,
     _tokenize,
     evaluate,
-    evaluate_program,
     format_program,
     parse,
-    parse_monomial,
 )
+
+from oracles import evaluate_program
 
 
 def run_cli(argv):
@@ -155,9 +155,7 @@ def test_power_suffix_binds_tightest():
 
 def test_symbolic_power_through_dsl():
     ideal = evaluate_program("ring x,y,z; [(x,y) & (y,z) & (x,z)]^(2)")
-    assert parse_monomial(RingContext(("x", "y", "z")), "x*y*z").exponents in {
-        g.exponents for g in ideal.generators
-    }
+    assert (1, 1, 1) in ideal.rows
     prime_cube = evaluate_program("ring x,y; (x,y)^(3)")
     assert prime_cube == evaluate_program("ring x,y; (x,y)^3")
 
@@ -170,13 +168,6 @@ def test_symbolic_power_requires_squarefree():
 def test_unit_monomial_via_zero_exponent():
     ideal = evaluate_program("ring x,y; (x^0)")
     assert ideal.is_unit
-
-
-def test_parse_monomial_helper():
-    ctx = RingContext(("x", "y"))
-    assert parse_monomial(ctx, "x^2*y").exponents == (2, 1)
-    with pytest.raises(ParseError):
-        parse_monomial(ctx, "x^2 y")
 
 
 # ---------------------------------------------------------------------------
@@ -773,6 +764,29 @@ def test_cli_fuzz_rejects_hopeless_specs_at_once(argv, code):
     )
     assert done.returncode == code
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("bound", [["--max-exponent", "9"], ["--max-generators", "30"]])
+def test_cli_fuzz_refuses_bounds_with_squarefree(bound):
+    # squarefree draws read only n, so a bound passed with them would change
+    # nothing but the echoed spec
+    code, out, err = run_cli(["fuzz", "--n", "5", "--count", "6", "--squarefree"] + bound)
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "--squarefree" in err
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["--squarefree"], {"squarefree": True, "max_exponent": 3, "max_generators": 5}),
+    ([], {"squarefree": False, "max_exponent": 3, "max_generators": 5}),
+    (["--max-exponent", "2", "--max-generators", "7"],
+     {"squarefree": False, "max_exponent": 2, "max_generators": 7}),
+])
+def test_cli_fuzz_echoes_the_bounds_it_draws_with(argv, spec):
+    # a bound left unset is echoed at its default, with or without --squarefree
+    code, out, _ = run_cli(["fuzz", "--json", "--n", "5", "--count", "2"] + argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["spec"] == {"n": 5, "seed": 0} | spec
 
 
 def test_cli_fuzz_count_zero():

@@ -1,11 +1,12 @@
-"""Checkers, the reference suite, fuzz campaigns, and replayability."""
+"""Checkers, the reference suite, fuzz campaigns, and rerunning a check from
+its witness."""
 
 import random
 import time
 
 import pytest
 
-from stci.core import MonomialIdeal, ResourceLimitError, RingContext
+from stci.core import FieldSpec, MonomialIdeal, ResourceLimitError, RingContext
 from stci.homology import STANLEY_REISNER_BOUND
 from stci.verification import (
     FAIL,
@@ -23,7 +24,6 @@ from stci.verification import (
     _products_in,
     _random_squarefree,
     random_ideal,
-    replay,
     run_reference_suite,
     triangle_edge_ideal,
     two_planes_ideal,
@@ -161,23 +161,52 @@ def test_frobenius_fails_on_a_wrong_bracket_power(monkeypatch, wrong):
 
 def test_reference_suite_all_pass_and_deterministic():
     first = run_reference_suite()
-    second = run_reference_suite()
-    assert [r.verdict for r in first] == [r.verdict for r in second]
-    assert [r.name for r in first] == [r.name for r in second]
+    assert run_reference_suite() == first
     assert all(r.verdict != FAIL for r in first)
     assert len(first) >= 20
 
 
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4])
+def test_replay_reruns_the_reference_suite_at_the_recorded_horizon(horizon):
+    first = run_reference_suite(horizon)
+    assert run_reference_suite(horizon) == first
+    assert all(r.verdict != FAIL for r in first)
+    # a witness that records a horizon records the one the suite ran at
+    for r in first:
+        w = r.witness
+        recorded = w["invariants"]["dg"]["horizon"] if "invariants" in w else w.get("horizon")
+        assert recorded in (None, horizon), r.name
+
+
+# each checker a fuzz campaign runs, called with the ideal its witness
+# rebuilds and the horizon or q the witness records
+RERUN = {
+    "chain": lambda a, w: check_chain(a),
+    "dg-dichotomy": lambda a, w: check_dg_dichotomy(a, w["horizon"]),
+    "squarefree-cm": lambda a, w: check_squarefree_cm(a),
+    "frobenius": lambda a, w: check_frobenius(a, w["q"]),
+}
+
+
 def test_fuzz_deterministic_and_replayable():
-    spec = RandomIdealSpec(n=3, squarefree=False, max_exponent=2,
-                           max_generators=3, seed=42)
-    a = fuzz(spec, 8)
-    b = fuzz(spec, 8)
-    assert [(r.name, r.verdict) for r in a] == [(r.name, r.verdict) for r in b]
-    assert all(r.verdict != FAIL for r in a)
-    for r in a[:6]:
-        again = replay(r)
-        assert again.verdict == r.verdict
+    # a witness is sufficient to replay its check: the ring, field and
+    # generators rebuild the ideal, and the named checker gives the verdict;
+    # two of the squarefree draws have a smaller depth at the square than at
+    # horizon 1, so a horizon recorded wrong would change the rerun
+    for spec, horizon in [
+        (RandomIdealSpec(n=3, max_exponent=2, max_generators=3, seed=42), 3),
+        (RandomIdealSpec(n=4, squarefree=True, seed=26), 1),
+    ]:
+        results = fuzz(spec, 8, horizon)
+        assert fuzz(spec, 8, horizon) == results
+        assert all(r.verdict != FAIL for r in results)
+        assert {r.witness["checker"] for r in results} == set(RERUN)
+        for r in results:
+            w = r.witness
+            ctx = RingContext(tuple(w["ring"]), FieldSpec.parse(w["field"]))
+            rebuilt = MonomialIdeal.from_exponents(ctx, w["generators"])
+            again = RERUN[w["checker"]](rebuilt, w)
+            assert (again.verdict, again.witness) == (r.verdict, w), r.name
 
 
 def test_fuzz_empty_campaign():
@@ -252,18 +281,6 @@ def test_squarefree_campaign_n4_seed42_count100():
     results = fuzz(spec, 100)
     bad = [r for r in results if r.verdict == FAIL]
     assert not bad, [r.witness for r in bad[:3]]
-
-
-def test_replay_of_reference_fixture():
-    first = run_reference_suite()
-    target = next(r for r in first if r.name == "two-planes-invariants")
-    assert replay(target).verdict == target.verdict
-
-
-@pytest.mark.parametrize("horizon", [1, 2, 3, 4])
-def test_replay_reruns_the_reference_suite_at_the_recorded_horizon(horizon):
-    for r in run_reference_suite(horizon):
-        assert replay(r) == r, r.name
 
 
 def test_multiset_products_agree_with_the_minimalized_power():
