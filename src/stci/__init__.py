@@ -15,7 +15,6 @@ ideal-expression DSL.
 from .core import (
     ContextMismatchError,
     FieldSpec,
-    Monomial,
     MonomialIdeal,
     ResourceLimitError,
     RingContext,

@@ -1,11 +1,12 @@
-"""Exact arithmetic of monomials and monomial ideals.
+"""Exact arithmetic of monomial ideals.
 
-Monomials are exponent tuples inside a fixed ring context (an ordered list
-of variables over an exact coefficient field).  A monomial ideal is stored
-in canonical form: the exponent rows of its unique minimal monomial
-generating set, sorted in decreasing lexicographic order.  All values are
-immutable; every operation returns fresh objects and never mutates its
-inputs.
+A monomial is its exponent row, a tuple of Python ints, in a fixed ring
+context (an ordered list of variables over an exact coefficient field).  A
+monomial ideal is stored in canonical form: the exponent rows of its unique
+minimal monomial generating set, in decreasing lexicographic order.  Rows
+from outside are checked where they enter: ``from_exponents``, ``in`` and
+``.colon``.  All values are immutable; every operation returns fresh
+objects and never mutates its inputs.
 
 Conventions: the zero ideal is the empty generator set, the unit ideal is
 generated by the monomial 1.  Both flow through all operations without
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
-from operator import index, le
-from typing import Iterable, Iterator
+from functools import cached_property, lru_cache, reduce, wraps
+from operator import and_, index, le
+from typing import Iterable
 
 import numpy as np
 
@@ -157,23 +158,11 @@ class RingContext:
     def n(self) -> int:
         return len(self.variables)
 
-    def monomial(self, exponents: Iterable[int]) -> "Monomial":
-        return Monomial(self, tuple(exponents))
-
-    def unit_monomial(self) -> "Monomial":
-        return Monomial(self, (0,) * self.n)
-
-    def variable(self, name: str) -> "Monomial":
-        i = self.variables.index(name)
-        exps = [0] * self.n
-        exps[i] = 1
-        return Monomial(self, tuple(exps))
-
     def zero_ideal(self) -> "MonomialIdeal":
-        return MonomialIdeal.from_generators(self, [])
+        return MonomialIdeal(self, ())
 
     def unit_ideal(self) -> "MonomialIdeal":
-        return MonomialIdeal.from_generators(self, [self.unit_monomial()])
+        return MonomialIdeal(self, ((0,) * self.n,))
 
     def __str__(self) -> str:
         return f"ring {', '.join(self.variables)} over {self.field}"
@@ -198,36 +187,18 @@ def _exponent_text(variables: tuple[str, ...], exponents: Iterable[int]) -> str:
     return "*".join(parts)
 
 
-@dataclass(frozen=True, order=False)
-class Monomial:
-    """A monomial x^a, stored as the exponent tuple a."""
-
-    context: RingContext
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        # an integer of any kind passes; a float raises TypeError, not truncated
-        object.__setattr__(self, "exponents", tuple(map(index, self.exponents)))
-        if len(self.exponents) != self.context.n:
-            raise ValueError(
-                f"expected {self.context.n} exponents, got {len(self.exponents)}"
-            )
-        if min(self.exponents) < 0:
-            raise ValueError("exponents must be non-negative")
-        if max(self.exponents) > MAX_EXPONENT:
-            raise ResourceLimitError(
-                f"exponent {max(self.exponents)} exceeds the bound {MAX_EXPONENT}"
-            )
-
-    def support(self) -> frozenset[int]:
-        """Indices of variables with positive exponent."""
-        return frozenset(i for i, e in enumerate(self.exponents) if e > 0)
-
-    def __str__(self) -> str:
-        return _exponent_text(self.context.variables, self.exponents) or "1"
-
-    def __repr__(self) -> str:
-        return f"Monomial({self})"
+def _checked_row(context: RingContext, row: Iterable[int]) -> tuple[int, ...]:
+    """``row`` as a tuple of Python ints, refused unless it is n exponents in
+    0..``MAX_EXPONENT``.  A float raises TypeError rather than truncating."""
+    row = tuple(map(index, row))
+    if len(row) != context.n:
+        raise ValueError(f"expected {context.n} exponents, got {len(row)}")
+    if min(row) < 0:
+        raise ValueError("exponents must be non-negative")
+    top = max(row)
+    if top > MAX_EXPONENT:
+        raise ResourceLimitError(f"exponent {top} exceeds the bound {MAX_EXPONENT}")
+    return row
 
 
 def _minimal_exponent_rows(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -288,19 +259,6 @@ class MonomialIdeal:
     rows: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_generators(
-        cls, context: RingContext, gens: Iterable[Monomial]
-    ) -> "MonomialIdeal":
-        rows = []
-        for g in gens:
-            if g.context != context:
-                raise ContextMismatchError(
-                    f"generator {g} does not live in {context}"
-                )
-            rows.append(g.exponents)
-        return cls._from_rows(context, rows)
-
-    @classmethod
     def _from_rows(
         cls, context: RingContext, rows: Iterable[Iterable[int]]
     ) -> "MonomialIdeal":
@@ -322,9 +280,8 @@ class MonomialIdeal:
     def from_exponents(
         cls, context: RingContext, rows: Iterable[Iterable[int]]
     ) -> "MonomialIdeal":
-        return cls.from_generators(
-            context, [Monomial(context, tuple(r)) for r in rows]
-        )
+        """The ideal of ``rows``, each checked, the non-minimal ones too."""
+        return cls._from_rows(context, [_checked_row(context, r) for r in rows])
 
     def __hash__(self) -> int:
         return self._hash
@@ -336,11 +293,6 @@ class MonomialIdeal:
         return hash((self.context, self.rows))
 
     # -- structure -------------------------------------------------------
-
-    @cached_property
-    def generators(self) -> tuple[Monomial, ...]:
-        """The minimal generators as monomials, built on first use."""
-        return tuple(Monomial(self.context, r) for r in self.rows)
 
     @property
     def mu(self) -> int:
@@ -375,9 +327,9 @@ class MonomialIdeal:
 
     # -- membership ------------------------------------------------------
 
-    def __contains__(self, m: Monomial) -> bool:
-        _check_same_context(self, m)
-        return any(all(a <= b for a, b in zip(r, m.exponents)) for r in self.rows)
+    def __contains__(self, row: Iterable[int]) -> bool:
+        row = _checked_row(self.context, row)
+        return any(all(map(le, r, row)) for r in self.rows)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """Whether every generator of ``other`` has a divisor among ours."""
@@ -443,22 +395,17 @@ class MonomialIdeal:
         """Ideal intersection, via pairwise lcms of generators."""
         return self._pairwise(other, np.maximum)
 
-    def colon(self, m: Monomial) -> "MonomialIdeal":
-        """(self : m) = { u : u*m in self }."""
-        _check_same_context(self, m)
+    def colon(self, row: Iterable[int]) -> "MonomialIdeal":
+        """(self : m) = { u : u*m in self }, m given by its exponent row."""
+        row = _checked_row(self.context, row)
         return MonomialIdeal._from_rows(self.context, [
-            [max(e - f, 0) for e, f in zip(r, m.exponents)] for r in self.rows
+            [max(e - f, 0) for e, f in zip(r, row)] for r in self.rows
         ])
 
     def colon_ideal(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """(self : other), the intersection of colons by each generator."""
         _check_same_context(self, other)
-        if other.is_zero:
-            return self.context.unit_ideal()
-        result = self.colon(other.generators[0])
-        for g in other.generators[1:]:
-            result = result & self.colon(g)
-        return result
+        return reduce(and_, map(self.colon, other.rows), self.context.unit_ideal())
 
     def saturate(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """(self : other^infinity), by iterating the colon until stable."""
@@ -491,9 +438,6 @@ class MonomialIdeal:
         )
 
     # -- presentation ----------------------------------------------------
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(self.generators)
 
     def generator_strings(self) -> list[str]:
         names = self.context.variables

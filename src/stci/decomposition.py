@@ -15,7 +15,11 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import MonomialIdeal, RingContext, memo, require_proper
+from .core import MonomialIdeal, ResourceLimitError, RingContext, memo, require_proper
+
+# Largest c * (kept + c) * n cells one step of ``_components`` may filter,
+# for c the components it grows: 2048 grown in 22 variables (9.2e7) pass.
+COMPONENT_CELL_BOUND = 1 << 27
 
 
 def _contains(q: tuple[int, ...], p: tuple[int, ...]) -> bool:
@@ -37,17 +41,25 @@ def _components(rows: Iterable[tuple[int, ...]], n: int) -> list[tuple[int, ...]
     outside Q, so does lcm(u, v) in I & J), so a component is redundant
     exactly when it contains another one.  A grown component contains the
     old one it grew from, so an old component kept unchanged that contained
-    it would contain another old one; only grown components are filtered.
+    it would contain another old one; only grown components are filtered,
+    and a step that would filter past ``COMPONENT_CELL_BOUND`` cells raises
+    ResourceLimitError before it grows any.
     """
     comps = [(0,) * n]
     for m in rows:
         support = [j for j, e in enumerate(m) if e]
         kept: list[tuple[int, ...]] = []
-        grown: dict[tuple[int, ...], None] = {}
+        split: list[tuple[int, ...]] = []
         for q in comps:
-            if any(0 < q[j] <= m[j] for j in support):
-                kept.append(q)
-                continue
+            (kept if any(0 < q[j] <= m[j] for j in support) else split).append(q)
+        c = len(split) * len(support)
+        if c * (len(kept) + c) * n > COMPONENT_CELL_BOUND:
+            raise ResourceLimitError(
+                f"{c} grown and {len(kept)} kept irreducible components in {n} "
+                f"variables exceed the bound of {COMPONENT_CELL_BOUND} cells"
+            )
+        grown: dict[tuple[int, ...], None] = {}
+        for q in split:
             for j in support:
                 g = list(q)
                 g[j] = m[j]

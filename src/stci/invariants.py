@@ -1,11 +1,12 @@
 """Derived invariants of monomial ideals.
 
 Everything here reduces to the decomposition and homology engines: depth
-and projective dimension come from the Taylor complex or the lcm lattice,
-cohomological dimension from the radical's projective dimension, formal
-grade from the dimension formula, analytic spread from the compact faces of
-the Newton polyhedron, and the arithmetic-rank upper bound as the length of
-the Schmitt-Vogel partition that :func:`schmitt_vogel_upper` returns.
+and projective dimension come from the socle test on the exponent grid, the
+Taylor strands, or the walk over the exponent grid or the lcm lattice; cd
+from the radical's projective dimension, formal grade from the dimension
+formula, analytic spread from the compact faces of the Newton polyhedron,
+and the arithmetic-rank upper bound as the length of the Schmitt-Vogel
+partition, levels of exponent rows, that :func:`schmitt_vogel_upper` returns.
 Invariants that depend on the coefficient field, from the projective
 dimension on, use the field of the ideal's ring.  Each memoized invariant
 is the public function itself, which rejects the zero and unit ideal first;
@@ -30,8 +31,8 @@ from operator import add, le
 import numpy as np
 
 from . import homology
-from .core import (MEMOS, PAIR_CELL_BOUND, Monomial, MonomialIdeal,
-                   ResourceLimitError, _bits, memo, require_proper)
+from .core import (MEMOS, PAIR_CELL_BOUND, MonomialIdeal, ResourceLimitError,
+                   _bits, memo, require_proper)
 from .decomposition import dim_quotient, height
 from .linfeas import newton_facets
 
@@ -57,7 +58,7 @@ def _check(ok: bool, relation: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# projective dimension: dispatcher over Taylor / lattice with splittings
+# projective dimension: socle test, Taylor strands, grid / lattice walk
 
 
 def _connected_blocks(sets: list[int]) -> list[int]:
@@ -305,27 +306,26 @@ def analytic_spread(a: MonomialIdeal) -> int:
 
 
 def is_valid_sv_partition(
-    a: MonomialIdeal, partition: tuple[tuple[Monomial, ...], ...]
+    a: MonomialIdeal, partition: tuple[tuple[tuple[int, ...], ...], ...]
 ) -> bool:
     """Check the partition certificate behind the upper bound.
 
-    Levels partition the minimal generators, the first level is a single
-    monomial, and the product of any two distinct monomials in one level
-    is divisible by a monomial of an earlier level.
+    Levels of exponent rows partition the minimal generators, the first
+    level is a single row, and the product of any two distinct monomials in
+    one level is divisible by a monomial of an earlier level.
     """
-    flat = [m.exponents for level in partition for m in level]
+    flat = [r for level in partition for r in level]
     if sorted(flat) != sorted(a.rows):
         return False
     if not partition or len(partition[0]) != 1:
         return False
     earlier: list[tuple[int, ...]] = []
     for level in partition:
-        rows = [m.exponents for m in level]
-        for p, q in combinations(rows, 2):
+        for p, q in combinations(level, 2):
             prod = tuple(map(add, p, q))
             if not any(all(map(le, e, prod)) for e in earlier):
                 return False
-        earlier.extend(rows)
+        earlier.extend(level)
     return True
 
 
@@ -470,8 +470,9 @@ def _sv_greedy(mu: int, pair_div: dict[tuple[int, int], int]) -> list[int]:
 
 
 @memo
-def schmitt_vogel_upper(a: MonomialIdeal) -> tuple[tuple[Monomial, ...], ...]:
-    """A Schmitt-Vogel partition of the generators, as a tuple of levels.
+def schmitt_vogel_upper(a: MonomialIdeal) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """A Schmitt-Vogel partition of the generators, as a tuple of levels of
+    exponent rows.
 
     Searches partitions P_0, ..., P_r of the generators with |P_0| = 1 where
     every product of two distinct members of a level is divisible by an
@@ -483,8 +484,7 @@ def schmitt_vogel_upper(a: MonomialIdeal) -> tuple[tuple[Monomial, ...], ...]:
     table is built, when mu^3 exceeds ``PAIR_CELL_BOUND``.
     """
     require_proper(a)
-    gens = a.generators
-    mu = len(gens)
+    mu = a.mu
     if mu > SV_EXACT_BOUND and mu ** 3 > PAIR_CELL_BOUND:
         raise ResourceLimitError(
             f"mu(a) = {mu} makes {mu ** 3} greedy Schmitt-Vogel steps, past "
@@ -493,7 +493,7 @@ def schmitt_vogel_upper(a: MonomialIdeal) -> tuple[tuple[Monomial, ...], ...]:
     pair_div = _pair_divisors(a.rows)
     search = _sv_exact if mu <= SV_EXACT_BOUND else _sv_greedy
     partition = tuple(
-        tuple(gens[i] for i in range(mu) if block >> i & 1)
+        tuple(a.rows[i] for i in range(mu) if block >> i & 1)
         for block in search(mu, pair_div)
     )
     _check(is_valid_sv_partition(a, partition), "valid Schmitt-Vogel partition")

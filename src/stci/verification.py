@@ -354,7 +354,7 @@ def run_reference_suite(horizon: int = 3) -> list[CheckResult]:
         _ideal_witness(tri) | {"fgrade": invariants.formal_grade(tri)},
         invariants.formal_grade(tri) == 1,
     ))
-    xyz = ctx3.monomial((1, 1, 1))
+    xyz = (1, 1, 1)
     results.append(_value_check(
         "triangle-symbolic-square-gap",
         _ideal_witness(tri),
@@ -463,6 +463,11 @@ class RandomIdealSpec:
             raise ResourceLimitError(
                 f"the squarefree checks enumerate 2^n faces; n = {self.n} "
                 f"exceeds the Stanley-Reisner bound {STANLEY_REISNER_BOUND}"
+            )
+        if self.n * self.max_generators > PAIR_CELL_BOUND:
+            raise ResourceLimitError(
+                f"{self.max_generators} drawn rows of {self.n} exponents exceed "
+                f"the bound of {PAIR_CELL_BOUND} cells"
             )
 
 

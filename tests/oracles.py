@@ -59,7 +59,6 @@ from stci import homology
 from stci.core import (
     BLOCK_CELLS,
     FieldSpec,
-    Monomial,
     MonomialIdeal,
     ResourceLimitError,
     RingContext,
@@ -80,7 +79,7 @@ def over_field(a: MonomialIdeal, field: FieldSpec) -> MonomialIdeal:
     """The ideal with the generators of ``a`` in the ring of its variables
     over ``field``."""
     ctx = RingContext(a.context.variables, field)
-    return MonomialIdeal.from_exponents(ctx, [g.exponents for g in a.generators])
+    return MonomialIdeal.from_exponents(ctx, a.rows)
 
 
 def evaluate_program(text: str, field: FieldSpec = FieldSpec.rationals()) -> MonomialIdeal:
@@ -90,8 +89,13 @@ def evaluate_program(text: str, field: FieldSpec = FieldSpec.rationals()) -> Mon
 
 def maximal_ideal(ctx: RingContext) -> MonomialIdeal:
     """The ideal generated by every variable of ``ctx``."""
-    gens = [ctx.variable(v) for v in ctx.variables]
-    return MonomialIdeal.from_generators(ctx, gens)
+    n = ctx.n
+    return from_rows(ctx, [[int(j == i) for j in range(n)] for i in range(n)])
+
+
+def row_support(row) -> frozenset[int]:
+    """Indices of the variables with positive exponent in ``row``."""
+    return frozenset(j for j, e in enumerate(row) if e)
 
 
 def monomials_up_to_degree(n: int, bound: int):
@@ -226,7 +230,7 @@ def oracle_degree_bound(operand_gens: list[list[tuple[int, ...]]]) -> int:
 
 def brute_height(a: MonomialIdeal) -> int:
     """Smallest variable subset meeting every generator support."""
-    supports = [g.support() for g in a.generators]
+    supports = [row_support(r) for r in a.rows]
     n = a.context.n
     for size in range(1, n + 1):
         for subset in combinations(range(n), size):
@@ -295,7 +299,7 @@ def brute_betti(a: MonomialIdeal) -> dict[int, int]:
     the quotient: strand-by-strand over all multidegrees below the lcm of
     the generators.  Exponential; tiny ideals only."""
     n = a.context.n
-    gens = [g.exponents for g in a.generators]
+    gens = list(a.rows)
     top = tuple(max(g[j] for g in gens) for j in range(n))
 
     def outside(m) -> bool:
@@ -350,7 +354,7 @@ def exponent_rows(a: MonomialIdeal) -> list[tuple[int, ...]]:
 
 
 def from_rows(ctx, rows) -> MonomialIdeal:
-    return MonomialIdeal.from_generators(ctx, [Monomial(ctx, r) for r in rows])
+    return MonomialIdeal.from_exponents(ctx, rows)
 
 
 def sparse_matmul(a: dict, b: dict) -> dict:
@@ -576,7 +580,7 @@ def stanley_reisner_complex(a: MonomialIdeal) -> SimplicialComplex:
     if not a.is_squarefree:
         raise ValueError("Stanley-Reisner complexes need a squarefree ideal")
     n = a.context.n
-    gen_masks = [sum(1 << j for j in g.support()) for g in a.generators]
+    gen_masks = [sum(1 << j for j in row_support(r)) for r in a.rows]
     return SimplicialComplex(n, [
         frozenset(j for j in range(n) if sigma >> j & 1)
         for sigma in range(1 << n)
@@ -723,9 +727,7 @@ def betti_numbers_oracle(a: MonomialIdeal) -> tuple[int, ...]:
     components = _support_components(a)
     if len(components) > 1:
         parts = [
-            MonomialIdeal.from_generators(
-                a.context, [a.generators[k] for k in comp]
-            )
+            MonomialIdeal.from_exponents(a.context, [a.rows[k] for k in comp])
             for comp in components
         ]
         return _convolve_tensor([betti_numbers_oracle(p) for p in parts])
@@ -949,7 +951,7 @@ def compact_faces_oracle(a: MonomialIdeal) -> set[tuple[tuple, int]]:
     """The compact faces of the Newton polyhedron as ``(points, dim)``: the
     generator subsets that some positive weight minimises strictly, one
     Fourier-Motzkin solve per subset."""
-    points = [g.exponents for g in a.generators]
+    points = list(a.rows)
     faces = set()
     indices = range(len(points))
     for size in range(1, len(points) + 1):
@@ -966,7 +968,7 @@ def analytic_spread_oracle(a: MonomialIdeal) -> int:
     Fourier-Motzkin solve for a positive weight exposing each subset that
     could raise the best dimension so far.  No rank shortcut for ideals
     generated in one degree."""
-    points = [g.exponents for g in a.generators]
+    points = list(a.rows)
     best = 0
     indices = range(len(points))
     for size in range(len(points), 0, -1):
@@ -1149,7 +1151,7 @@ def sv_exact_pairwise_filter(mu: int, pair_div: dict[tuple[int, int], int]) -> l
 
 def _sorted_by_generators(ideals) -> list[MonomialIdeal]:
     return sorted(
-        ideals, key=lambda c: [tuple(-e for e in g.exponents) for g in c.generators]
+        ideals, key=lambda c: [tuple(-e for e in r) for r in c.rows]
     )
 
 
@@ -1167,14 +1169,14 @@ def irreducible_decomposition_oracle(a: MonomialIdeal) -> list[MonomialIdeal]:
         if b in seen:
             continue
         seen.add(b)
-        mixed = [g for g in b.generators if len(g.support()) > 1]
+        mixed = [r for r in b.rows if len(row_support(r)) > 1]
         if not mixed:
             components.add(b)
             continue
         g = mixed[0]
-        j = min(g.support())
-        u = tuple(e if i == j else 0 for i, e in enumerate(g.exponents))
-        v = tuple(0 if i == j else e for i, e in enumerate(g.exponents))
+        j = min(row_support(g))
+        u = tuple(e if i == j else 0 for i, e in enumerate(g))
+        v = tuple(0 if i == j else e for i, e in enumerate(g))
         for part in (u, v):
             stack.append(b + MonomialIdeal.from_exponents(ctx, [part]))
     kept = _sorted_by_generators(components)
@@ -1200,7 +1202,7 @@ def minimal_primes_oracle(a: MonomialIdeal) -> list[MonomialIdeal]:
     variable subsets meeting every generator support, by enumerating the
     subsets of the support of ``a`` in increasing size."""
     ctx = a.context
-    supports = [g.support() for g in a.generators]
+    supports = [row_support(r) for r in a.rows]
     covers: list[frozenset[int]] = []
     universe = sorted(a.support())
     for size in range(1, len(universe) + 1):

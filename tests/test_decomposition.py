@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import stci
-from stci.core import Monomial, MonomialIdeal, RingContext
+import stci.decomposition as decomposition
+from stci.core import MonomialIdeal, ResourceLimitError, RingContext
 from stci.decomposition import (
     dim_quotient,
     height,
@@ -80,11 +81,32 @@ def test_decomposition_rejects_zero_and_unit():
         irreducible_decomposition(CTX3.unit_ideal())
 
 
+def test_component_cell_bound_at_and_past_the_limit(monkeypatch):
+    # the matching ideal (x0*x1, x2*x3, x4*x5, x6*x7): its last generator
+    # splits all 8 components in two, 16 grown and none kept, which the filter
+    # compares in 16 * 16 * 8 = 2048 cells, the most of any step
+    ctx = RingContext(tuple(f"x{j}" for j in range(8)))
+    a = MonomialIdeal.from_exponents(
+        ctx, [[int(j // 2 == i) for j in range(8)] for i in range(4)])
+    monkeypatch.setattr(decomposition, "COMPONENT_CELL_BOUND", 2048)
+    assert len(irreducible_decomposition(a)) == 16
+    monkeypatch.setattr(decomposition, "COMPONENT_CELL_BOUND", 2047)
+    with pytest.raises(ResourceLimitError, match="16 grown and 0 kept"):
+        irreducible_decomposition(a)
+    # the triangle's second and third generators each split one component in
+    # two and keep one: 2 * (1 + 2) * 3 = 18 cells, the kept one counted
+    monkeypatch.setattr(decomposition, "COMPONENT_CELL_BOUND", 18)
+    assert len(irreducible_decomposition(triangle())) == 3
+    monkeypatch.setattr(decomposition, "COMPONENT_CELL_BOUND", 17)
+    with pytest.raises(ResourceLimitError, match="2 grown and 1 kept"):
+        irreducible_decomposition(triangle())
+
+
 def test_component_radical_is_its_support_prime():
     comps = irreducible_decomposition(ideal(CTX3, (2, 1, 0), (0, 0, 3)))
     for c in comps:
         # pure powers of distinct variables, whose radical is their support
-        assert all(len(g.support()) == 1 for g in c.generators)
+        assert all(sum(map(bool, r)) == 1 for r in c.rows)
         assert c.mu == len(c.support()) >= 1
         assert c.radical() == MonomialIdeal.from_exponents(
             CTX3, [[int(j == i) for j in range(3)] for i in c.support()])
@@ -263,7 +285,7 @@ def test_symbolic_power_of_prime_is_ordinary():
 
 def test_symbolic_square_of_triangle_contains_xyz():
     tri = triangle()
-    xyz = Monomial(CTX3, (1, 1, 1))
+    xyz = (1, 1, 1)
     assert xyz in symbolic_power(tri, 2)
     assert xyz not in tri ** 2
 

@@ -904,7 +904,7 @@ def test_weight_check_survives_python_optimize():
 def compact_faces(a):
     """The faces ``invariants._compact_faces`` returns for the generators of
     ``a``, as ``{(points, dim): weight}``."""
-    points = [g.exponents for g in a.generators]
+    points = list(a.rows)
     out = {}
     for mask, weight in invariants._compact_faces(points).items():
         assert exposed(weight, points)[1] == mask
@@ -1085,11 +1085,10 @@ def seeded_squarefree_ideals(count: int, seed: int, max_gens: int = 9):
 def assert_sv_matches_oracle(a):
     """The maximal-level search finds as few levels as the all-submask
     oracle, with a valid witness."""
-    gens = list(a.generators)
     levels = invariants._sv_exact(a.mu, invariants._pair_divisors(a.rows))
     assert len(levels) == len(sv_levels_oracle(a)), a
     witness = tuple(
-        tuple(g for i, g in enumerate(gens) if block >> i & 1) for block in levels
+        tuple(r for i, r in enumerate(a.rows) if block >> i & 1) for block in levels
     )
     assert is_valid_sv_partition(a, witness), a
 
@@ -1154,7 +1153,7 @@ def test_sv_exact_pruned_layers_keep_the_level_bfs_length():
         levels = invariants._sv_exact(a.mu, pair_div)
         unpruned = sv_exact_level_bfs(a.mu, pair_div)
         assert len(levels) == len(unpruned), a
-        witness = tuple(tuple(g for i, g in enumerate(a.generators)
+        witness = tuple(tuple(r for i, r in enumerate(a.rows)
                               if block >> i & 1) for block in levels)
         assert is_valid_sv_partition(a, witness), a
         changed += levels != unpruned

@@ -8,7 +8,7 @@ import stci
 # tests/oracles.py, so a name added here is a visible change of the API.
 PUBLIC = {
     "ChainComplex", "CheckResult", "ContextMismatchError", "EvaluationError",
-    "FieldSpec", "Monomial", "MonomialIdeal", "ParseError", "RandomIdealSpec",
+    "FieldSpec", "MonomialIdeal", "ParseError", "RandomIdealSpec",
     "ResourceLimitError", "RingContext",
     "analytic_spread", "check_chain", "check_dg_dichotomy",
     "check_disjoint_prime_intersection", "check_frobenius",

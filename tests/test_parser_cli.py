@@ -200,7 +200,7 @@ def test_print_parse_print_fixed_point(text):
 
 
 def test_format_program_prints_exponents_past_the_monomial_bound():
-    # printing reads the parsed rows and builds no Monomial
+    # printing reads the parsed rows and checks no exponent bound
     text = f"ring x; (x^{MAX_EXPONENT + 1})"
     assert format_program(*parse(text)) == text
 
@@ -505,7 +505,7 @@ def test_cli_resource_exit_code():
 
 
 def test_cli_out_of_memory_exits_3_without_traceback(monkeypatch):
-    # fuzz --n 99999 runs out of memory growing irreducible components
+    # a MemoryError raised anywhere in a command ends it as a resource limit
     def exhausted(*args, **kwargs):
         raise MemoryError
 
@@ -561,13 +561,14 @@ def test_cli_report_on_the_readme_product_exits_within_budget():
     assert "Traceback" not in done.stderr
 
 
-def fuzz_one_draw(n):
-    """``stci fuzz --n n --count 1`` in a fresh interpreter, stopped after 10 s."""
+def fuzz_one_draw(n, timeout=10):
+    """``stci fuzz --n n --count 1`` in a fresh interpreter, stopped after
+    ``timeout`` seconds."""
     src = str(Path(stci.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "stci.cli", "fuzz", "--n", str(n), "--count", "1"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-        timeout=10,
+        timeout=timeout,
     )
 
 
@@ -586,6 +587,28 @@ def test_cli_fuzz_n20_within_budget():
     # ranked their nerves
     done = fuzz_one_draw(20)
     assert done.returncode == EXIT_OK, done.stderr
+
+
+def test_cli_fuzz_n200_stops_at_the_component_bound():
+    # the seed-0 draw's minimal primes, under the chain check's height, grew
+    # thousands of irreducible components in 200 variables and ran past 60 s
+    done = fuzz_one_draw(200, timeout=60)
+    assert done.returncode == EXIT_RESOURCE
+    assert "irreducible components" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_cli_fuzz_refuses_a_draw_too_large_to_build(monkeypatch):
+    # 5 rows of 99999999999 exponents, and a ring of as many names, would
+    # exhaust memory; the spec refuses them before any ring is built
+    def no_ring(*args, **kwargs):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr(stci.verification, "RingContext", no_ring)
+    code, out, err = run_cli(["fuzz", "--n", "99999999999", "--count", "1"])
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert err.startswith("resource limit: 5 drawn rows of 99999999999 exponents")
 
 
 def test_cli_closed_pipe_exits_1_without_traceback():

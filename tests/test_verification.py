@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from stci.core import FieldSpec, MonomialIdeal, ResourceLimitError, RingContext
+from stci.core import (PAIR_CELL_BOUND, FieldSpec, MonomialIdeal, ResourceLimitError,
+                       RingContext)
 from stci.homology import STANLEY_REISNER_BOUND
 from stci.verification import (
     FAIL,
@@ -146,7 +147,7 @@ def test_frobenius_fails_on_a_wrong_bracket_power(monkeypatch, wrong):
     # (x^3, y^2) in place of (x^2, y^2) keeps the radical, the depth and
     # a^[2] <= a^2, so only the pigeonhole inclusion a^3 <= a^[2] catches it
     def bracket_power(self, q):
-        rows = [tuple(e * q for e in g.exponents) for g in self.generators]
+        rows = [tuple(e * q for e in r) for r in self.rows]
         if wrong == "drops a generator":
             rows = rows[:-1]
         else:
@@ -226,6 +227,20 @@ def test_random_squarefree_spec_bounds():
         RandomIdealSpec(n=STANLEY_REISNER_BOUND + 1, squarefree=True)
     RandomIdealSpec(n=STANLEY_REISNER_BOUND, squarefree=True)
     RandomIdealSpec(n=1)
+
+
+def test_random_spec_cell_bound_at_and_past_the_limit():
+    # n * max_generators cells of drawn rows; only the spec is built here
+    RandomIdealSpec(n=PAIR_CELL_BOUND // 4, max_generators=4)
+    RandomIdealSpec(n=PAIR_CELL_BOUND, max_generators=1)
+    with pytest.raises(ResourceLimitError, match="4 drawn rows"):
+        RandomIdealSpec(n=PAIR_CELL_BOUND // 4 + 1, max_generators=4)
+    with pytest.raises(ResourceLimitError, match="1 drawn rows"):
+        RandomIdealSpec(n=PAIR_CELL_BOUND + 1, max_generators=1)
+    with pytest.raises(ResourceLimitError, match="3 drawn rows"):
+        RandomIdealSpec(n=PAIR_CELL_BOUND // 2, max_generators=3)
+    with pytest.raises(ResourceLimitError):
+        RandomIdealSpec(n=99999999999)
 
 
 def test_random_squarefree_draws_are_pinned():
